@@ -2,7 +2,7 @@
 
 Takes the correlation P = (1/3)[[1,1],[1,0]], derives Λ candidates from
 two named purifications, screens each candidate with the necessary
-conditions, and runs the alternating solver on the survivors.  A
+conditions, and runs the witness search on the survivors.  A
 converged run is re-verified cell by cell and then sampled.
 
 Run as: python3 demos/find_factorization.py

@@ -39,10 +39,7 @@ from .factorize import (
     SolveSettings,
     VerifyResult,
     alternate,
-    init_factors,
     lambda_candidates_from_purifications,
-    project_feasible,
-    solve_subproblem,
     verify,
 )
 from .purify import (

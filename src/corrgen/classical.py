@@ -123,7 +123,8 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
             witness.append(i)
             remaining -= a
         # else remaining must be reachable in prefix[i] already
-    assert remaining == 0
+    if remaining != 0:
+        raise ClassicalError("oracle witness does not reach half the total")
     return OracleResult(True, tuple(sorted(witness)))
 
 

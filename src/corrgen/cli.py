@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -122,7 +121,10 @@ def _solve_settings(args) -> factorize.SolveSettings:
         kwargs["restarts"] = args.restarts
     if args.tol is not None:
         kwargs["residual_tol"] = args.tol
-    return factorize.SolveSettings(**kwargs)
+    try:
+        return factorize.SolveSettings(**kwargs)
+    except factorize.FactorizationError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_check(args) -> int:
@@ -142,10 +144,7 @@ def cmd_check(args) -> int:
 def _lambda_from_args(args) -> np.ndarray:
     if not getattr(args, "lam", None):
         raise InputError("provide --lambda")
-    lam = np.array(_parse_floats(args.lam, "--lambda"))
-    if args.lambda_squared:
-        lam = np.sqrt(lam)
-    return lam
+    return np.array(_parse_floats(args.lam, "--lambda"))
 
 
 def cmd_factorize(args) -> int:
@@ -153,7 +152,8 @@ def cmd_factorize(args) -> int:
     lam = _lambda_from_args(args)
     k = args.k if args.k is not None else lam.size
     try:
-        outcome = factorize.alternate(target, lam, k, _solve_settings(args))
+        outcome = factorize.alternate(target, lam, k, _solve_settings(args),
+                                      lam_squared=args.lambda_squared)
     except factorize.FactorizationError as exc:
         raise InputError(str(exc)) from exc
     payload = {
@@ -170,11 +170,13 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.tol >= 0:
+        raise InputError(f"--tol must be nonnegative, got {args.tol}")
     target = _load_correlation(args.target)
     try:
         F = factorize.DiagonalPsdFactorization.from_json_dict(
             _load_json_file(args.factorization))
-        result = factorize.verify(target, F, tol=args.tol if args.tol else 1e-6)
+        result = factorize.verify(target, F, tol=args.tol)
     except factorize.FactorizationError as exc:
         raise InputError(str(exc)) from exc
     _emit(result.to_json_dict(), args)
@@ -182,6 +184,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.samples < 0:
+        raise InputError(f"--samples must be nonnegative, got {args.samples}")
     try:
         F = factorize.DiagonalPsdFactorization.from_json_dict(
             _load_json_file(args.factorization))
@@ -253,7 +257,10 @@ def cmd_lambda_candidates(args) -> int:
 def cmd_pipeline(args) -> int:
     target = _load_correlation(args.target)
     spectrum = _spectrum_from_args(args)
-    report = conditions.check_all(spectrum, target, _alphas_from_args(args))
+    try:
+        report = conditions.check_all(spectrum, target, _alphas_from_args(args))
+    except conditions.SpectrumError as exc:
+        raise InputError(str(exc)) from exc
     payload = {"check": report.to_json_dict()}
     if report.verdict == conditions.RULED_OUT:
         payload["result"] = "ruled out by necessary conditions"
@@ -351,28 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _worker_cap() -> int | None:
-    """CORRGEN_THREADS caps the worker count.
-
-    Restarts run sequentially (one worker), so any positive cap is
-    honored as is; the variable is still validated so typos fail loudly.
-    """
-    raw = os.environ.get("CORRGEN_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"CORRGEN_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise InputError(f"CORRGEN_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _worker_cap()
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,8 @@ class SchmidtSpectrum:
         lam = np.sort(np.array(lambdas, dtype=float))[::-1].copy()
         if lam.ndim != 1 or lam.size == 0:
             raise SpectrumError("spectrum must be a non-empty vector")
+        if not np.all(np.isfinite(lam)):
+            raise SpectrumError("squared Schmidt coefficients must be finite")
         if np.any(lam <= 0):
             raise SpectrumError("squared Schmidt coefficients must be positive")
         if abs(lam.sum() - 1.0) > 1e-9:
@@ -126,7 +128,8 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     records = []
     for alpha in alphas:
         alpha = float(alpha)
-        if alpha == 1.0 or alpha < 0.5 or (not np.isinf(alpha) and alpha <= 0):
+        # NaN fails every comparison below and would read as a violated bound
+        if np.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
             raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
         if np.isinf(alpha):
             lhs = float(np.sum(1.0 / lam))

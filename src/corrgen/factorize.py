@@ -1,17 +1,22 @@
-"""Alternating optimization for diagonal-form PSD factorizations.
+"""Riemannian search for diagonal-form PSD factorizations.
 
 A diagonal-form factorization of a correlation P is a family of PSD
 matrices {C_x}, {D_y} with P(x,y) = tr(C_x D_y) and ΣC_x = ΣD_y = Λ for
 a diagonal nonnegative Λ.  Finding one for a prescribed Λ is a
-non-convex (NP-hard) problem; the solver below alternates between the
-two convex subproblems (fix {D_y}, solve for {C_x}, and vice versa),
-with multiple deterministic restarts.
+non-convex (NP-hard) problem.
 
-Each subproblem is a small dense convex QP over the intersection of the
-per-matrix PSD cones with the affine slice ΣC_x = Λ.  It is solved by
-projected gradient descent; the projection onto the intersection is
-computed with Dykstra's alternating-projection scheme.  A failed search
-means "no factorization found", never "infeasible".
+The constraints are built into the variables.  With S = Λ^{1/2}, stack
+the blocks Uₓᵀ into an nk×k matrix X with XᵀX = I and set
+C_x = S Uₓ Uₓᵀ S: every C_x is PSD and ΣC_x = S XᵀX S = Λ exactly.
+Every feasible family arises this way (write C_x = BₓBₓᵀ; then
+Λ^{-1/2}[B₁ … Bₙ] has orthonormal rows), and a zero entry of Λ simply
+gives a zero row of S.  {D_y} is built the same way from Y (mk×k).
+The solver minimizes ‖P − tr(C_x D_y)‖² jointly over the two Stiefel
+manifolds (Wen & Yin, Math. Prog. 2013; Vandaele, Glineur & Gillis,
+Comput. Optim. Appl. 2018), with multiple deterministic restarts.
+Every iterate is feasible to rounding error, so the search only ever
+trades objective, never feasibility.  A failed search means "no
+factorization found", never "infeasible".
 
 Real symmetric matrices only.  Complex Hermitian factors could in
 principle exist where real ones do not; this is a documented limitation.
@@ -19,9 +24,12 @@ principle exist where real ones do not; this is a documented limitation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+
+#: Sufficient-decrease constant of the Armijo line search.
+ARMIJO = 1e-4
 
 
 class FactorizationError(ValueError):
@@ -30,6 +38,8 @@ class FactorizationError(ValueError):
 
 def _as_sqrt_lambda(lam, squared: bool = False) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise FactorizationError("Lambda entries must be finite")
     if lam.ndim == 2:
         if np.max(np.abs(lam - np.diag(np.diag(lam)))) > 0:
             raise FactorizationError("Lambda must be diagonal")
@@ -162,159 +172,58 @@ class VerifyResult:
         return {"residual": self.residual, "feasibility": self.feasibility, "ok": self.ok}
 
 
-def init_factors(rng_seed: int, k: int, count: int, dim_hint: int | None = None) -> np.ndarray:
-    """Random PSD starting factors: each is Σᵢ bᵢbᵢᵀ over k standard-normal vectors."""
-    if k < 1 or count < 1:
-        raise FactorizationError("k and count must be >= 1")
-    dim = dim_hint or k
-    rng = np.random.default_rng(rng_seed)
-    out = np.empty((count, dim, dim))
-    for c in range(count):
-        b = rng.standard_normal((k, dim))
-        out[c] = b.T @ b
-    return out
+def _factor_stack(s: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The stack S·UₓUₓᵀ·S from blocks Z[x] = Uₓᵀ, with S = diag(s)."""
+    ZS = Z * s
+    return ZS.transpose(0, 2, 1) @ ZS
 
 
-def _project_psd(stack: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (stack + stack.transpose(0, 2, 1))
-    k = sym.shape[-1]
-    if k == 1:
-        return np.maximum(sym, 0.0)
-    if k == 2:
-        # closed-form eigenprojection, avoids LAPACK per-call overhead
-        a, b, c = sym[:, 0, 0], sym[:, 0, 1], sym[:, 1, 1]
-        mean = 0.5 * (a + c)
-        rad = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
-        lo = np.maximum(mean - rad, 0.0)
-        hi = np.maximum(mean + rad, 0.0)
-        # eigenvector for the larger eigenvalue; diagonal case picks the larger entry
-        off = np.abs(b) > 1e-300
-        ux = np.where(off, b, np.where(a >= c, 1.0, 0.0))
-        uy = np.where(off, mean + rad - a, np.where(a >= c, 0.0, 1.0))
-        nrm = np.sqrt(ux ** 2 + uy ** 2)
-        ux, uy = ux / nrm, uy / nrm
-        out = np.empty_like(sym)
-        out[:, 0, 0] = hi * ux ** 2 + lo * uy ** 2
-        out[:, 0, 1] = out[:, 1, 0] = (hi - lo) * ux * uy
-        out[:, 1, 1] = hi * uy ** 2 + lo * ux ** 2
-        return out
-    # batched eigendecomposition with negative eigenvalues clamped to 0
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.maximum(vals, 0.0)
-    return np.einsum("xab,xb,xcb->xac", vecs, vals, vecs)
+def _retract(Z: np.ndarray) -> np.ndarray:
+    """QR retraction of a stack of blocks onto {ΣZₓᵀZₓ = I}.
 
-
-def _project_affine(stack: np.ndarray, lam_diag: np.ndarray) -> np.ndarray:
-    # shift every matrix by the same amount so the stack sums to Λ
-    return stack - (stack.sum(axis=0) - lam_diag) / stack.shape[0]
-
-
-def project_feasible(stack: np.ndarray, lam: np.ndarray,
-                     tol: float = 1e-11, max_iters: int = 100) -> np.ndarray:
-    """Dykstra projection onto {each matrix PSD} ∩ {stack sums to diag(lam)}.
-
-    Ends on the affine step, so the sum constraint holds to machine
-    precision; any residual PSD violation is within the iteration
-    tolerance.
+    The sign of each column is fixed so that R has a nonnegative
+    diagonal, which makes the retraction a function of Z alone.
     """
-    lam_diag = np.diag(lam)
-    x = _project_affine(stack, lam_diag)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_iters):
-        y = _project_psd(x + p)
-        p = x + p - y
-        x_new = _project_affine(y + q, lam_diag)
-        q = y + q - x_new
-        if np.max(np.abs(x_new - x)) < tol:
-            return x_new
-        x = x_new
-    return x
+    q, r = np.linalg.qr(Z.reshape(-1, Z.shape[-1]))
+    return (q * np.copysign(1.0, np.diag(r))).reshape(Z.shape)
 
 
-def _objective(P: np.ndarray, C: np.ndarray, D: np.ndarray) -> float:
-    table = np.einsum("xab,yba->xy", C, D)
-    return float(np.sum((P - table) ** 2))
+def _evaluate(P: np.ndarray, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """Objective ‖T − P‖², the two factor stacks and the residual R = T − P."""
+    C, D = _factor_stack(s, X), _factor_stack(s, Y)
+    R = np.einsum("xab,yba->xy", C, D) - P
+    return float(np.sum(R ** 2)), C, D, R
 
 
-def solve_subproblem(P: np.ndarray, fixed: np.ndarray, lam,
-                     settings: SolveSettings | None = None,
-                     init: np.ndarray | None = None) -> np.ndarray:
-    """Minimize Σ(P(x,y) − tr(C_x D_y))² over feasible {C_x}, {D_y} fixed.
+def _riemannian_gradient(s: np.ndarray, Z: np.ndarray, other: np.ndarray,
+                         R: np.ndarray) -> np.ndarray:
+    """Gradient of ‖T − P‖² on the Stiefel manifold of Z, the other side fixed.
 
-    Projected gradient with step 1/L, L = 2·Σ‖D_y‖_F², halving on any
-    objective increase; a monotone descent method.  ``P`` is the raw
-    cell table as an array (pass Pᵀ with the C stack to solve for D).
+    ``other`` is the opposite factor stack and ``R`` the residual with
+    Z's labels on its first axis.  The Euclidean gradient of block Zₓ is
+    4·Zₓ·S(Σ_y R_xy D_y)S; projecting it onto the tangent space gives
+    G − Z·sym(ZᵀG).
     """
-    settings = settings or SolveSettings()
-    P = np.asarray(P, dtype=float)
-    D = np.asarray(fixed, dtype=float)
-    lam = _as_sqrt_lambda(lam)
-    k = lam.size
-    n = P.shape[0]
-    if P.shape[1] != D.shape[0] or D.shape[1:] != (k, k):
-        raise FactorizationError("subproblem shapes are inconsistent")
-
-    default = np.stack([np.diag(lam) / n] * n)
-    L = 2.0 * float(np.sum(D ** 2))
-    if L <= 0:
-        # objective is constant; return the feasible default
-        return init.copy() if init is not None else default
-    if init is None:
-        C = default
-    else:
-        # a feasible init (e.g. the previous outer iterate, itself a
-        # Dykstra output) is kept as is: re-projecting can nudge the
-        # objective upward and break outer-loop monotonicity
-        C = init.copy()
-        if np.max(np.abs(C.sum(axis=0) - np.diag(lam))) > 1e-12:
-            C = project_feasible(C, lam)
-
-    f = _objective(P, C, D)
-    base_step = 1.0 / L
-    prev_C = prev_grad = None
-    for _ in range(settings.max_inner_iters):
-        table = np.einsum("xab,yba->xy", C, D)
-        grad = -2.0 * np.einsum("xy,yab->xab", P - table, D)
-        # symmetrize to cancel floating-point asymmetry
-        grad = 0.5 * (grad + grad.transpose(0, 2, 1))
-
-        # Barzilai-Borwein trial step, safeguarded by monotone backtracking
-        step = base_step
-        if prev_C is not None:
-            s = C - prev_C
-            g = grad - prev_grad
-            denom = float(np.sum(s * g))
-            if denom > 0:
-                step = max(float(np.sum(s * s)) / denom, base_step)
-        prev_C, prev_grad = C, grad
-
-        accepted = False
-        for _ in range(settings.max_backtracks):
-            trial = project_feasible(C - step * grad, lam)
-            f_trial = _objective(P, trial, D)
-            if f_trial <= f:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        move = np.max(np.abs(trial - C))
-        C, f = trial, f_trial
-        if move <= settings.stationarity_tol:
-            break
-    return C
+    E = np.einsum("xy,yab->xab", R, other)
+    G = 4.0 * (Z * s) @ (E * s)
+    ZtG = np.einsum("xab,xac->bc", Z, G)
+    return G - Z @ (0.5 * (ZtG + ZtG.T))
 
 
 def alternate(P, lam, k: int, settings: SolveSettings | None = None,
               lam_squared: bool = False) -> SolveOutcome:
-    """Multi-restart alternating optimization for a diagonal-form factorization.
+    """Multi-restart Riemannian descent for a diagonal-form factorization.
 
-    Runs the two convex subproblems in turn until the objective drops
-    below ``residual_tol``, stalls, or hits the iteration cap; the best
-    restart wins (ties broken by lower restart index).  An infeasible Λ
-    is not an error — it simply yields a high residual and
-    ``converged=False``.
+    Each restart draws (X, Y) at random from the Stiefel manifolds and
+    minimizes ‖T − P‖² jointly over both, by Barzilai–Borwein steps
+    accepted under Armijo backtracking.  One outer iteration is a block
+    of up to ``max_inner_iters`` steps, ending early at a point with
+    objective ≤ ``residual_tol``, gradient norm < ``stationarity_tol``,
+    or no acceptable step.  A restart ends when it converges, when its
+    block ends stuck, when the objective stalls over ``stall_window``
+    blocks, or at the iteration cap; the best restart wins (ties broken
+    by lower restart index).  An infeasible Λ is not an error — it
+    simply yields a high residual and ``converged=False``.
     """
     from .correlation import Correlation
 
@@ -326,20 +235,49 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     if k != lam.size:
         raise FactorizationError("k must equal the number of Lambda entries")
     n, m = P.shape
+    s = np.sqrt(lam)
 
     best = None
     for restart in range(settings.restarts):
-        D = init_factors(settings.rng_seed + restart, k, m)
-        C = None
+        rng = np.random.default_rng(settings.rng_seed + restart)
+        X = _retract(rng.standard_normal((n, k, k)))
+        Y = _retract(rng.standard_normal((m, k, k)))
+        f, C, D, R = _evaluate(P, s, X, Y)
+        gX = _riemannian_gradient(s, X, D, R)
+        gY = _riemannian_gradient(s, Y, C, R.T)
+        step = 1.0
         history = []
-        converged = False
-        for it in range(settings.max_outer_iters):
-            C = solve_subproblem(P, D, lam, settings, init=C)
-            D = solve_subproblem(P.T, C, lam, settings, init=D)
-            obj = _objective(P, C, D)
-            history.append(obj)
-            if obj <= settings.residual_tol:
+        converged = stuck = False
+        for _ in range(settings.max_outer_iters):
+            for _ in range(settings.max_inner_iters):
+                gnorm2 = float(np.sum(gX ** 2) + np.sum(gY ** 2))
+                if f <= settings.residual_tol:
+                    break
+                if gnorm2 < settings.stationarity_tol ** 2:
+                    stuck = True
+                    break
+                for _ in range(settings.max_backtracks):
+                    Xt, Yt = _retract(X - step * gX), _retract(Y - step * gY)
+                    ft, Ct, Dt, Rt = _evaluate(P, s, Xt, Yt)
+                    if ft <= f - ARMIJO * step * gnorm2:
+                        break
+                    step *= 0.5
+                else:
+                    stuck = True
+                    break
+                gXt = _riemannian_gradient(s, Xt, Dt, Rt)
+                gYt = _riemannian_gradient(s, Yt, Ct, Rt.T)
+                # Barzilai–Borwein step from the last move and gradient change
+                dX, dY = Xt - X, Yt - Y
+                sy = abs(float(np.sum(dX * (gXt - gX)) + np.sum(dY * (gYt - gY))))
+                if sy > 0:
+                    step = float(np.sum(dX ** 2) + np.sum(dY ** 2)) / sy
+                X, Y, f, C, D, gX, gY = Xt, Yt, ft, Ct, Dt, gXt, gYt
+            history.append(f)
+            if f <= settings.residual_tol:
                 converged = True
+                break
+            if stuck:
                 break
             w = settings.stall_window
             if len(history) > w:

@@ -83,6 +83,29 @@ class TestCheck:
                         "--schmidt", "0.5,0.5")
         assert '"inf"' in out
 
+    @pytest.mark.parametrize("command", ["check", "pipeline"])
+    def test_nan_alpha_exit_1(self, capsys, half_identity, command):
+        # a NaN order fails every comparison; it must not read as RULED_OUT
+        code, out, err = run(capsys, command, "--target", half_identity,
+                             "--schmidt", "0.5,0.5", "--alphas", "nan")
+        assert code == 1
+        assert out == ""
+        assert "alpha" in err
+
+    def test_nan_spectrum_exit_1(self, capsys, half_identity):
+        code, out, err = run(capsys, "check", "--target", half_identity,
+                             "--schmidt", "nan,0.5")
+        assert code == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize("flag", [("--restarts", "0"), ("--tol", "-1")])
+    def test_bad_solver_settings_exit_1(self, capsys, target_alg, flag):
+        code, out, err = run(capsys, "pipeline", "--target", target_alg,
+                             "--schmidt", "0.8,0.2", *flag)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
     def test_text_format(self, capsys, target_diag):
         code, out, _ = run(capsys, "check", "--target", target_diag,
                            "--schmidt", "0.5,0.5", "--format", "text")
@@ -138,6 +161,52 @@ class TestFactorizeVerifySimulate:
                              "--factorization", str(bad))
         assert code == 1
         assert out == ""
+
+    def test_verify_tol_zero_is_kept(self, capsys, tmp_path):
+        # factors off by 1e-9 pass the default 1e-6 but must fail a zero tolerance
+        target = tmp_path / "product.json"
+        target.write_text(json.dumps({"matrix": [[0.12, 0.28], [0.18, 0.42]]}))
+        fact = tmp_path / "f.json"
+        fact.write_text(json.dumps({"lambda": [1.0], "C": [[[0.4 + 1e-9]], [[0.6 - 1e-9]]],
+                                    "D": [[[0.3]], [[0.7]]]}))
+        argv = ["verify", "--target", str(target), "--factorization", str(fact)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["ok"] is True
+        code, out, _ = run(capsys, *argv, "--tol", "0")
+        assert code == 0 and json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("tol", ["-1e-6", "nan"])
+    def test_verify_bad_tol_exit_1(self, capsys, target_alg, tmp_path, tol):
+        fact = tmp_path / "f.json"
+        fact.write_text(json.dumps({"lambda": [1.0], "C": [[[1.0]]], "D": [[[1.0]]]}))
+        code, out, err = run(capsys, "verify", "--target", target_alg,
+                             "--factorization", str(fact), f"--tol={tol}")
+        assert code == 1
+        assert out == ""
+        assert "--tol" in err
+
+    def test_simulate_negative_samples_exit_1(self, capsys, tmp_path):
+        fact = tmp_path / "f.json"
+        fact.write_text(json.dumps({"lambda": [1.0], "C": [[[1.0]]], "D": [[[1.0]]]}))
+        code, out, err = run(capsys, "simulate", "--factorization", str(fact),
+                             "--samples", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--samples" in err
+
+    @pytest.mark.parametrize("lam", ["nan,0.5", "0.5,inf"])
+    def test_non_finite_lambda_exit_1(self, capsys, target_alg, lam):
+        code, out, err = run(capsys, "factorize", "--target", target_alg,
+                             "--lambda", lam)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_negative_squared_lambda_exit_1(self, capsys, target_alg):
+        code, out, err = run(capsys, "factorize", "--target", target_alg,
+                             "--lambda=-0.2,1.2", "--lambda-squared")
+        assert code == 1
+        assert "nonnegative" in err
 
     def test_k_mismatch_exit_1(self, capsys, target_alg):
         code, _, _ = run(capsys, "factorize", "--target", target_alg,
@@ -250,19 +319,6 @@ class TestOutputContract:
         assert code == 2
         assert out == ""
         assert json.loads(dest.read_text())["verdict"] == "RULED_OUT"
-
-    def test_thread_cap_accepted(self, capsys, target_diag, monkeypatch):
-        monkeypatch.setenv("CORRGEN_THREADS", "4")
-        code, _, _ = run(capsys, "check", "--target", target_diag,
-                         "--schmidt", "0.5,0.5")
-        assert code == 2
-
-    def test_thread_cap_invalid(self, capsys, target_diag, monkeypatch):
-        monkeypatch.setenv("CORRGEN_THREADS", "zero")
-        code, out, err = run(capsys, "check", "--target", target_diag,
-                             "--schmidt", "0.5,0.5")
-        assert code == 1
-        assert "CORRGEN_THREADS" in err
 
     def test_malformed_json_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

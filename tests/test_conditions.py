@@ -32,7 +32,8 @@ class TestSpectrum:
         s = SchmidtSpectrum([0.1, 0.9])
         np.testing.assert_allclose(s.lambdas, [0.9, 0.1])
 
-    @pytest.mark.parametrize("bad", [[0.5, 0.6], [1.0, 0.0], [-0.5, 1.5], []])
+    @pytest.mark.parametrize("bad", [[0.5, 0.6], [1.0, 0.0], [-0.5, 1.5], [],
+                                     [float("nan"), 0.5], [float("nan")], [float("inf"), 0.5]])
     def test_rejects_invalid(self, bad):
         with pytest.raises(SpectrumError):
             SchmidtSpectrum(bad)
@@ -61,7 +62,7 @@ class TestRenyi:
         assert rec.rhs == pytest.approx(2.0)
         assert not rec.satisfied
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.0, -2.0])
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.0, -2.0, float("nan"), float("-inf")])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(SpectrumError):
             check_renyi(BELL, DIAG37, alphas=[alpha])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrgen import (
     Correlation,
@@ -7,12 +8,10 @@ from corrgen import (
     FactorizationError,
     SolveSettings,
     alternate,
-    init_factors,
     lambda_candidates_from_purifications,
-    project_feasible,
-    solve_subproblem,
     verify,
 )
+from corrgen.factorize import _evaluate, _retract, _riemannian_gradient
 
 from conftest import random_verified_factorization
 
@@ -56,6 +55,14 @@ class TestDataclass:
         with pytest.raises(FactorizationError):
             DiagonalPsdFactorization(REF_C, REF_D, [0.5])
 
+    @pytest.mark.parametrize("lam", [[np.nan, 0.5], [np.inf, 0.5],
+                                     [[0.5, np.nan], [0.0, 0.5]]])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(FactorizationError, match="finite"):
+            DiagonalPsdFactorization(REF_C, REF_D, lam)
+        with pytest.raises(FactorizationError, match="finite"):
+            alternate(ALG, lam, 2)
+
     def test_json_round_trip(self):
         F = DiagonalPsdFactorization.from_json_dict(REF_F.to_json_dict())
         np.testing.assert_allclose(F.C, REF_F.C)
@@ -77,84 +84,75 @@ class TestDataclass:
             bad.validate()
 
 
-class TestInitAndProjection:
-    def test_init_deterministic(self):
-        a = init_factors(7, 3, 4)
-        b = init_factors(7, 3, 4)
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (4, 3, 3)
-
-    def test_init_psd(self):
-        stack = init_factors(11, 4, 5)
-        for mat in stack:
-            assert np.linalg.eigvalsh(mat)[0] >= -1e-12
-
-    def test_init_rejects_bad_counts(self):
-        with pytest.raises(FactorizationError):
-            init_factors(0, 0, 2)
-
-    def test_project_feasible_sum_exact(self, rng):
-        lam = np.array([0.6, 0.3])
-        stack = rng.standard_normal((4, 2, 2))
-        proj = project_feasible(stack, lam)
-        np.testing.assert_allclose(proj.sum(axis=0), np.diag(lam), atol=1e-14)
-        for mat in proj:
-            assert np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] >= -1e-9
-
-    def test_project_feasible_fixed_point(self):
-        lam = np.array([0.8, 0.4])
-        stack = np.stack([np.diag(lam) / 3] * 3)
-        np.testing.assert_allclose(project_feasible(stack, lam), stack, atol=1e-12)
-
-    def test_project_feasible_scalar_blocks(self, rng):
-        lam = np.array([1.0])
-        proj = project_feasible(rng.standard_normal((3, 1, 1)), lam)
-        assert proj.sum() == pytest.approx(1.0, abs=1e-14)
-        # the final affine shift can leave a tiny negative part
-        assert proj.min() >= -1e-7
-
-    def test_project_feasible_large_blocks(self, rng):
-        lam = np.abs(rng.random(5)) + 0.1
-        proj = project_feasible(rng.standard_normal((3, 5, 5)), lam)
-        np.testing.assert_allclose(proj.sum(axis=0), np.diag(lam), atol=1e-13)
-        for mat in proj:
-            assert np.linalg.eigvalsh(mat)[0] >= -1e-7
+def _tangent(Z, V):
+    """V projected onto the tangent space of the Stiefel manifold at Z."""
+    ZtV = np.einsum("xab,xac->bc", Z, V)
+    return V - Z @ (0.5 * (ZtV + ZtV.T))
 
 
-class TestSubproblem:
-    def test_zero_fixed_returns_feasible_default(self):
-        lam = np.array([0.6, 0.8])
-        C = solve_subproblem(ALG.matrix, np.zeros((2, 2, 2)), lam)
-        np.testing.assert_allclose(C.sum(axis=0), np.diag(lam), atol=1e-14)
+class TestParametrization:
+    def test_retraction_lands_on_manifold(self, rng):
+        for count, k in ((1, 1), (3, 1), (1, 3), (4, 3)):
+            Z = _retract(rng.standard_normal((count, k, k)))
+            np.testing.assert_allclose(np.einsum("xab,xac->bc", Z, Z), np.eye(k),
+                                       atol=1e-14)
 
-    def test_one_by_one_forced(self):
-        # a single label forces C_0 = diag(lam); the cell value is then fixed
-        lam = np.array([0.7])
-        D = np.array([[[0.7]]])
-        C = solve_subproblem(np.array([[0.49]]), D, lam)
-        np.testing.assert_allclose(C, [[[0.7]]], atol=1e-10)
+    def test_retraction_is_identity_on_manifold(self, rng):
+        Z = _retract(rng.standard_normal((3, 2, 2)))
+        np.testing.assert_allclose(_retract(Z), Z, atol=1e-14)
 
-    def test_recovers_reference_c(self):
-        C = solve_subproblem(ALG.matrix, REF_D, ALG_LAM,
-                             init=np.stack([np.diag(ALG_LAM) / 2] * 2))
-        table = np.einsum("xab,yba->xy", C, REF_D)
-        # the fixed D stack is printed to 8 decimals, which caps accuracy
-        assert np.max(np.abs(table - ALG.matrix)) < 1e-4
+    def test_factor_stacks_sum_to_lambda(self, rng):
+        s = np.sqrt(np.array([0.7, 0.0, 0.3]))
+        X = _retract(rng.standard_normal((4, 3, 3)))
+        Y = _retract(rng.standard_normal((2, 3, 3)))
+        _, C, D, _ = _evaluate(np.zeros((4, 2)), s, X, Y)
+        F = DiagonalPsdFactorization(C, D, s ** 2)
+        assert F.feasibility_error() <= 1e-15
+        # the zero Lambda entry leaves a zero row and column in every factor
+        assert np.all(C[:, 1, :] == 0) and np.all(D[:, :, 1] == 0)
 
-    def test_monotone_objective(self, rng):
-        # the solved stack never does worse than the feasible default start
-        P = Correlation(rng.dirichlet(np.ones(6)).reshape(2, 3))
-        lam = np.array([0.9, 0.5])
-        D = init_factors(3, 2, 3)
-        start = project_feasible(np.stack([np.diag(lam) / 2] * 2), lam)
-        f0 = np.sum((P.matrix - np.einsum("xab,yba->xy", start, D)) ** 2)
-        C = solve_subproblem(P.matrix, D, lam)
-        f1 = np.sum((P.matrix - np.einsum("xab,yba->xy", C, D)) ** 2)
-        assert f1 <= f0 + 1e-15
+    def test_single_label_is_forced(self):
+        # one label forces C_0 = Λ for every X, which fixes the cell value
+        out = alternate(np.array([[1.0]]), [0.6, 0.8], 2)
+        assert out.converged
+        np.testing.assert_allclose(out.factorization.C, [np.diag([0.6, 0.8])], atol=1e-15)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(FactorizationError):
-            solve_subproblem(ALG.matrix, REF_D[:1], ALG_LAM)
+    @pytest.mark.parametrize("n, m, k", [(2, 3, 2), (3, 2, 3), (2, 2, 1)])
+    def test_gradient_matches_finite_differences(self, rng, n, m, k):
+        P = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+        s = np.sqrt(rng.dirichlet(np.ones(k)))
+        X = _retract(rng.standard_normal((n, k, k)))
+        Y = _retract(rng.standard_normal((m, k, k)))
+        _, C, D, R = _evaluate(P, s, X, Y)
+        gX = _riemannian_gradient(s, X, D, R)
+        gY = _riemannian_gradient(s, Y, C, R.T)
+        # the Riemannian gradient is a tangent vector: sym(ZᵀG) = 0
+        for Z, g in ((X, gX), (Y, gY)):
+            np.testing.assert_allclose(_tangent(Z, g), g, atol=1e-15)
+        vX = _tangent(X, rng.standard_normal(X.shape))
+        vY = _tangent(Y, rng.standard_normal(Y.shape))
+        h = 1e-5
+        f_plus = _evaluate(P, s, _retract(X + h * vX), _retract(Y + h * vY))[0]
+        f_minus = _evaluate(P, s, _retract(X - h * vX), _retract(Y - h * vY))[0]
+        directional = float(np.sum(gX * vX) + np.sum(gY * vY))
+        assert (f_plus - f_minus) / (2 * h) == pytest.approx(directional, rel=1e-6, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+           k=st.integers(1, 3), zero=st.booleans())
+    def test_feasible_by_construction(self, seed, n, m, k, zero):
+        rng = np.random.default_rng(seed)
+        P = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+        lam = np.sqrt(rng.dirichlet(np.ones(k)))
+        if zero:
+            lam[rng.integers(k)] = 0.0
+        out = alternate(P, lam, k, SolveSettings(restarts=1, max_outer_iters=3,
+                                                 max_inner_iters=40, rng_seed=seed))
+        F = out.factorization
+        assert F.feasibility_error() <= 1e-12
+        h = out.objective_history
+        assert all(b <= a for a, b in zip(h, h[1:]))
+        assert out.objective == h[-1] == np.sum((P - F.trace_table()) ** 2)
 
 
 class TestAlternate:
