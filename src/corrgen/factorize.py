@@ -188,6 +188,13 @@ def _retract(Z: np.ndarray) -> np.ndarray:
     return (q * np.copysign(1.0, np.diag(r))).reshape(Z.shape)
 
 
+def _random_stiefel(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
+    """A random point of {ΣZₓᵀZₓ = I}: ``count`` blocks of size k×k."""
+    if count < 1 or k < 1:
+        raise FactorizationError("need at least one label and one Lambda entry")
+    return _retract(rng.standard_normal((count, k, k)))
+
+
 def _evaluate(P: np.ndarray, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
     """Objective ‖T − P‖², the two factor stacks and the residual R = T − P."""
     C, D = _factor_stack(s, X), _factor_stack(s, Y)
@@ -231,6 +238,8 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     if isinstance(P, Correlation):
         P = P.matrix
     P = np.asarray(P, dtype=float)
+    if P.ndim != 2:
+        raise FactorizationError("P must be a 2-D table")
     lam = _as_sqrt_lambda(lam, squared=lam_squared)
     if k != lam.size:
         raise FactorizationError("k must equal the number of Lambda entries")
@@ -240,8 +249,7 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     best = None
     for restart in range(settings.restarts):
         rng = np.random.default_rng(settings.rng_seed + restart)
-        X = _retract(rng.standard_normal((n, k, k)))
-        Y = _retract(rng.standard_normal((m, k, k)))
+        X, Y = _random_stiefel(rng, n, k), _random_stiefel(rng, m, k)
         f, C, D, R = _evaluate(P, s, X, Y)
         gX = _riemannian_gradient(s, X, D, R)
         gY = _riemannian_gradient(s, Y, C, R.T)

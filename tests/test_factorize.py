@@ -11,7 +11,13 @@ from corrgen import (
     lambda_candidates_from_purifications,
     verify,
 )
-from corrgen.factorize import _evaluate, _retract, _riemannian_gradient
+from corrgen.factorize import (
+    _evaluate,
+    _factor_stack,
+    _random_stiefel,
+    _retract,
+    _riemannian_gradient,
+)
 
 from conftest import random_verified_factorization
 
@@ -90,18 +96,31 @@ def _tangent(Z, V):
     return V - Z @ (0.5 * (ZtV + ZtV.T))
 
 
-class TestParametrization:
-    def test_retraction_lands_on_manifold(self, rng):
-        for count, k in ((1, 1), (3, 1), (1, 3), (4, 3)):
-            Z = _retract(rng.standard_normal((count, k, k)))
-            np.testing.assert_allclose(np.einsum("xab,xac->bc", Z, Z), np.eye(k),
-                                       atol=1e-14)
+class TestInitAndProjection:
+    """Restart starting points and the QR retraction, which maps any stack
+    of blocks back to one whose factors are PSD and sum to Lambda."""
 
-    def test_retraction_is_identity_on_manifold(self, rng):
-        Z = _retract(rng.standard_normal((3, 2, 2)))
-        np.testing.assert_allclose(_retract(Z), Z, atol=1e-14)
+    def test_init_deterministic(self):
+        a = _random_stiefel(np.random.default_rng(7), 4, 3)
+        b = _random_stiefel(np.random.default_rng(7), 4, 3)
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (4, 3, 3)
+        assert not np.array_equal(a, _random_stiefel(np.random.default_rng(8), 4, 3))
 
-    def test_factor_stacks_sum_to_lambda(self, rng):
+    def test_init_psd(self, rng):
+        s = np.sqrt(np.array([0.5, 0.3, 0.2]))
+        for mat in _factor_stack(s, _random_stiefel(rng, 5, 3)):
+            assert np.linalg.eigvalsh(mat)[0] >= -1e-12
+
+    def test_init_rejects_bad_counts(self, rng):
+        with pytest.raises(FactorizationError):
+            _random_stiefel(rng, 0, 2)
+        # an empty table has no labels to carry Lambda
+        for P in (np.zeros((0, 2)), np.zeros((2, 0)), np.full(2, 0.5)):
+            with pytest.raises(FactorizationError):
+                alternate(P, ALG_LAM, 2)
+
+    def test_project_feasible_sum_exact(self, rng):
         s = np.sqrt(np.array([0.7, 0.0, 0.3]))
         X = _retract(rng.standard_normal((4, 3, 3)))
         Y = _retract(rng.standard_normal((2, 3, 3)))
@@ -111,6 +130,30 @@ class TestParametrization:
         # the zero Lambda entry leaves a zero row and column in every factor
         assert np.all(C[:, 1, :] == 0) and np.all(D[:, :, 1] == 0)
 
+    def test_project_feasible_fixed_point(self, rng):
+        Z = _retract(rng.standard_normal((3, 2, 2)))
+        np.testing.assert_allclose(_retract(Z), Z, atol=1e-14)
+
+    def test_project_feasible_scalar_blocks(self, rng):
+        for count in (1, 3):
+            Z = _retract(rng.standard_normal((count, 1, 1)))
+            assert np.sum(Z ** 2) == pytest.approx(1.0, abs=1e-14)
+            C = _factor_stack(np.array([1.0]), Z)
+            assert C.sum() == pytest.approx(1.0, abs=1e-14) and C.min() >= 0
+
+    def test_project_feasible_large_blocks(self, rng):
+        for count, k in ((1, 5), (3, 5)):
+            Z = _retract(rng.standard_normal((count, k, k)))
+            np.testing.assert_allclose(np.einsum("xab,xac->bc", Z, Z), np.eye(k),
+                                       atol=1e-14)
+        lam = np.abs(rng.random(5)) + 0.1
+        C = _factor_stack(np.sqrt(lam), Z)
+        np.testing.assert_allclose(C.sum(axis=0), np.diag(lam), atol=1e-14)
+        for mat in C:
+            assert np.linalg.eigvalsh(mat)[0] >= -1e-12
+
+
+class TestParametrization:
     def test_single_label_is_forced(self):
         # one label forces C_0 = Λ for every X, which fixes the cell value
         out = alternate(np.array([[1.0]]), [0.6, 0.8], 2)
