@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -31,6 +32,8 @@ class InstanceTooLarge(ClassicalError):
 
 
 MAX_ORACLE_ITEMS = 50
+#: Largest prefix table, in bits (r rows of total + 1 sums), the oracle builds.
+MAX_ORACLE_BITS = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,17 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
     Reachable sums are tracked as bits of a Python integer; the witness
     is reconstructed by peeling items off the prefix tables.  Exact
     integer arithmetic throughout.  An odd total is immediately
-    unsatisfiable.
+    unsatisfiable.  Instances with more than ``MAX_ORACLE_ITEMS`` items
+    or a table of more than ``MAX_ORACLE_BITS`` bits raise
+    :class:`InstanceTooLarge` before anything is allocated.
     """
     r = len(inst.items)
     if r > MAX_ORACLE_ITEMS:
         raise InstanceTooLarge(f"oracle is desk-scale only (r <= {MAX_ORACLE_ITEMS})")
     total = inst.total
+    if r * (total + 1) > MAX_ORACLE_BITS:
+        raise InstanceTooLarge(f"oracle table of {r} x {total + 1} bits exceeds "
+                               f"the budget of 2^{MAX_ORACLE_BITS.bit_length() - 1}")
     if total % 2 == 1:
         return OracleResult(False, ())
     target = total // 2
@@ -317,9 +325,7 @@ def decide_diag_to_half_identity(P1: Correlation) -> OracleResult:
 
 
 def _decide_half_split(fracs) -> OracleResult:
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // int(np.gcd(denom, f.denominator))
+    denom = math.lcm(*(f.denominator for f in fracs))
     items = [int(f * denom) for f in fracs]
     # zero-mass labels cannot contribute to either group
     keep = [(i, a) for i, a in enumerate(items) if a > 0]

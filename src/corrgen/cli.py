@@ -199,7 +199,14 @@ def cmd_simulate(args) -> int:
 def cmd_classical(args) -> int:
     seed = _load_correlation(args.seed)
     target = _load_correlation(args.target)
-    result = classical.classical_feasible_search(seed, target, _solve_settings(args))
+    settings = _solve_settings(args)
+    try:
+        # an exact decision that cannot be made fails before the search runs
+        oracle = (classical.decide_diag_to_half_identity(seed)
+                  if classical.is_diag_to_half_identity(seed, target) else None)
+        result = classical.classical_feasible_search(seed, target, settings)
+    except classical.ClassicalError as exc:
+        raise InputError(str(exc)) from exc
     payload = {
         "residual": result.residual,
         "converged": result.converged,
@@ -207,8 +214,7 @@ def cmd_classical(args) -> int:
         "B": result.pair.B.tolist(),
         "note": "search result is not a feasibility decision",
     }
-    if classical.is_diag_to_half_identity(seed, target):
-        oracle = classical.decide_diag_to_half_identity(seed)
+    if oracle is not None:
         payload["exact_decision"] = {
             "feasible": oracle.satisfiable,
             "witness": list(oracle.witness),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
-import math
 
 import numpy as np
 
@@ -64,16 +63,6 @@ class Correlation:
     @property
     def m(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def size_bits(self) -> float:
-        """Half the label bits, ⌈log₂ n⌉ and ⌈log₂ m⌉ rounded per party.
-
-        Display-only quantity used in report text.
-        """
-        bits_x = math.ceil(math.log2(self.n)) if self.n > 1 else 0
-        bits_y = math.ceil(math.log2(self.m)) if self.m > 1 else 0
-        return (bits_x + bits_y) / 2
 
     def transpose(self) -> "Correlation":
         return Correlation(self.matrix.T)

@@ -11,12 +11,20 @@ C_x = S Uₓ Uₓᵀ S: every C_x is PSD and ΣC_x = S XᵀX S = Λ exactly.
 Every feasible family arises this way (write C_x = BₓBₓᵀ; then
 Λ^{-1/2}[B₁ … Bₙ] has orthonormal rows), and a zero entry of Λ simply
 gives a zero row of S.  {D_y} is built the same way from Y (mk×k).
-The solver minimizes ‖P − tr(C_x D_y)‖² jointly over the two Stiefel
-manifolds (Wen & Yin, Math. Prog. 2013; Vandaele, Glineur & Gillis,
-Comput. Optim. Appl. 2018), with multiple deterministic restarts.
-Every iterate is feasible to rounding error, so the search only ever
-trades objective, never feasibility.  A failed search means "no
-factorization found", never "infeasible".
+The solver minimizes f = ‖r‖², r = vec(tr(C_x D_y) − P), jointly over
+the two Stiefel manifolds (Wen & Yin, Math. Prog. 2013; Vandaele,
+Glineur & Gillis, Comput. Optim. Appl. 2018), with multiple
+deterministic restarts.  The residual has only n·m entries and its
+zeros are not isolated, so each step is a Levenberg–Marquardt step
+d = −Jᵀ(JJᵀ + ‖r‖·I)⁻¹r with damping μ = ‖r‖ (Yamashita & Fukushima,
+Computing Suppl. 15, 2001), where J, the Jacobian of the cell table on
+the product of the two tangent spaces, is a dense n·m × (n+m)·k²
+array (Absil, Mahony & Sepulchre 2008, §8.4).  A QR retraction and
+Armijo backtracking from length 1 complete the step; a block of steps
+ends stuck once −⟨grad f, d⟩ ≤ ``stall_tol``·f.  Every iterate is
+feasible to rounding error, so the search only ever trades objective,
+never feasibility.  A failed search means "no factorization found",
+never "infeasible".
 
 Real symmetric matrices only.  Complex Hermitian factors could in
 principle exist where real ones do not; this is a documented limitation.
@@ -139,7 +147,6 @@ class SolveSettings:
     restarts: int = 10
     rng_seed: int = 12345
     max_inner_iters: int = 250
-    feasibility_tol: float = 1e-8
     stationarity_tol: float = 1e-10
     max_backtracks: int = 40
 
@@ -147,8 +154,7 @@ class SolveSettings:
         if min(self.max_outer_iters, self.restarts, self.max_inner_iters,
                self.stall_window) < 1:
             raise FactorizationError("iteration counts must be >= 1")
-        if min(self.residual_tol, self.stall_tol, self.feasibility_tol,
-               self.stationarity_tol) <= 0:
+        if min(self.residual_tol, self.stall_tol, self.stationarity_tol) <= 0:
             raise FactorizationError("tolerances must be positive")
 
 
@@ -202,35 +208,55 @@ def _evaluate(P: np.ndarray, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
     return float(np.sum(R ** 2)), C, D, R
 
 
-def _riemannian_gradient(s: np.ndarray, Z: np.ndarray, other: np.ndarray,
-                         R: np.ndarray) -> np.ndarray:
-    """Gradient of ‖T − P‖² on the Stiefel manifold of Z, the other side fixed.
+def _project(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Tangent projection V − Z·sym(ZᵀV) at Z, batched over V's leading axes."""
+    ZtV = np.einsum("xab,...xac->...bc", Z, V)
+    return V - Z @ (0.5 * (ZtV + np.swapaxes(ZtV, -1, -2)))[..., None, :, :]
 
-    ``other`` is the opposite factor stack and ``R`` the residual with
-    Z's labels on its first axis.  The Euclidean gradient of block Zₓ is
-    4·Zₓ·S(Σ_y R_xy D_y)S; projecting it onto the tangent space gives
-    G − Z·sym(ZᵀG).
+
+def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, C: np.ndarray,
+              D: np.ndarray) -> np.ndarray:
+    """Jacobian J_T of the cell table on the product of the tangent spaces.
+
+    Row x·m + y is the tangent projection of ∇T_xy, flattened as
+    (X, Y): 2·Xₓ·S D_y S in block x of X and 2·Y_y·S Cₓ S in block y of
+    Y, zero elsewhere before projection.  J is dense, n·m × (n+m)·k².
     """
-    E = np.einsum("xy,yab->xab", R, other)
-    G = 4.0 * (Z * s) @ (E * s)
-    ZtG = np.einsum("xab,xac->bc", Z, G)
-    return G - Z @ (0.5 * (ZtG + ZtG.T))
+    n, m = X.shape[0], Y.shape[0]
+    GX = np.zeros((n, m) + X.shape)
+    GY = np.zeros((n, m) + Y.shape)
+    GX[np.arange(n), :, np.arange(n)] = 2.0 * np.einsum("xab,ybc->xyac", X * s, D * s)
+    GY[:, np.arange(m), np.arange(m)] = 2.0 * np.einsum("yab,xbc->xyac", Y * s, C * s)
+    return np.concatenate([_project(X, GX).reshape(n * m, -1),
+                           _project(Y, GY).reshape(n * m, -1)], axis=1)
+
+
+def _levenberg_marquardt(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The direction −Jᵀ(JJᵀ + ‖r‖·I)⁻¹r, damped by the residual norm μ = ‖r‖.
+
+    μ > 0 whenever r ≠ 0, so the n·m × n·m system is positive definite.
+    """
+    mu = float(np.sqrt(r @ r))
+    return -(np.linalg.solve(J @ J.T + mu * np.eye(r.size), r) @ J)
 
 
 def alternate(P, lam, k: int, settings: SolveSettings | None = None,
               lam_squared: bool = False) -> SolveOutcome:
-    """Multi-restart Riemannian descent for a diagonal-form factorization.
+    """Multi-restart Riemannian Levenberg–Marquardt search for a factorization.
 
     Each restart draws (X, Y) at random from the Stiefel manifolds and
-    minimizes ‖T − P‖² jointly over both, by Barzilai–Borwein steps
-    accepted under Armijo backtracking.  One outer iteration is a block
-    of up to ``max_inner_iters`` steps, ending early at a point with
-    objective ≤ ``residual_tol``, gradient norm < ``stationarity_tol``,
-    or no acceptable step.  A restart ends when it converges, when its
-    block ends stuck, when the objective stalls over ``stall_window``
-    blocks, or at the iteration cap; the best restart wins (ties broken
-    by lower restart index).  An infeasible Λ is not an error — it
-    simply yields a high residual and ``converged=False``.
+    minimizes f = ‖r‖², r = vec(T − P), jointly over both.  Each step
+    backtracks from length 1 under the Armijo rule (slope ⟨grad f, d⟩)
+    along the Levenberg–Marquardt direction d = −Jᵀ(JJᵀ + ‖r‖·I)⁻¹r,
+    where row (x, y) of J, a dense n·m × (n+m)·k² array rebuilt every
+    step, is the tangent projection of ∇T_xy.  One outer iteration is a
+    block of up to ``max_inner_iters`` steps, ending early at objective
+    ≤ ``residual_tol``, gradient norm < ``stationarity_tol``, −slope ≤
+    ``stall_tol``·f, or no acceptable step.  A restart ends when it
+    converges, when its block ends stuck, when the objective stalls over
+    ``stall_window`` blocks, or at the iteration cap; the best restart
+    wins (ties broken by lower restart index).  An infeasible Λ is not
+    an error — it simply yields a high residual and ``converged=False``.
     """
     from .correlation import Correlation
 
@@ -251,36 +277,33 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
         rng = np.random.default_rng(settings.rng_seed + restart)
         X, Y = _random_stiefel(rng, n, k), _random_stiefel(rng, m, k)
         f, C, D, R = _evaluate(P, s, X, Y)
-        gX = _riemannian_gradient(s, X, D, R)
-        gY = _riemannian_gradient(s, Y, C, R.T)
-        step = 1.0
         history = []
         converged = stuck = False
         for _ in range(settings.max_outer_iters):
             for _ in range(settings.max_inner_iters):
-                gnorm2 = float(np.sum(gX ** 2) + np.sum(gY ** 2))
                 if f <= settings.residual_tol:
                     break
-                if gnorm2 < settings.stationarity_tol ** 2:
+                J = _jacobian(s, X, Y, C, D)
+                r = R.ravel()
+                grad = 2.0 * (r @ J)
+                d = _levenberg_marquardt(J, r)
+                slope = float(grad @ d)
+                if (grad @ grad < settings.stationarity_tol ** 2
+                        or -slope <= settings.stall_tol * f):
                     stuck = True
                     break
+                dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
+                step = 1.0
                 for _ in range(settings.max_backtracks):
-                    Xt, Yt = _retract(X - step * gX), _retract(Y - step * gY)
+                    Xt, Yt = _retract(X + step * dX), _retract(Y + step * dY)
                     ft, Ct, Dt, Rt = _evaluate(P, s, Xt, Yt)
-                    if ft <= f - ARMIJO * step * gnorm2:
+                    if ft <= f + ARMIJO * step * slope:
                         break
                     step *= 0.5
                 else:
                     stuck = True
                     break
-                gXt = _riemannian_gradient(s, Xt, Dt, Rt)
-                gYt = _riemannian_gradient(s, Yt, Ct, Rt.T)
-                # Barzilai–Borwein step from the last move and gradient change
-                dX, dY = Xt - X, Yt - Y
-                sy = abs(float(np.sum(dX * (gXt - gX)) + np.sum(dY * (gYt - gY))))
-                if sy > 0:
-                    step = float(np.sum(dX ** 2) + np.sum(dY ** 2)) / sy
-                X, Y, f, C, D, gX, gY = Xt, Yt, ft, Ct, Dt, gXt, gYt
+                X, Y, f, C, D, R = Xt, Yt, ft, Ct, Dt, Rt
             history.append(f)
             if f <= settings.residual_tol:
                 converged = True

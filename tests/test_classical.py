@@ -132,6 +132,13 @@ class TestOracle:
         with pytest.raises(InstanceTooLarge):
             subset_sum_oracle(SubsetSumInstance([1] * 51))
 
+    def test_bit_budget(self):
+        # a table of 2 x (2^30 + 1) bits is just over the budget
+        with pytest.raises(InstanceTooLarge, match="budget"):
+            subset_sum_oracle(SubsetSumInstance([2 ** 29, 2 ** 29]))
+        # the largest desk-scale instances, 50 items below 2^16, fit
+        assert subset_sum_oracle(SubsetSumInstance([2 ** 16 - 1] * 50)).satisfiable
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ClassicalError):
             SubsetSumInstance([1, 0, 2])
@@ -251,6 +258,13 @@ class TestExactDecision:
     def test_infeasible_diag(self):
         assert not decide_diag_to_half_identity(
             Correlation(np.diag([0.4, 0.6]))).satisfiable
+
+    def test_float_diag_exceeds_budget(self):
+        # denominators near 10^12 give a common denominator beyond 2^64
+        # and items far beyond the oracle's bit budget
+        seed = Correlation(np.diag(np.random.default_rng(5).dirichlet(np.ones(3))))
+        with pytest.raises(InstanceTooLarge):
+            decide_diag_to_half_identity(seed)
 
     def test_search_agrees_with_oracle(self, rng):
         # small-scale cross-check of the heuristic search against the

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from corrgen import Correlation
+from corrgen import Correlation, classical
 from corrgen.cli import main
 
 
@@ -231,6 +231,35 @@ class TestClassicalAndReduce:
         payload = json.loads(out)
         assert payload["exact_decision"]["feasible"]
         assert payload["converged"]
+
+    def test_float_diag_seed_exit_1(self, capsys, tmp_path, half_identity):
+        seed = tmp_path / "seed.json"
+        diag = np.random.default_rng(5).dirichlet(np.ones(3))
+        seed.write_text(json.dumps({"matrix": np.diag(diag).tolist()}))
+        code, out, err = run(capsys, "classical", "--seed", str(seed),
+                             "--target", half_identity)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "budget" in err
+
+    def test_large_items_seed_exit_1(self, capsys, tmp_path, half_identity):
+        # exact rationals over 2^29: a table of just over 2^30 bits,
+        # refused before it is allocated
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"matrix": [[2 ** 28 + 1, 0], [0, 2 ** 28 - 1]]}))
+        code, out, err = run(capsys, "classical", "--seed", str(seed),
+                             "--target", half_identity)
+        assert code == 1 and out == ""
+        assert "budget" in err
+
+    def test_unrecognized_rational_exit_1(self, capsys, monkeypatch, target_diag,
+                                          half_identity):
+        def irrational(seed):
+            raise classical.ClassicalError("seed diagonal is not recognizably rational")
+        monkeypatch.setattr(classical, "decide_diag_to_half_identity", irrational)
+        code, out, err = run(capsys, "classical", "--seed", target_diag,
+                             "--target", half_identity)
+        assert code == 1 and out == ""
+        assert "not recognizably rational" in err
 
     def test_generic_search_no_exact_block(self, capsys, target_alg, half_identity):
         code, out, _ = run(capsys, "classical", "--seed", target_alg,

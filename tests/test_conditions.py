@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrgen import (
     Correlation,
+    DiagonalPsdFactorization,
     NOT_RULED_OUT,
     RULED_OUT,
     SchmidtSpectrum,
@@ -13,6 +15,7 @@ from corrgen import (
     check_renyi,
     check_v2,
     v2_classical,
+    verify,
 )
 from corrgen.conditions import SpectrumError, mutual_information_baseline
 
@@ -208,3 +211,39 @@ class TestImplications:
         a = check_min_schmidt(BELL, P)
         b = check_min_schmidt(BELL, perm)
         assert a.rhs == pytest.approx(b.rhs, abs=1e-14)
+
+
+def _povm(rng, count, k, partition):
+    """PSD blocks A_x with ΣA_x = I: a random Stiefel split or, with
+    ``partition``, coordinate projectors that leave zero cells and rows."""
+    if partition:
+        owner = rng.integers(count, size=k)
+        return np.stack([np.diag((owner == x).astype(float)) for x in range(count)])
+    q, _ = np.linalg.qr(rng.standard_normal((count * k, k)))
+    Z = q.reshape(count, k, k)
+    return Z.transpose(0, 2, 1) @ Z
+
+
+class TestSoundnessProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+           k=st.integers(1, 4), zero=st.booleans(), split_x=st.booleans(),
+           split_y=st.booleans())
+    def test_never_rules_out_a_verified_factorization(self, seed, n, m, k, zero,
+                                                      split_x, split_y):
+        rng = np.random.default_rng(seed)
+        lam_sq = rng.dirichlet(np.ones(k))
+        if zero and k > 1:
+            lam_sq[rng.integers(k)] = 0.0
+            lam_sq /= lam_sq.sum()
+        # C_x = S A_x S with S = Λ^{1/2} sums to Λ = diag(√λ); likewise D_y
+        s = lam_sq ** 0.25
+        C = s[:, None] * _povm(rng, n, k, split_x) * s
+        D = s[:, None] * _povm(rng, m, k, split_y) * s
+        F = DiagonalPsdFactorization(C, D, np.sqrt(lam_sq))
+        # PSD factors give nonnegative cells; clip rounding below zero
+        P = Correlation(np.maximum(F.trace_table(), 0.0))
+        assert verify(P, F, tol=1e-12).ok
+        report = check_all(SchmidtSpectrum(lam_sq[lam_sq > 0]), P)
+        failed = [(r.name, r.alpha, r.lhs, r.rhs) for r in report.records if not r.satisfied]
+        assert report.verdict == NOT_RULED_OUT, failed

@@ -14,9 +14,10 @@ from corrgen import (
 from corrgen.factorize import (
     _evaluate,
     _factor_stack,
+    _jacobian,
+    _levenberg_marquardt,
     _random_stiefel,
     _retract,
-    _riemannian_gradient,
 )
 
 from conftest import random_verified_factorization
@@ -153,6 +154,22 @@ class TestInitAndProjection:
             assert np.linalg.eigvalsh(mat)[0] >= -1e-12
 
 
+SHAPES = [(2, 3, 2), (3, 2, 3), (2, 2, 1)]
+
+
+def _random_point(rng, n, m, k):
+    """A random target, sqrt-Lambda entries and point (X, Y) of the manifolds."""
+    P = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+    s = np.sqrt(rng.dirichlet(np.ones(k)))
+    return (P, s, _retract(rng.standard_normal((n, k, k))),
+            _retract(rng.standard_normal((m, k, k))))
+
+
+def _split(v, X, Y):
+    """A flat (X, Y) tangent vector as its two block stacks."""
+    return v[:X.size].reshape(X.shape), v[X.size:].reshape(Y.shape)
+
+
 class TestParametrization:
     def test_single_label_is_forced(self):
         # one label forces C_0 = Λ for every X, which fixes the cell value
@@ -160,15 +177,11 @@ class TestParametrization:
         assert out.converged
         np.testing.assert_allclose(out.factorization.C, [np.diag([0.6, 0.8])], atol=1e-15)
 
-    @pytest.mark.parametrize("n, m, k", [(2, 3, 2), (3, 2, 3), (2, 2, 1)])
+    @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_gradient_matches_finite_differences(self, rng, n, m, k):
-        P = rng.dirichlet(np.ones(n * m)).reshape(n, m)
-        s = np.sqrt(rng.dirichlet(np.ones(k)))
-        X = _retract(rng.standard_normal((n, k, k)))
-        Y = _retract(rng.standard_normal((m, k, k)))
+        P, s, X, Y = _random_point(rng, n, m, k)
         _, C, D, R = _evaluate(P, s, X, Y)
-        gX = _riemannian_gradient(s, X, D, R)
-        gY = _riemannian_gradient(s, Y, C, R.T)
+        gX, gY = _split(2.0 * (R.ravel() @ _jacobian(s, X, Y, C, D)), X, Y)
         # the Riemannian gradient is a tangent vector: sym(ZᵀG) = 0
         for Z, g in ((X, gX), (Y, gY)):
             np.testing.assert_allclose(_tangent(Z, g), g, atol=1e-15)
@@ -179,6 +192,44 @@ class TestParametrization:
         f_minus = _evaluate(P, s, _retract(X - h * vX), _retract(Y - h * vY))[0]
         directional = float(np.sum(gX * vX) + np.sum(gY * vY))
         assert (f_plus - f_minus) / (2 * h) == pytest.approx(directional, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("n, m, k", SHAPES)
+    def test_jacobian_matches_finite_differences(self, rng, n, m, k):
+        P, s, X, Y = _random_point(rng, n, m, k)
+        _, C, D, _ = _evaluate(P, s, X, Y)
+        J = _jacobian(s, X, Y, C, D)
+        assert J.shape == (n * m, (n + m) * k * k)
+        h = 1e-5
+        for _ in range(3):
+            vX = _tangent(X, rng.standard_normal(X.shape))
+            vY = _tangent(Y, rng.standard_normal(Y.shape))
+            R_plus = _evaluate(P, s, _retract(X + h * vX), _retract(Y + h * vY))[3]
+            R_minus = _evaluate(P, s, _retract(X - h * vX), _retract(Y - h * vY))[3]
+            np.testing.assert_allclose(J @ np.concatenate([vX.ravel(), vY.ravel()]),
+                                       ((R_plus - R_minus) / (2 * h)).ravel(),
+                                       rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("n, m, k", SHAPES)
+    def test_direction_is_tangent(self, rng, n, m, k):
+        P, s, X, Y = _random_point(rng, n, m, k)
+        _, C, D, R = _evaluate(P, s, X, Y)
+        dX, dY = _split(_levenberg_marquardt(_jacobian(s, X, Y, C, D), R.ravel()), X, Y)
+        for Z, dZ in ((X, dX), (Y, dY)):
+            ZtdZ = np.einsum("xab,xac->bc", Z, dZ)
+            np.testing.assert_allclose(ZtdZ + ZtdZ.T, 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, m, k", SHAPES)
+    def test_direction_descends(self, rng, n, m, k):
+        P, s, X, Y = _random_point(rng, n, m, k)
+        f, C, D, R = _evaluate(P, s, X, Y)
+        J = _jacobian(s, X, Y, C, D)
+        grad = 2.0 * (R.ravel() @ J)
+        assert grad @ grad > 1e-12   # not a stationary point
+        d = _levenberg_marquardt(J, R.ravel())
+        assert grad @ d < 0
+        dX, dY = _split(d, X, Y)
+        t = 1e-6
+        assert _evaluate(P, s, _retract(X + t * dX), _retract(Y + t * dY))[0] < f
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
@@ -205,6 +256,10 @@ class TestAlternate:
         assert out.objective <= 1e-8
         assert verify(ALG, out.factorization, tol=1e-4).ok
         assert out.factorization.feasibility_error() <= 1e-8
+        # the boundary solution (zero cell) is reached without a restart
+        # and within one block of steps
+        assert out.restart_index == 0
+        assert out.iterations == 1
 
     def test_lambda_squared_entry_point(self):
         out = alternate(ALG, [0.2, 0.8], 2, lam_squared=True,
