@@ -99,19 +99,20 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
     Reachable sums are tracked as bits of a Python integer; the witness
     is reconstructed by peeling items off the prefix tables.  Exact
     integer arithmetic throughout.  An odd total is immediately
-    unsatisfiable.  Instances with more than ``MAX_ORACLE_ITEMS`` items
-    or a table of more than ``MAX_ORACLE_BITS`` bits raise
-    :class:`InstanceTooLarge` before anything is allocated.
+    unsatisfiable, whatever its size.  Instances with more than
+    ``MAX_ORACLE_ITEMS`` items, or an even total whose table needs more
+    than ``MAX_ORACLE_BITS`` bits, raise :class:`InstanceTooLarge`
+    before anything is allocated.
     """
     r = len(inst.items)
     if r > MAX_ORACLE_ITEMS:
         raise InstanceTooLarge(f"oracle is desk-scale only (r <= {MAX_ORACLE_ITEMS})")
     total = inst.total
+    if total % 2 == 1:
+        return OracleResult(False, ())
     if r * (total + 1) > MAX_ORACLE_BITS:
         raise InstanceTooLarge(f"oracle table of {r} x {total + 1} bits exceeds "
                                f"the budget of 2^{MAX_ORACLE_BITS.bit_length() - 1}")
-    if total % 2 == 1:
-        return OracleResult(False, ())
     target = total // 2
 
     prefix = [1]  # prefix[i] = bitset of sums over items[:i]

@@ -14,12 +14,22 @@ gives a zero row of S.  {D_y} is built the same way from Y (mk×k).
 The solver minimizes f = ‖r‖², r = vec(tr(C_x D_y) − P), jointly over
 the two Stiefel manifolds (Wen & Yin, Math. Prog. 2013; Vandaele,
 Glineur & Gillis, Comput. Optim. Appl. 2018), with multiple
-deterministic restarts.  The residual has only n·m entries and its
-zeros are not isolated, so each step is a Levenberg–Marquardt step
-d = −Jᵀ(JJᵀ + ‖r‖·I)⁻¹r with damping μ = ‖r‖ (Yamashita & Fukushima,
-Computing Suppl. 15, 2001), where J, the Jacobian of the cell table on
-the product of the two tangent spaces, is a dense n·m × (n+m)·k²
-array (Absil, Mahony & Sepulchre 2008, §8.4).  A QR retraction and
+deterministic restarts.  The zeros of r are not isolated, so each step
+is a Levenberg–Marquardt step d = −Jᵀ(JJᵀ + μI)⁻¹r, where J, the
+Jacobian of the cell table on the product of the two tangent spaces
+(Absil, Mahony & Sepulchre 2008, §8.4), is a dense n·m × (n+m)·k²
+array.  The damping is μ = θ·‖r‖² (Yamashita & Fukushima, Computing
+Suppl. 15, 2001) with θ ≥ 1: θ grows by 1/t after a step the line
+search shortened to length t < 1 and halves, down to 1, after a full
+step (Marquardt's rule, J. SIAM 11, 1963).  Its scale is
+‖r‖², not ‖r‖: the cells of a normalized table shrink like 1/(n·m),
+and μ = ‖r‖ swamps JᵀJ on all but the smallest targets.  The factor θ
+matters where the residual does not vanish: there the undamped step
+overshoots, and without θ every step backtracks several times.  The
+step solves the smaller of the n·m and (n+m)·k² square systems, so it
+costs O(n·m·(n+m)·k²·min(n·m, (n+m)·k²)) and is meant for desk-scale
+targets; a J of more than ``MAX_JACOBIAN_ENTRIES`` entries is refused
+before anything is allocated.  A QR retraction and
 Armijo backtracking from length 1 complete the step; a block of steps
 ends stuck once −⟨grad f, d⟩ ≤ ``stall_tol``·f.  Every iterate is
 feasible to rounding error, so the search only ever trades objective,
@@ -38,6 +48,9 @@ import numpy as np
 
 #: Sufficient-decrease constant of the Armijo line search.
 ARMIJO = 1e-4
+
+#: Largest Jacobian, in entries, that the search builds (128 MB of floats).
+MAX_JACOBIAN_ENTRIES = 2 ** 24
 
 
 class FactorizationError(ValueError):
@@ -208,36 +221,43 @@ def _evaluate(P: np.ndarray, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
     return float(np.sum(R ** 2)), C, D, R
 
 
-def _project(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Tangent projection V − Z·sym(ZᵀV) at Z, batched over V's leading axes."""
-    ZtV = np.einsum("xab,...xac->...bc", Z, V)
-    return V - Z @ (0.5 * (ZtV + np.swapaxes(ZtV, -1, -2)))[..., None, :, :]
+def _sym(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, C: np.ndarray,
               D: np.ndarray) -> np.ndarray:
-    """Jacobian J_T of the cell table on the product of the tangent spaces.
+    """Jacobian J of the cell table on the product of the tangent spaces.
 
-    Row x·m + y is the tangent projection of ∇T_xy, flattened as
-    (X, Y): 2·Xₓ·S D_y S in block x of X and 2·Y_y·S Cₓ S in block y of
-    Y, zero elsewhere before projection.  J is dense, n·m × (n+m)·k².
+    Row x·m + y is the tangent projection G − Z·sym(ZᵀG) of ∇T_xy,
+    flattened as (X, Y).  ∇T_xy is 2·Xₓ·S D_y S in block x of X and
+    2·Y_y·S Cₓ S in block y of Y, so its projection is −Z·sym(ZₓᵀG) in
+    every block of Z plus G in its own one.  J is dense, n·m × (n+m)·k²,
+    and is written in place: no other array of its size is made.
     """
     n, m = X.shape[0], Y.shape[0]
-    GX = np.zeros((n, m) + X.shape)
-    GY = np.zeros((n, m) + Y.shape)
-    GX[np.arange(n), :, np.arange(n)] = 2.0 * np.einsum("xab,ybc->xyac", X * s, D * s)
-    GY[:, np.arange(m), np.arange(m)] = 2.0 * np.einsum("yab,xbc->xyac", Y * s, C * s)
-    return np.concatenate([_project(X, GX).reshape(n * m, -1),
-                           _project(Y, GY).reshape(n * m, -1)], axis=1)
+    GX = 2.0 * np.einsum("xab,ybc->xyac", X * s, D * s)
+    GY = 2.0 * np.einsum("yab,xbc->xyac", Y * s, C * s)
+    J = np.empty((n, m, X.size + Y.size))
+    JX = J[..., :X.size].reshape((n, m) + X.shape)
+    JY = J[..., X.size:].reshape((n, m) + Y.shape)
+    np.matmul(-X, _sym(np.einsum("xab,xyac->xybc", X, GX))[:, :, None], out=JX)
+    np.matmul(-Y, _sym(np.einsum("yab,xyac->xybc", Y, GY))[:, :, None], out=JY)
+    JX[np.arange(n), :, np.arange(n)] += GX
+    JY[:, np.arange(m), np.arange(m)] += GY
+    return J.reshape(n * m, -1)
 
 
-def _levenberg_marquardt(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The direction −Jᵀ(JJᵀ + ‖r‖·I)⁻¹r, damped by the residual norm μ = ‖r‖.
+def _levenberg_marquardt(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
+    """The direction −Jᵀ(JJᵀ + μI)⁻¹r = −(JᵀJ + μI)⁻¹Jᵀr for damping μ > 0.
 
-    μ > 0 whenever r ≠ 0, so the n·m × n·m system is positive definite.
+    The two forms are equal (push-through identity); the smaller of the
+    n·m × n·m and (n+m)·k² × (n+m)·k² systems is solved.
     """
-    mu = float(np.sqrt(r @ r))
-    return -(np.linalg.solve(J @ J.T + mu * np.eye(r.size), r) @ J)
+    rows, cols = J.shape
+    if rows <= cols:
+        return -(np.linalg.solve(J @ J.T + mu * np.eye(rows), r) @ J)
+    return -np.linalg.solve(J.T @ J + mu * np.eye(cols), r @ J)
 
 
 def alternate(P, lam, k: int, settings: SolveSettings | None = None,
@@ -247,9 +267,11 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     Each restart draws (X, Y) at random from the Stiefel manifolds and
     minimizes f = ‖r‖², r = vec(T − P), jointly over both.  Each step
     backtracks from length 1 under the Armijo rule (slope ⟨grad f, d⟩)
-    along the Levenberg–Marquardt direction d = −Jᵀ(JJᵀ + ‖r‖·I)⁻¹r,
+    along the Levenberg–Marquardt direction d = −Jᵀ(JJᵀ + θ‖r‖²·I)⁻¹r,
     where row (x, y) of J, a dense n·m × (n+m)·k² array rebuilt every
-    step, is the tangent projection of ∇T_xy.  One outer iteration is a
+    step, is the tangent projection of ∇T_xy, and θ (1 at each restart)
+    grows by 1/t after a step shortened to length t and halves, down to
+    1, after a full one.  One outer iteration is a
     block of up to ``max_inner_iters`` steps, ending early at objective
     ≤ ``residual_tol``, gradient norm < ``stationarity_tol``, −slope ≤
     ``stall_tol``·f, or no acceptable step.  A restart ends when it
@@ -257,6 +279,8 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     ``stall_window`` blocks, or at the iteration cap; the best restart
     wins (ties broken by lower restart index).  An infeasible Λ is not
     an error — it simply yields a high residual and ``converged=False``.
+    A target whose J would exceed ``MAX_JACOBIAN_ENTRIES`` entries
+    (for instance 100×100 with k = 4) raises :class:`FactorizationError`.
     """
     from .correlation import Correlation
 
@@ -270,6 +294,10 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     if k != lam.size:
         raise FactorizationError("k must equal the number of Lambda entries")
     n, m = P.shape
+    if n * m * (n + m) * k * k > MAX_JACOBIAN_ENTRIES:
+        raise FactorizationError(
+            f"a {n}x{m} target with k={k} needs a Jacobian of {n * m} x {(n + m) * k * k}"
+            f" entries, over the budget of 2^{MAX_JACOBIAN_ENTRIES.bit_length() - 1}")
     s = np.sqrt(lam)
 
     best = None
@@ -279,6 +307,7 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
         f, C, D, R = _evaluate(P, s, X, Y)
         history = []
         converged = stuck = False
+        theta = 1.0
         for _ in range(settings.max_outer_iters):
             for _ in range(settings.max_inner_iters):
                 if f <= settings.residual_tol:
@@ -286,7 +315,7 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
                 J = _jacobian(s, X, Y, C, D)
                 r = R.ravel()
                 grad = 2.0 * (r @ J)
-                d = _levenberg_marquardt(J, r)
+                d = _levenberg_marquardt(J, r, theta * f)
                 slope = float(grad @ d)
                 if (grad @ grad < settings.stationarity_tol ** 2
                         or -slope <= settings.stall_tol * f):
@@ -303,6 +332,7 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
                 else:
                     stuck = True
                     break
+                theta = max(1.0, 0.5 * theta) if step == 1.0 else theta / step
                 X, Y, f, C, D, R = Xt, Yt, ft, Ct, Dt, Rt
             history.append(f)
             if f <= settings.residual_tol:

@@ -136,6 +136,9 @@ class TestOracle:
         # a table of 2 x (2^30 + 1) bits is just over the budget
         with pytest.raises(InstanceTooLarge, match="budget"):
             subset_sum_oracle(SubsetSumInstance([2 ** 29, 2 ** 29]))
+        # an odd total needs no table, so any size is decided at once
+        assert not subset_sum_oracle(SubsetSumInstance([2 ** 30 + 1])).satisfiable
+        assert not subset_sum_oracle(SubsetSumInstance([2 ** 29, 2 ** 29 + 1])).satisfiable
         # the largest desk-scale instances, 50 items below 2^16, fit
         assert subset_sum_oracle(SubsetSumInstance([2 ** 16 - 1] * 50)).satisfiable
 
@@ -261,10 +264,16 @@ class TestExactDecision:
 
     def test_float_diag_exceeds_budget(self):
         # denominators near 10^12 give a common denominator beyond 2^64
-        # and items far beyond the oracle's bit budget
-        seed = Correlation(np.diag(np.random.default_rng(5).dirichlet(np.ones(3))))
+        # and items far beyond the oracle's bit budget; this seed's
+        # items have an even total, so a table would be needed
+        seed = Correlation(np.diag(np.random.default_rng(8).dirichlet(np.ones(3))))
         with pytest.raises(InstanceTooLarge):
             decide_diag_to_half_identity(seed)
+
+    def test_float_diag_odd_total_decided(self):
+        # the same kind of seed with an odd total needs no table
+        seed = Correlation(np.diag(np.random.default_rng(5).dirichlet(np.ones(3))))
+        assert not decide_diag_to_half_identity(seed).satisfiable
 
     def test_search_agrees_with_oracle(self, rng):
         # small-scale cross-check of the heuristic search against the

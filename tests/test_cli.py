@@ -213,6 +213,15 @@ class TestFactorizeVerifySimulate:
                          "--lambda", "0.4,0.9", "--k", "3")
         assert code == 1
 
+    def test_oversized_target_exit_1(self, capsys, tmp_path):
+        # 100 x 100 cells with k = 4 need a Jacobian of 10^4 x 3,200 entries
+        target = tmp_path / "big.json"
+        target.write_text(json.dumps({"matrix": np.full((100, 100), 1e-4).tolist()}))
+        code, out, err = run(capsys, "factorize", "--target", str(target),
+                             "--lambda", "0.5,0.5,0.5,0.5")
+        assert code == 1 and out == ""
+        assert "budget" in err
+
 
 class TestClassicalAndReduce:
     def test_exact_decision_infeasible(self, capsys, target_diag, half_identity):
@@ -233,13 +242,24 @@ class TestClassicalAndReduce:
         assert payload["converged"]
 
     def test_float_diag_seed_exit_1(self, capsys, tmp_path, half_identity):
+        # an even total over the oracle's bit budget
         seed = tmp_path / "seed.json"
-        diag = np.random.default_rng(5).dirichlet(np.ones(3))
+        diag = np.random.default_rng(8).dirichlet(np.ones(3))
         seed.write_text(json.dumps({"matrix": np.diag(diag).tolist()}))
         code, out, err = run(capsys, "classical", "--seed", str(seed),
                              "--target", half_identity)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "budget" in err
+
+    def test_float_diag_seed_odd_total(self, capsys, tmp_path, half_identity):
+        # an odd total is decided without a table, whatever its size
+        seed = tmp_path / "seed.json"
+        diag = np.random.default_rng(5).dirichlet(np.ones(3))
+        seed.write_text(json.dumps({"matrix": np.diag(diag).tolist()}))
+        code, out, _ = run(capsys, "classical", "--seed", str(seed),
+                           "--target", half_identity)
+        assert code == 0
+        assert json.loads(out)["exact_decision"] == {"feasible": False, "witness": []}
 
     def test_large_items_seed_exit_1(self, capsys, tmp_path, half_identity):
         # exact rationals over 2^29: a table of just over 2^30 bits,

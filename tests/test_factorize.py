@@ -12,6 +12,7 @@ from corrgen import (
     verify,
 )
 from corrgen.factorize import (
+    MAX_JACOBIAN_ENTRIES,
     _evaluate,
     _factor_stack,
     _jacobian,
@@ -154,7 +155,9 @@ class TestInitAndProjection:
             assert np.linalg.eigvalsh(mat)[0] >= -1e-12
 
 
-SHAPES = [(2, 3, 2), (3, 2, 3), (2, 2, 1)]
+# the last shape has more cells than tangent coordinates, so its step
+# solves the (n+m)·k² system instead of the n·m one
+SHAPES = [(2, 3, 2), (3, 2, 3), (2, 2, 1), (3, 4, 1)]
 
 
 def _random_point(rng, n, m, k):
@@ -213,10 +216,24 @@ class TestParametrization:
     def test_direction_is_tangent(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
         _, C, D, R = _evaluate(P, s, X, Y)
-        dX, dY = _split(_levenberg_marquardt(_jacobian(s, X, Y, C, D), R.ravel()), X, Y)
+        r = R.ravel()
+        dX, dY = _split(_levenberg_marquardt(_jacobian(s, X, Y, C, D), r, r @ r), X, Y)
         for Z, dZ in ((X, dX), (Y, dY)):
             ZtdZ = np.einsum("xab,xac->bc", Z, dZ)
             np.testing.assert_allclose(ZtdZ + ZtdZ.T, 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, m, k", SHAPES)
+    def test_direction_solves_either_system(self, rng, n, m, k):
+        P, s, X, Y = _random_point(rng, n, m, k)
+        _, C, D, R = _evaluate(P, s, X, Y)
+        J, r = _jacobian(s, X, Y, C, D), R.ravel()
+        mu = r @ r
+        np.testing.assert_allclose(
+            _levenberg_marquardt(J, r, mu),
+            -np.linalg.solve(J @ J.T + mu * np.eye(n * m), r) @ J, rtol=1e-9, atol=1e-13)
+        np.testing.assert_allclose(
+            _levenberg_marquardt(J, r, mu),
+            -np.linalg.solve(J.T @ J + mu * np.eye(J.shape[1]), r @ J), rtol=1e-9, atol=1e-13)
 
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_direction_descends(self, rng, n, m, k):
@@ -225,7 +242,7 @@ class TestParametrization:
         J = _jacobian(s, X, Y, C, D)
         grad = 2.0 * (R.ravel() @ J)
         assert grad @ grad > 1e-12   # not a stationary point
-        d = _levenberg_marquardt(J, R.ravel())
+        d = _levenberg_marquardt(J, R.ravel(), f)
         assert grad @ d < 0
         dX, dY = _split(d, X, Y)
         t = 1e-6
@@ -300,6 +317,17 @@ class TestAlternate:
     def test_k_mismatch_rejected(self):
         with pytest.raises(FactorizationError):
             alternate(ALG, ALG_LAM, 3)
+
+    def test_jacobian_budget(self):
+        # 256 x 256 cells with k = 2 need a J of 65,536 x 2,048 entries
+        P = np.full((256, 256), 1 / 256 ** 2)
+        assert 256 * 256 * 512 * 4 > MAX_JACOBIAN_ENTRIES
+        with pytest.raises(FactorizationError, match="budget"):
+            alternate(P, [0.6, 0.8], 2)
+        # 32 x 32 cells with k = 2 fit
+        out = alternate(np.full((32, 32), 1 / 32 ** 2), [0.6, 0.8], 2,
+                        settings=SolveSettings(restarts=1))
+        assert out.converged
 
     def test_random_verified_targets(self, rng):
         for _ in range(3):
