@@ -20,7 +20,8 @@ import numpy as np
 
 from .conditions import SchmidtSpectrum
 from .correlation import Correlation
-from .factorize import DiagonalPsdFactorization, FactorizationError, SolveSettings
+from .factorize import (MAX_BACKTRACKS, STATIONARITY_TOL, DiagonalPsdFactorization,
+                        SolveSettings, best_of_restarts)
 
 
 class ClassicalError(ValueError):
@@ -248,7 +249,7 @@ def _pgd_stochastic(target: np.ndarray, M: np.ndarray, A: np.ndarray,
         grad = -2.0 * (target - A @ M) @ M.T
         step = base_step
         accepted = False
-        for _ in range(settings.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = _project_columns_simplex(A - step * grad)
             f_trial = float(np.sum((target - trial @ M) ** 2))
             if f_trial <= f:
@@ -259,7 +260,7 @@ def _pgd_stochastic(target: np.ndarray, M: np.ndarray, A: np.ndarray,
             break
         move = np.max(np.abs(trial - A))
         A, f = trial, f_trial
-        if move <= settings.stationarity_tol:
+        if move <= STATIONARITY_TOL:
             break
     return A
 
@@ -268,39 +269,27 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
                               settings: SolveSettings | None = None) -> ClassicalSearchResult:
     """Alternating least squares for P₂ ≈ A P₁ Bᵀ over stochastic A, B.
 
-    Multi-restart; each half-iteration solves a convex problem and never
-    increases the residual.  Non-convergence is reported, not thrown,
-    and does not certify infeasibility.
+    One block is a PGD pass over A and then one over B; each pass solves
+    a convex problem and never increases the residual.  Restarts, stop
+    rules and the choice of the best restart are those of
+    :func:`corrgen.factorize.best_of_restarts`.  Non-convergence is
+    reported, not thrown, and does not certify infeasibility.
     """
     settings = settings or SolveSettings()
     n2, m2 = P2.matrix.shape
     n1, m1 = P1.matrix.shape
 
-    best = None
-    for restart in range(settings.restarts):
-        rng = np.random.default_rng(settings.rng_seed + restart)
+    def search(rng):
         A = _project_columns_simplex(rng.random((n2, n1)))
         B = _project_columns_simplex(rng.random((m2, m1)))
-        history = []
-        converged = False
-        for _ in range(settings.max_outer_iters):
+        while True:
             A = _pgd_stochastic(P2.matrix, P1.matrix @ B.T, A, settings)
             B = _pgd_stochastic(P2.matrix.T, P1.matrix.T @ A.T, B, settings)
-            res = float(np.sum((P2.matrix - A @ P1.matrix @ B.T) ** 2))
-            history.append(res)
-            if res <= settings.residual_tol:
-                converged = True
-                break
-            w = settings.stall_window
-            if len(history) > w and history[-w - 1] - history[-1] < settings.stall_tol * max(history[-w - 1], 1e-30):
-                break
-        result = ClassicalSearchResult(StochasticTransformPair(A, B), history[-1],
-                                       converged, tuple(history))
-        if best is None or result.residual < best.residual:
-            best = result
-        if best.converged:
-            break
-    return best
+            yield float(np.sum((P2.matrix - A @ P1.matrix @ B.T) ** 2)), False, (A, B)
+
+    (A, B), history, _, converged = best_of_restarts(search, settings)
+    return ClassicalSearchResult(StochasticTransformPair(A, B), history[-1], converged,
+                                 history)
 
 
 def is_diag_to_half_identity(P1: Correlation, P2: Correlation, tol: float = 1e-12) -> bool:

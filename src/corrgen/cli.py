@@ -1,11 +1,12 @@
 """Command-line surface: JSON I/O, report rendering, exit-code contract.
 
 Exit codes for `check` (and `pipeline`, which embeds it):
-0 = NOT_RULED_OUT, 2 = RULED_OUT, 1 = input error.  All other commands
-return 0 on success and 1 on input error.  JSON is the canonical output
-format; the text renderer is derived from the JSON payload.  Numeric
-output is printed with 12 significant digits.  Identical inputs and
-seeds give byte-identical JSON.
+0 = NOT_RULED_OUT, 2 = RULED_OUT, 1 = input error (usage errors
+included).  All other commands return 0 on success and 1 on input
+error.  JSON is the canonical output format; the text renderer is
+derived from the JSON payload.  Numeric output is printed with 12
+significant digits.  Identical inputs and seeds give byte-identical
+JSON.
 """
 
 from __future__ import annotations
@@ -150,9 +151,8 @@ def _lambda_from_args(args) -> np.ndarray:
 def cmd_factorize(args) -> int:
     target = _load_correlation(args.target)
     lam = _lambda_from_args(args)
-    k = args.k if args.k is not None else lam.size
     try:
-        outcome = factorize.alternate(target, lam, k, _solve_settings(args),
+        outcome = factorize.alternate(target, lam, lam.size, _solve_settings(args),
                                       lam_squared=args.lambda_squared)
     except factorize.FactorizationError as exc:
         raise InputError(str(exc)) from exc
@@ -295,8 +295,16 @@ def _add_solver(p):
     p.add_argument("--tol", type=float, default=None)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own 2 is the RULED_OUT verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="corrgen",
         description="Decide, bound and search for one-shot local-operation "
                     "protocols generating a target classical correlation.")
@@ -316,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="diagonal of Lambda (sqrt-lambda entries), comma separated")
     p.add_argument("--lambda-squared", action="store_true",
                    help="interpret --lambda entries as squared Schmidt coefficients")
-    p.add_argument("--k", type=int, default=None)
     _add_solver(p)
     _add_common(p)
     p.set_defaults(func=cmd_factorize)

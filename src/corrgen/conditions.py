@@ -195,7 +195,7 @@ def check_v2(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
 
 def check_fidelity_sum(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """Pairwise row-fidelity sum ΣᵢΣⱼF(Pᵢ,Pⱼ)² against Σλ²."""
-    rows = P.rows()
+    rows = P.matrix
     n = rows.shape[0]
     lhs = 0.0
     for i in range(n):

@@ -64,17 +64,6 @@ class Correlation:
     def m(self) -> int:
         return self.matrix.shape[1]
 
-    def transpose(self) -> "Correlation":
-        return Correlation(self.matrix.T)
-
-    def rows(self) -> np.ndarray:
-        """Unnormalized rows P_x of P, as an (n, m) array."""
-        return self.matrix
-
-    def is_product(self, tol: float = 1e-12) -> bool:
-        outer = np.outer(marginal_x(self), marginal_y(self))
-        return bool(np.max(np.abs(self.matrix - outer)) <= tol)
-
     # -- JSON interchange ({"matrix": [[...]]}) --
 
     def to_json_dict(self) -> dict:

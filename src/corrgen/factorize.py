@@ -31,7 +31,7 @@ costs O(n·m·(n+m)·k²·min(n·m, (n+m)·k²)) and is meant for desk-scale
 targets; a J of more than ``MAX_JACOBIAN_ENTRIES`` entries is refused
 before anything is allocated.  A QR retraction and
 Armijo backtracking from length 1 complete the step; a block of steps
-ends stuck once −⟨grad f, d⟩ ≤ ``stall_tol``·f.  Every iterate is
+ends stuck once −⟨grad f, d⟩ ≤ ``STALL_TOL``·f.  Every iterate is
 feasible to rounding error, so the search only ever trades objective,
 never feasibility.  A failed search means "no factorization found",
 never "infeasible".
@@ -43,11 +43,20 @@ principle exist where real ones do not; this is a documented limitation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
 #: Sufficient-decrease constant of the Armijo line search.
 ARMIJO = 1e-4
+#: Halvings of the step before a line search gives up.
+MAX_BACKTRACKS = 40
+#: Relative objective drop below which a search counts as stalled.
+STALL_TOL = 1e-12
+#: Blocks of steps over which the stall drop is measured.
+STALL_WINDOW = 10
+#: Gradient norm (factorize) or step size (classical) at which a search stops.
+STATIONARITY_TOL = 1e-10
 
 #: Largest Jacobian, in entries, that the search builds (128 MB of floats).
 MAX_JACOBIAN_ENTRIES = 2 ** 24
@@ -111,12 +120,8 @@ class DiagonalPsdFactorization:
         return np.einsum("xab,yba->xy", self.C, self.D)
 
     def max_negative_eigenvalue(self) -> float:
-        worst = 0.0
-        for stack in (self.C, self.D):
-            for mat in stack:
-                ev = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-                worst = min(worst, float(ev[0]))
-        return -worst
+        ev = np.linalg.eigvalsh(_sym(np.concatenate((self.C, self.D))))
+        return -float(np.min(ev[:, 0], initial=0.0))
 
     def feasibility_error(self) -> float:
         """Max deviation of the factor sums from Λ plus PSD violation."""
@@ -155,20 +160,47 @@ class DiagonalPsdFactorization:
 class SolveSettings:
     max_outer_iters: int = 500
     residual_tol: float = 1e-9
-    stall_tol: float = 1e-12
-    stall_window: int = 10
     restarts: int = 10
     rng_seed: int = 12345
     max_inner_iters: int = 250
-    stationarity_tol: float = 1e-10
-    max_backtracks: int = 40
 
     def __post_init__(self):
-        if min(self.max_outer_iters, self.restarts, self.max_inner_iters,
-               self.stall_window) < 1:
+        if min(self.max_outer_iters, self.restarts, self.max_inner_iters) < 1:
             raise FactorizationError("iteration counts must be >= 1")
-        if min(self.residual_tol, self.stall_tol, self.stationarity_tol) <= 0:
-            raise FactorizationError("tolerances must be positive")
+        if not self.residual_tol > 0:
+            raise FactorizationError("residual_tol must be positive")
+
+
+def best_of_restarts(search, settings: SolveSettings):
+    """Run a block-wise search from seeded starts and keep the best restart.
+
+    ``search(rng)`` starts from a point drawn with ``rng`` and yields
+    ``(objective, stuck, result)`` after each block of steps.  Restart r
+    gets ``default_rng(rng_seed + r)`` and ends after
+    ``max_outer_iters`` blocks, at objective ≤ ``residual_tol``
+    (converged), on a stuck block, or once the objective has dropped by
+    less than ``STALL_TOL`` (relative) over ``STALL_WINDOW`` blocks.
+    The restart with the lowest final objective wins, ties going to the
+    lower index, and the first converged restart ends the search.
+    Returns the winner's ``(result, history, restart, converged)``.
+    """
+    best = None
+    for restart in range(settings.restarts):
+        blocks = search(np.random.default_rng(settings.rng_seed + restart))
+        history = []
+        for objective, stuck, result in itertools.islice(blocks, settings.max_outer_iters):
+            history.append(objective)
+            if objective <= settings.residual_tol or stuck:
+                break
+            if len(history) > STALL_WINDOW:
+                start = history[-STALL_WINDOW - 1]
+                if start - objective < STALL_TOL * max(start, 1e-30):
+                    break
+        if best is None or history[-1] < best[1][-1]:
+            best = (result, tuple(history), restart, history[-1] <= settings.residual_tol)
+        if best[3]:
+            break
+    return best
 
 
 @dataclass(frozen=True)
@@ -273,11 +305,10 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     grows by 1/t after a step shortened to length t and halves, down to
     1, after a full one.  One outer iteration is a
     block of up to ``max_inner_iters`` steps, ending early at objective
-    ≤ ``residual_tol``, gradient norm < ``stationarity_tol``, −slope ≤
-    ``stall_tol``·f, or no acceptable step.  A restart ends when it
-    converges, when its block ends stuck, when the objective stalls over
-    ``stall_window`` blocks, or at the iteration cap; the best restart
-    wins (ties broken by lower restart index).  An infeasible Λ is not
+    ≤ ``residual_tol``, or stuck at gradient norm < ``STATIONARITY_TOL``,
+    −slope ≤ ``STALL_TOL``·f or no acceptable step.  Restarts, the stall
+    test and the choice of the best restart are those of
+    :func:`best_of_restarts`.  An infeasible Λ is not
     an error — it simply yields a high residual and ``converged=False``.
     A target whose J would exceed ``MAX_JACOBIAN_ENTRIES`` entries
     (for instance 100×100 with k = 4) raises :class:`FactorizationError`.
@@ -300,15 +331,12 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
             f" entries, over the budget of 2^{MAX_JACOBIAN_ENTRIES.bit_length() - 1}")
     s = np.sqrt(lam)
 
-    best = None
-    for restart in range(settings.restarts):
-        rng = np.random.default_rng(settings.rng_seed + restart)
+    def search(rng):
         X, Y = _random_stiefel(rng, n, k), _random_stiefel(rng, m, k)
         f, C, D, R = _evaluate(P, s, X, Y)
-        history = []
-        converged = stuck = False
         theta = 1.0
-        for _ in range(settings.max_outer_iters):
+        while True:
+            stuck = False
             for _ in range(settings.max_inner_iters):
                 if f <= settings.residual_tol:
                     break
@@ -317,13 +345,12 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
                 grad = 2.0 * (r @ J)
                 d = _levenberg_marquardt(J, r, theta * f)
                 slope = float(grad @ d)
-                if (grad @ grad < settings.stationarity_tol ** 2
-                        or -slope <= settings.stall_tol * f):
+                if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= STALL_TOL * f:
                     stuck = True
                     break
                 dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
                 step = 1.0
-                for _ in range(settings.max_backtracks):
+                for _ in range(MAX_BACKTRACKS):
                     Xt, Yt = _retract(X + step * dX), _retract(Y + step * dY)
                     ft, Ct, Dt, Rt = _evaluate(P, s, Xt, Yt)
                     if ft <= f + ARMIJO * step * slope:
@@ -334,30 +361,17 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
                     break
                 theta = max(1.0, 0.5 * theta) if step == 1.0 else theta / step
                 X, Y, f, C, D, R = Xt, Yt, ft, Ct, Dt, Rt
-            history.append(f)
-            if f <= settings.residual_tol:
-                converged = True
-                break
-            if stuck:
-                break
-            w = settings.stall_window
-            if len(history) > w:
-                drop = history[-w - 1] - history[-1]
-                if drop < settings.stall_tol * max(history[-w - 1], 1e-30):
-                    break
-        outcome = SolveOutcome(
-            factorization=DiagonalPsdFactorization(C, D, lam),
-            objective=history[-1],
-            iterations=len(history),
-            restart_index=restart,
-            converged=converged,
-            objective_history=tuple(history),
-        )
-        if best is None or outcome.objective < best.objective:
-            best = outcome
-        if best.converged:
-            break
-    return best
+            yield f, stuck, (C, D)
+
+    (C, D), history, restart, converged = best_of_restarts(search, settings)
+    return SolveOutcome(
+        factorization=DiagonalPsdFactorization(C, D, lam),
+        objective=history[-1],
+        iterations=len(history),
+        restart_index=restart,
+        converged=converged,
+        objective_history=history,
+    )
 
 
 def verify(P, F: DiagonalPsdFactorization, tol: float = 1e-6) -> VerifyResult:

@@ -209,7 +209,36 @@ class TestSchmidtBasisProtocol:
             schmidt_basis_protocol(SchmidtSpectrum([0.5, 0.5]), [0, 5])
 
 
+def _assert_same_search(multi, single):
+    assert ((multi.residual, multi.converged, multi.residual_history)
+            == (single.residual, single.converged, single.residual_history))
+    np.testing.assert_array_equal(multi.pair.A, single.pair.A)
+    np.testing.assert_array_equal(multi.pair.B, single.pair.B)
+
+
 class TestSearch:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_restarts_keep_best_single_run(self, seed):
+        # a product seed never reaches 1/2 I: restart r is the single run
+        # at rng_seed + r, and the lowest residual wins, ties to the lower r
+        product = Correlation(np.full((2, 2), 0.25))
+        runs = [classical_feasible_search(product, HALF_ID, SolveSettings(
+                    restarts=1, rng_seed=seed + r, max_outer_iters=20)) for r in range(3)]
+        best = classical_feasible_search(product, HALF_ID, SolveSettings(
+            restarts=3, rng_seed=seed, max_outer_iters=20))
+        _assert_same_search(best, min(runs, key=lambda res: res.residual))
+
+    def test_restarts_stop_at_first_converged(self):
+        # restarts 1 and 3 converge on this budget, 0 and 2 do not
+        seed = Correlation(np.diag([0.25, 0.25, 0.5]))
+        runs = [classical_feasible_search(seed, HALF_ID, SolveSettings(
+                    restarts=1, rng_seed=1 + r, max_outer_iters=30)) for r in range(4)]
+        first = next(r for r, res in enumerate(runs) if res.converged)
+        assert first > 0
+        best = classical_feasible_search(seed, HALF_ID, SolveSettings(
+            restarts=4, rng_seed=1, max_outer_iters=30))
+        _assert_same_search(best, runs[first])
+
     def test_identity_instance(self):
         P = Correlation([[0.2, 0.3], [0.1, 0.4]])
         res = classical_feasible_search(P, P)

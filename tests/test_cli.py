@@ -34,6 +34,31 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("argv", [
+    (),
+    ("check",),
+    ("check", "--target", "t.json", "--schmidt", "0.5,0.5", "--bogus"),
+    ("factorize", "--target", "t.json", "--lambda", "0.4,0.9", "--restarts", "abc"),
+    ("factorize", "--target", "t.json", "--lambda", "0.4,0.9", "--k", "3"),
+], ids=["no-command", "missing-target", "unknown-flag", "non-integer", "removed-k"])
+def test_usage_error_exit_1(capsys, argv):
+    # argparse would exit 2, which `check` and `pipeline` use for RULED_OUT
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert "error" in out.err
+
+
+def test_factorize_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factorize", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "--lambda" in out and "--k" not in out
+
+
 class TestCheck:
     def test_ruled_out_exit_2(self, capsys, target_diag):
         code, out, _ = run(capsys, "check", "--target", target_diag,
@@ -98,7 +123,7 @@ class TestCheck:
         assert code == 1
         assert "finite" in err
 
-    @pytest.mark.parametrize("flag", [("--restarts", "0"), ("--tol", "-1")])
+    @pytest.mark.parametrize("flag", [("--restarts", "0"), ("--tol", "-1"), ("--tol", "nan")])
     def test_bad_solver_settings_exit_1(self, capsys, target_alg, flag):
         code, out, err = run(capsys, "pipeline", "--target", target_alg,
                              "--schmidt", "0.8,0.2", *flag)
@@ -207,11 +232,6 @@ class TestFactorizeVerifySimulate:
                              "--lambda=-0.2,1.2", "--lambda-squared")
         assert code == 1
         assert "nonnegative" in err
-
-    def test_k_mismatch_exit_1(self, capsys, target_alg):
-        code, _, _ = run(capsys, "factorize", "--target", target_alg,
-                         "--lambda", "0.4,0.9", "--k", "3")
-        assert code == 1
 
     def test_oversized_target_exit_1(self, capsys, tmp_path):
         # 100 x 100 cells with k = 4 need a Jacobian of 10^4 x 3,200 entries

@@ -266,7 +266,41 @@ class TestParametrization:
         assert out.objective == h[-1] == np.sum((P - F.trace_table()) ** 2)
 
 
+def _assert_same_search(multi, single, restart):
+    """``multi`` is bit for bit the single-restart run ``single``, found at ``restart``."""
+    assert multi.restart_index == restart
+    assert ((multi.objective, multi.iterations, multi.converged, multi.objective_history)
+            == (single.objective, single.iterations, single.converged,
+                single.objective_history))
+    np.testing.assert_array_equal(multi.factorization.C, single.factorization.C)
+    np.testing.assert_array_equal(multi.factorization.D, single.factorization.D)
+
+
 class TestAlternate:
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_restarts_keep_best_single_run(self, seed):
+        # Bell -> diag(0.3, 0.7) never converges, so all three restarts run:
+        # restart r is the single run at rng_seed + r, and the lowest
+        # objective wins, ties going to the lower r
+        P, lam = np.diag([0.3, 0.7]), [np.sqrt(0.5)] * 2
+        runs = [alternate(P, lam, 2, SolveSettings(restarts=1, rng_seed=seed + r,
+                                                   max_outer_iters=20))
+                for r in range(3)]
+        best = alternate(P, lam, 2, SolveSettings(restarts=3, rng_seed=seed,
+                                                  max_outer_iters=20))
+        r = min(range(3), key=lambda i: runs[i].objective)
+        _assert_same_search(best, runs[r], r)
+
+    def test_restarts_stop_at_first_converged(self):
+        # on this budget restart 0 misses the worked 2x2 and later ones hit it
+        budget = dict(max_outer_iters=2, max_inner_iters=5)
+        runs = [alternate(ALG, ALG_LAM, 2, SolveSettings(restarts=1, rng_seed=3 + r, **budget))
+                for r in range(4)]
+        first = next(r for r, out in enumerate(runs) if out.converged)
+        assert first > 0
+        best = alternate(ALG, ALG_LAM, 2, SolveSettings(restarts=4, rng_seed=3, **budget))
+        _assert_same_search(best, runs[first], first)
+
     def test_worked_example_converges(self):
         out = alternate(ALG, ALG_LAM, 2)
         assert out.converged
