@@ -7,7 +7,10 @@ column-stochastic matrices only.  The search is a heuristic; a failed
 search is not an infeasibility proof.  Exact decisions are available
 precisely where the reduction proofs give structure: a diagonal seed
 against the half-identity target reduces to SUBSET-SUM, which the
-oracle settles in exact integer arithmetic.
+oracle settles in exact integer arithmetic.  A built hardness instance
+is decided from its own integers.  A float diagonal is read as rationals
+with denominators ≤ ``MAX_DENOMINATOR``, each within ``MAX_ULPS`` ulps
+of its entry; if it does not read so, no exact decision is made.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ class InstanceTooLarge(ClassicalError):
 MAX_ORACLE_ITEMS = 50
 #: Largest prefix table, in bits (r rows of total + 1 sums), the oracle builds.
 MAX_ORACLE_BITS = 2 ** 30
+#: Two rationals with denominators ≤ 2²⁰ differ by at least 2⁻⁴⁰ ≈ 9e-13,
+#: far above float rounding, so a float within a few ulps of one names it.
+MAX_DENOMINATOR = 2 ** 20
+MAX_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,9 @@ class StochasticTransformPair:
                 raise ClassicalError(f"{name} has negative entries")
             if np.max(np.abs(mat.sum(axis=0) - 1.0)) > 1e-10:
                 raise ClassicalError(f"columns of {name} must sum to 1")
-        A = np.clip(A, 0.0, None)
-        B = np.clip(B, 0.0, None)
-        A.setflags(write=False)
-        B.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+            mat = np.clip(mat, 0.0, None)
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
     def apply(self, P1: Correlation) -> np.ndarray:
         return self.A @ P1.matrix @ self.B.T
@@ -98,12 +102,11 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
     """Exact half-sum decision with witness, by bitset dynamic programming.
 
     Reachable sums are tracked as bits of a Python integer; the witness
-    is reconstructed by peeling items off the prefix tables.  Exact
-    integer arithmetic throughout.  An odd total is immediately
-    unsatisfiable, whatever its size.  Instances with more than
-    ``MAX_ORACLE_ITEMS`` items, or an even total whose table needs more
-    than ``MAX_ORACLE_BITS`` bits, raise :class:`InstanceTooLarge`
-    before anything is allocated.
+    is reconstructed by peeling items off the prefix tables.  An odd
+    total is immediately unsatisfiable, whatever its size.  Instances
+    with more than ``MAX_ORACLE_ITEMS`` items, or an even total whose
+    table needs more than ``MAX_ORACLE_BITS`` bits, raise
+    :class:`InstanceTooLarge` before anything is allocated.
     """
     r = len(inst.items)
     if r > MAX_ORACLE_ITEMS:
@@ -114,18 +117,17 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
     if r * (total + 1) > MAX_ORACLE_BITS:
         raise InstanceTooLarge(f"oracle table of {r} x {total + 1} bits exceeds "
                                f"the budget of 2^{MAX_ORACLE_BITS.bit_length() - 1}")
-    target = total // 2
 
     prefix = [1]  # prefix[i] = bitset of sums over items[:i]
     reach = 1
     for a in inst.items:
         reach |= reach << a
         prefix.append(reach)
-    if not (reach >> target) & 1:
+    remaining = total // 2
+    if not (reach >> remaining) & 1:
         return OracleResult(False, ())
 
     witness = []
-    remaining = target
     for i in range(r - 1, -1, -1):
         a = inst.items[i]
         # take item i iff the rest of the sum is reachable without it
@@ -138,41 +140,51 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
     return OracleResult(True, tuple(sorted(witness)))
 
 
+#: The target of both hardness reductions; one shared, immutable object.
+HALF_IDENTITY = Correlation([[0.5, 0.0], [0.0, 0.5]])
+
+
 @dataclass(frozen=True)
 class QuantumHardnessInstance:
     spectrum: SchmidtSpectrum
     target: Correlation
-    exact_lambdas: tuple[Fraction, ...]   # aligned with the sorted spectrum
     item_order: tuple[int, ...]           # spectrum position -> original item index
+    subset_sum: SubsetSumInstance
+
+    @property
+    def exact_lambdas(self) -> tuple[Fraction, ...]:
+        """λᵢ = aᵢ/Σa as exact rationals, aligned with the sorted spectrum."""
+        items, total = self.subset_sum.items, self.subset_sum.total
+        return tuple(Fraction(items[i], total) for i in self.item_order)
 
 
 @dataclass(frozen=True)
 class ClassicalHardnessInstance:
     seed: Correlation
     target: Correlation
-    exact_lambdas: tuple[Fraction, ...]   # aligned with the seed diagonal
+    subset_sum: SubsetSumInstance
 
-
-def _half_identity() -> Correlation:
-    return Correlation([[0.5, 0.0], [0.0, 0.5]])
+    @property
+    def exact_lambdas(self) -> tuple[Fraction, ...]:
+        """λᵢ = aᵢ/Σa as exact rationals, aligned with the seed diagonal."""
+        total = self.subset_sum.total
+        return tuple(Fraction(a, total) for a in self.subset_sum.items)
 
 
 def build_quantum_hardness_instance(inst: SubsetSumInstance) -> QuantumHardnessInstance:
     """Seed spectrum λᵢ = aᵢ/Σa (sorted descending) and target ½I₂."""
     total = inst.total
     order = sorted(range(len(inst.items)), key=lambda i: inst.items[i], reverse=True)
-    fracs = tuple(Fraction(inst.items[i], total) for i in order)
-    lam = np.array([float(f) for f in fracs])
-    return QuantumHardnessInstance(SchmidtSpectrum(lam), _half_identity(), fracs,
-                                   tuple(order))
+    # int / int is correctly rounded, so each λᵢ is the float nearest aᵢ/Σa
+    lam = np.array([inst.items[i] / total for i in order])
+    return QuantumHardnessInstance(SchmidtSpectrum(lam), HALF_IDENTITY, tuple(order), inst)
 
 
 def build_classical_hardness_instance(inst: SubsetSumInstance) -> ClassicalHardnessInstance:
     """Diagonal seed diag(λ₁…λ_r) and target ½I₂."""
     total = inst.total
-    fracs = tuple(Fraction(a, total) for a in inst.items)
-    seed = Correlation(np.diag([float(f) for f in fracs]))
-    return ClassicalHardnessInstance(seed, _half_identity(), fracs)
+    seed = Correlation(np.diag([a / total for a in inst.items]))
+    return ClassicalHardnessInstance(seed, HALF_IDENTITY, inst)
 
 
 def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFactorization:
@@ -192,9 +204,7 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
     sel = np.zeros(r)
     sel[subset] = 1.0
     sq = spectrum.sqrt_lambdas()
-    block1 = np.diag(sq * sel)
-    block2 = np.diag(sq * (1.0 - sel))
-    C = np.stack([block1, block2])
+    C = np.stack([np.diag(sq * sel), np.diag(sq * (1.0 - sel))])
     return DiagonalPsdFactorization(C, C.copy(), sq)
 
 
@@ -207,9 +217,8 @@ def kraus_to_stochastic(kraus) -> np.ndarray:
     mats = [np.asarray(E, dtype=complex) for E in kraus]
     if not mats:
         raise ClassicalError("empty Kraus set")
-    d = mats[0].shape[1]
     comp = sum(E.conj().T @ E for E in mats)
-    if np.max(np.abs(comp - np.eye(d))) > 1e-8:
+    if np.max(np.abs(comp - np.eye(mats[0].shape[1]))) > 1e-8:
         raise ClassicalError("Kraus set is not trace preserving")
     return np.sum([np.abs(E) ** 2 for E in mats], axis=0)
 
@@ -244,19 +253,16 @@ def _pgd_stochastic(target: np.ndarray, M: np.ndarray, A: np.ndarray,
     if L <= 0:
         return A
     f = float(np.sum((target - A @ M) ** 2))
-    base_step = 1.0 / L
     for _ in range(settings.max_inner_iters):
         grad = -2.0 * (target - A @ M) @ M.T
-        step = base_step
-        accepted = False
+        step = 1.0 / L
         for _ in range(MAX_BACKTRACKS):
             trial = _project_columns_simplex(A - step * grad)
             f_trial = float(np.sum((target - trial @ M) ** 2))
             if f_trial <= f:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
         move = np.max(np.abs(trial - A))
         A, f = trial, f_trial
@@ -288,8 +294,7 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
             yield float(np.sum((P2.matrix - A @ P1.matrix @ B.T) ** 2)), False, (A, B)
 
     (A, B), history, _, converged = best_of_restarts(search, settings)
-    return ClassicalSearchResult(StochasticTransformPair(A, B), history[-1], converged,
-                                 history)
+    return ClassicalSearchResult(StochasticTransformPair(A, B), history[-1], converged, history)
 
 
 def is_diag_to_half_identity(P1: Correlation, P2: Correlation, tol: float = 1e-12) -> bool:
@@ -297,38 +302,32 @@ def is_diag_to_half_identity(P1: Correlation, P2: Correlation, tol: float = 1e-1
     off = P1.matrix - np.diag(np.diag(P1.matrix))
     if P1.n != P1.m or np.max(np.abs(off)) > tol:
         return False
-    return P2.matrix.shape == (2, 2) and np.max(np.abs(P2.matrix - _half_identity().matrix)) <= tol
+    return P2.matrix.shape == (2, 2) and np.max(np.abs(P2.matrix - HALF_IDENTITY.matrix)) <= tol
 
 
-def decide_diag_to_half_identity(P1: Correlation) -> OracleResult:
+def decide_diag_to_half_identity(P1: Correlation) -> OracleResult | None:
     """Exact feasibility of diag(λ) → ½I₂ by the forced-binary structure.
 
     Any stochastic witness pair is forced to 0/1 entries, so feasibility
-    is exactly the existence of a diagonal subset of mass 1/2; decided
-    in exact rational arithmetic via the SUBSET-SUM oracle.
+    is exactly the existence of a diagonal subset of mass 1/2, decided on
+    the entries read as rationals; ``None`` (no exact decision) when they
+    do not read so.
     """
-    diag = np.diag(P1.matrix)
-    fracs = [Fraction(x).limit_denominator(10 ** 12) for x in diag]
-    if any(abs(float(f) - x) > 1e-12 for f, x in zip(fracs, diag)):
-        raise ClassicalError("seed diagonal is not recognizably rational")
-    return _decide_half_split(fracs)
-
-
-def _decide_half_split(fracs) -> OracleResult:
+    diag = np.diag(P1.matrix).tolist()
+    fracs = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in diag]
+    if any(abs(float(f) - x) > MAX_ULPS * math.ulp(x) for f, x in zip(fracs, diag)):
+        return None
     denom = math.lcm(*(f.denominator for f in fracs))
-    items = [int(f * denom) for f in fracs]
-    # zero-mass labels cannot contribute to either group
-    keep = [(i, a) for i, a in enumerate(items) if a > 0]
-    res = subset_sum_oracle(SubsetSumInstance([a for _, a in keep]))
-    if not res.satisfiable:
-        return res
-    return OracleResult(True, tuple(keep[j][0] for j in res.witness))
+    keep = [i for i, f in enumerate(fracs) if f]  # zero-mass labels join neither group
+    res = subset_sum_oracle(SubsetSumInstance(int(fracs[i] * denom) for i in keep))
+    return OracleResult(res.satisfiable, tuple(keep[j] for j in res.witness))
 
 
 def decide_classical_hardness_instance(inst: ClassicalHardnessInstance) -> OracleResult:
     """Exact feasibility of a built diag(λ) → ½I₂ instance.
 
-    Uses the exact rational λ recorded at build time, so no float
-    recovery step is involved.
+    The seed has λᵢ = aᵢ/Σa, so a subset has mass 1/2 exactly when its
+    items sum to half the total: the oracle decides the instance from
+    the items it was built from, with no float or rational step.
     """
-    return _decide_half_split(inst.exact_lambdas)
+    return subset_sum_oracle(inst.subset_sum)

@@ -201,7 +201,7 @@ def cmd_classical(args) -> int:
     target = _load_correlation(args.target)
     settings = _solve_settings(args)
     try:
-        # an exact decision that cannot be made fails before the search runs
+        # an exact decision over the oracle budget fails before the search runs
         oracle = (classical.decide_diag_to_half_identity(seed)
                   if classical.is_diag_to_half_identity(seed, target) else None)
         result = classical.classical_feasible_search(seed, target, settings)

@@ -101,11 +101,11 @@ class DiagonalPsdFactorization:
         k = lam.size
         if C.ndim != 3 or D.ndim != 3 or C.shape[1:] != (k, k) or D.shape[1:] != (k, k):
             raise FactorizationError("factor stacks must have shape (count, k, k)")
-        for a in (C, D, lam):
+        if not (np.all(np.isfinite(C)) and np.all(np.isfinite(D))):
+            raise FactorizationError("factor entries must be finite")
+        for name, a in (("C", C), ("D", D), ("lam", lam)):
             a.setflags(write=False)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "lam", lam)
+            object.__setattr__(self, name, a)
 
     @property
     def k(self) -> int:

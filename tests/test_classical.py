@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from corrgen import (
     ClassicalError,
     Correlation,
     InstanceTooLarge,
+    OracleResult,
     SolveSettings,
     StochasticTransformPair,
     SubsetSumInstance,
@@ -24,6 +26,11 @@ from corrgen import (
 from corrgen.conditions import SchmidtSpectrum
 
 HALF_ID = Correlation([[0.5, 0.0], [0.0, 0.5]])
+# q1, q2 are primes below 2^19 and p1, p2 primes below 2^20 / 3, so every
+# denominator below is at most 2^20 while the common one is near 2^40
+Q1, Q2, P1, P2 = 524287, 524269, 349519, 349507
+EVEN_TOTAL_DIAG = [3 / (2 * Q1), (Q1 - 3) / (2 * Q1), 5 / (2 * Q2), (Q2 - 5) / (2 * Q2)]
+ODD_TOTAL_DIAG = [1 / (3 * P1), (P1 - 1) / (3 * P1), 1 / (3 * P2), (2 * P2 - 1) / (3 * P2)]
 
 
 class TestTransformPair:
@@ -168,6 +175,14 @@ class TestBuilders:
         c = build_classical_hardness_instance(SubsetSumInstance([1, 1, 1]))
         np.testing.assert_allclose(c.seed.matrix, np.eye(3) / 3)
 
+    def test_instances_keep_items_and_share_target(self):
+        inst = SubsetSumInstance([2, 3])
+        q = build_quantum_hardness_instance(inst)
+        c = build_classical_hardness_instance(inst)
+        assert q.subset_sum == c.subset_sum == inst
+        assert q.target is c.target
+        assert not q.target.matrix.flags.writeable
+
     def test_decision_matches_oracle(self):
         for items in ([1, 1], [1, 2, 3], [2, 3], [1, 1, 1], [3, 5, 8]):
             inst = SubsetSumInstance(items)
@@ -292,17 +307,36 @@ class TestExactDecision:
             Correlation(np.diag([0.4, 0.6]))).satisfiable
 
     def test_float_diag_exceeds_budget(self):
-        # denominators near 10^12 give a common denominator beyond 2^64
-        # and items far beyond the oracle's bit budget; this seed's
-        # items have an even total, so a table would be needed
-        seed = Correlation(np.diag(np.random.default_rng(8).dirichlet(np.ones(3))))
-        with pytest.raises(InstanceTooLarge):
-            decide_diag_to_half_identity(seed)
+        # every entry reads as a rational, but over a common denominator
+        # near 2^40 the items have an even total and need a table
+        with pytest.raises(InstanceTooLarge, match="budget"):
+            decide_diag_to_half_identity(Correlation(np.diag(EVEN_TOTAL_DIAG)))
 
     def test_float_diag_odd_total_decided(self):
         # the same kind of seed with an odd total needs no table
-        seed = Correlation(np.diag(np.random.default_rng(5).dirichlet(np.ones(3))))
-        assert not decide_diag_to_half_identity(seed).satisfiable
+        assert decide_diag_to_half_identity(Correlation(np.diag(ODD_TOTAL_DIAG))) == \
+            OracleResult(False, ())
+
+    @pytest.mark.parametrize("diag", [
+        np.random.default_rng(5).dirichlet(np.ones(3)),
+        np.random.default_rng(8).dirichlet(np.ones(3)),
+        [(2 ** 28 + 1) / 2 ** 29, (2 ** 28 - 1) / 2 ** 29],
+        [0.3 + 2e-15, 0.7 - 2e-15],
+    ], ids=["dirichlet-5", "dirichlet-8", "denominator-2^29", "off-by-ulps"])
+    def test_float_diag_not_rational(self, diag):
+        # no entry within a few ulps of a rational with denominator <= 2^20
+        assert decide_diag_to_half_identity(Correlation(np.diag(diag))) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=12))
+    def test_float_path_agrees_with_oracle(self, items):
+        # the built seed holds floats a/total, read back as exact rationals
+        inst = SubsetSumInstance(items)
+        res = decide_diag_to_half_identity(build_classical_hardness_instance(inst).seed)
+        assert res is not None
+        assert res.satisfiable == subset_sum_oracle(inst).satisfiable
+        if res.satisfiable:
+            assert 2 * sum(items[i] for i in res.witness) == sum(items)
 
     def test_search_agrees_with_oracle(self, rng):
         # small-scale cross-check of the heuristic search against the

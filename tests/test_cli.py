@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from corrgen import Correlation, classical
+from corrgen import Correlation
 from corrgen.cli import main
 
 
@@ -219,6 +219,17 @@ class TestFactorizeVerifySimulate:
         assert out == ""
         assert "--samples" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_non_finite_factor_exit_1(self, capsys, tmp_path, command):
+        fact = tmp_path / "f.json"
+        fact.write_text('{"lambda":[1.0],"C":[[[1.0]]],"D":[[[NaN]]]}')
+        target = tmp_path / "one.json"
+        target.write_text('{"matrix":[[1.0]]}')
+        extra = ("--samples", "10") if command == "simulate" else ("--target", str(target))
+        code, out, err = run(capsys, command, "--factorization", str(fact), *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
     @pytest.mark.parametrize("lam", ["nan,0.5", "0.5,inf"])
     def test_non_finite_lambda_exit_1(self, capsys, target_alg, lam):
         code, out, err = run(capsys, "factorize", "--target", target_alg,
@@ -262,9 +273,12 @@ class TestClassicalAndReduce:
         assert payload["converged"]
 
     def test_float_diag_seed_exit_1(self, capsys, tmp_path, half_identity):
-        # an even total over the oracle's bit budget
+        # denominators 2q1, 2q2 <= 2^20 for primes q1, q2, so the entries
+        # read as rationals; over their common denominator near 2^40 the
+        # items have an even total, and the table is refused
+        q1, q2 = 524287, 524269
+        diag = [3 / (2 * q1), (q1 - 3) / (2 * q1), 5 / (2 * q2), (q2 - 5) / (2 * q2)]
         seed = tmp_path / "seed.json"
-        diag = np.random.default_rng(8).dirichlet(np.ones(3))
         seed.write_text(json.dumps({"matrix": np.diag(diag).tolist()}))
         code, out, err = run(capsys, "classical", "--seed", str(seed),
                              "--target", half_identity)
@@ -272,34 +286,33 @@ class TestClassicalAndReduce:
         assert err.startswith("error:") and "budget" in err
 
     def test_float_diag_seed_odd_total(self, capsys, tmp_path, half_identity):
-        # an odd total is decided without a table, whatever its size
+        # an odd total is decided without a table, whatever its size:
+        # denominators 3p1, 3p2 <= 2^20, common denominator 3·p1·p2
+        p1, p2 = 349519, 349507
+        diag = [1 / (3 * p1), (p1 - 1) / (3 * p1), 1 / (3 * p2), (2 * p2 - 1) / (3 * p2)]
         seed = tmp_path / "seed.json"
-        diag = np.random.default_rng(5).dirichlet(np.ones(3))
         seed.write_text(json.dumps({"matrix": np.diag(diag).tolist()}))
         code, out, _ = run(capsys, "classical", "--seed", str(seed),
-                           "--target", half_identity)
+                           "--target", half_identity, "--restarts", "1")
         assert code == 0
         assert json.loads(out)["exact_decision"] == {"feasible": False, "witness": []}
 
-    def test_large_items_seed_exit_1(self, capsys, tmp_path, half_identity):
-        # exact rationals over 2^29: a table of just over 2^30 bits,
-        # refused before it is allocated
+    @pytest.mark.parametrize("matrix", [
+        np.diag(np.random.default_rng(5).dirichlet(np.ones(3))).tolist(),
+        np.diag(np.random.default_rng(8).dirichlet(np.ones(3))).tolist(),
+        [[2 ** 28 + 1, 0], [0, 2 ** 28 - 1]],
+    ], ids=["dirichlet-5", "dirichlet-8", "denominator-2^29"])
+    def test_unrecognized_rational_no_exact_decision(self, capsys, tmp_path, half_identity,
+                                                     matrix):
+        # not a bad input: the search result comes without an exact decision
         seed = tmp_path / "seed.json"
-        seed.write_text(json.dumps({"matrix": [[2 ** 28 + 1, 0], [0, 2 ** 28 - 1]]}))
-        code, out, err = run(capsys, "classical", "--seed", str(seed),
-                             "--target", half_identity)
-        assert code == 1 and out == ""
-        assert "budget" in err
-
-    def test_unrecognized_rational_exit_1(self, capsys, monkeypatch, target_diag,
-                                          half_identity):
-        def irrational(seed):
-            raise classical.ClassicalError("seed diagonal is not recognizably rational")
-        monkeypatch.setattr(classical, "decide_diag_to_half_identity", irrational)
-        code, out, err = run(capsys, "classical", "--seed", target_diag,
-                             "--target", half_identity)
-        assert code == 1 and out == ""
-        assert "not recognizably rational" in err
+        seed.write_text(json.dumps({"matrix": matrix}))
+        code, out, _ = run(capsys, "classical", "--seed", str(seed),
+                           "--target", half_identity, "--restarts", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert "exact_decision" not in payload
+        assert payload["note"] == "search result is not a feasibility decision"
 
     def test_generic_search_no_exact_block(self, capsys, target_alg, half_identity):
         code, out, _ = run(capsys, "classical", "--seed", target_alg,
@@ -396,3 +409,89 @@ class TestOutputContract:
                            "--schmidt", "0.5,0.5")
         assert code == 1
         assert out == ""
+
+    def test_reduce_stdout_pinned(self, capsys):
+        _, out, _ = run(capsys, "reduce", "--items", "1,2,3")
+        assert out == REDUCE_QUANTUM_123
+        _, out, _ = run(capsys, "reduce", "--items", "2,3", "--side", "classical")
+        assert out == REDUCE_CLASSICAL_23
+
+    def test_exact_decision_stdout_pinned(self, capsys, tmp_path, half_identity):
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"matrix": [[0.25, 0, 0], [0, 0.25, 0], [0, 0, 0.5]]}))
+        _, out, _ = run(capsys, "classical", "--seed", str(seed), "--target", half_identity)
+        assert out[out.index('  "note"'):] == EXACT_DECISION_BLOCK
+
+
+HALF_IDENTITY_JSON = """\
+  "target": {
+    "matrix": [
+      [
+        0.5,
+        0.0
+      ],
+      [
+        0.0,
+        0.5
+      ]
+    ]
+  },
+"""
+
+REDUCE_QUANTUM_123 = """\
+{
+  "items": [
+    1,
+    2,
+    3
+  ],
+  "schmidt": [
+    0.5,
+    0.333333333333,
+    0.166666666667
+  ],
+""" + HALF_IDENTITY_JSON + """\
+  "exact_lambdas": [
+    "1/2",
+    "1/3",
+    "1/6"
+  ]
+}
+"""
+
+REDUCE_CLASSICAL_23 = """\
+{
+  "items": [
+    2,
+    3
+  ],
+  "seed": {
+    "matrix": [
+      [
+        0.4,
+        0.0
+      ],
+      [
+        0.0,
+        0.6
+      ]
+    ]
+  },
+""" + HALF_IDENTITY_JSON + """\
+  "exact_lambdas": [
+    "2/5",
+    "3/5"
+  ]
+}
+"""
+
+EXACT_DECISION_BLOCK = """\
+  "note": "exact decision available for diagonal seed vs half-identity target",
+  "exact_decision": {
+    "feasible": true,
+    "witness": [
+      2
+    ]
+  }
+}
+"""

@@ -71,6 +71,15 @@ class TestDataclass:
         with pytest.raises(FactorizationError, match="finite"):
             alternate(ALG, lam, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_factors(self, bad):
+        # a NaN on the diagonal of D = diag(1, NaN) used to pass validate()
+        D = np.array([[[1.0, 0.0], [0.0, bad]]])
+        with pytest.raises(FactorizationError, match="finite"):
+            DiagonalPsdFactorization(D, np.eye(2)[None], [1.0, 1.0])
+        with pytest.raises(FactorizationError, match="finite"):
+            DiagonalPsdFactorization(np.eye(2)[None], D, [1.0, 1.0])
+
     def test_json_round_trip(self):
         F = DiagonalPsdFactorization.from_json_dict(REF_F.to_json_dict())
         np.testing.assert_allclose(F.C, REF_F.C)
