@@ -292,8 +292,9 @@ class TestClassicalAndReduce:
         diag = [1 / (3 * p1), (p1 - 1) / (3 * p1), 1 / (3 * p2), (2 * p2 - 1) / (3 * p2)]
         seed = tmp_path / "seed.json"
         seed.write_text(json.dumps({"matrix": np.diag(diag).tolist()}))
+        # the decision comes before the search, which --tol 1 ends after one block
         code, out, _ = run(capsys, "classical", "--seed", str(seed),
-                           "--target", half_identity, "--restarts", "1")
+                           "--target", half_identity, "--restarts", "1", "--tol", "1")
         assert code == 0
         assert json.loads(out)["exact_decision"] == {"feasible": False, "witness": []}
 
