@@ -27,7 +27,7 @@ from corrgen.conditions import SchmidtSpectrum
 
 HALF_ID = Correlation([[0.5, 0.0], [0.0, 0.5]])
 # q1, q2 are primes below 2^19 and p1, p2 primes below 2^20 / 3, so every
-# denominator below is at most 2^20 while the common one is near 2^40
+# denominator below is at most 2^20 while the common one is about 2^39
 Q1, Q2, P1, P2 = 524287, 524269, 349519, 349507
 EVEN_TOTAL_DIAG = [3 / (2 * Q1), (Q1 - 3) / (2 * Q1), 5 / (2 * Q2), (Q2 - 5) / (2 * Q2)]
 ODD_TOTAL_DIAG = [1 / (3 * P1), (P1 - 1) / (3 * P1), 1 / (3 * P2), (2 * P2 - 1) / (3 * P2)]
@@ -308,7 +308,7 @@ class TestExactDecision:
 
     def test_float_diag_exceeds_budget(self):
         # every entry reads as a rational, but over a common denominator
-        # near 2^40 the items have an even total and need a table
+        # about 2^39 the items have an even total and need a table
         with pytest.raises(InstanceTooLarge, match="budget"):
             decide_diag_to_half_identity(Correlation(np.diag(EVEN_TOTAL_DIAG)))
 

@@ -274,7 +274,7 @@ class TestClassicalAndReduce:
 
     def test_float_diag_seed_exit_1(self, capsys, tmp_path, half_identity):
         # denominators 2q1, 2q2 <= 2^20 for primes q1, q2, so the entries
-        # read as rationals; over their common denominator near 2^40 the
+        # read as rationals; over their common denominator of about 2^39 the
         # items have an even total, and the table is refused
         q1, q2 = 524287, 524269
         diag = [3 / (2 * q1), (q1 - 3) / (2 * q1), 5 / (2 * q2), (q2 - 5) / (2 * q2)]
