@@ -3,12 +3,13 @@ search, and the SUBSET-SUM reduction builders with an exact oracle.
 
 Quantum local operations give no extra reachability when both seed and
 target are classical, so the search below is over pairs of
-column-stochastic matrices only.  The search is a heuristic; a failed
-search is not an infeasibility proof.  Exact decisions are available
-precisely where the reduction proofs give structure: a diagonal seed
-against the half-identity target reduces to SUBSET-SUM, which the
-oracle settles in exact integer arithmetic.  A built hardness instance
-is decided from its own integers.  A float diagonal is read as rationals
+column-stochastic matrices only, built as squares of unit columns and
+searched by the factorization search's Levenberg–Marquardt steps.  The
+search is a heuristic; a failed search is not an infeasibility proof.
+Exact decisions are available precisely where the reduction proofs give
+structure: a diagonal seed against the half-identity target reduces to
+SUBSET-SUM, which the oracle settles in exact integer arithmetic.  A
+built hardness instance is decided from its own integers.  A float diagonal is read as rationals
 with denominators ≤ ``MAX_DENOMINATOR``, each within ``MAX_ULPS`` ulps
 of its entry; if it does not read so, no exact decision is made.
 """
@@ -17,14 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 import math
 
 import numpy as np
 
 from .conditions import SchmidtSpectrum
 from .correlation import Correlation
-from .factorize import (MAX_BACKTRACKS, STATIONARITY_TOL, DiagonalPsdFactorization,
-                        SolveSettings, best_of_restarts)
+from .factorize import (DiagonalPsdFactorization, SolveSettings, best_of_restarts,
+                        levenberg_marquardt_blocks)
 
 
 class ClassicalError(ValueError):
@@ -57,6 +59,8 @@ class StochasticTransformPair:
         for name, mat in (("A", A), ("B", B)):
             if mat.ndim != 2:
                 raise ClassicalError(f"{name} must be a matrix")
+            if not np.all(np.isfinite(mat)):
+                raise ClassicalError(f"{name} entries must be finite")
             if np.min(mat) < -1e-12:
                 raise ClassicalError(f"{name} has negative entries")
             if np.max(np.abs(mat.sum(axis=0) - 1.0)) > 1e-10:
@@ -67,9 +71,6 @@ class StochasticTransformPair:
 
     def apply(self, P1: Correlation) -> np.ndarray:
         return self.A @ P1.matrix @ self.B.T
-
-    def to_json_dict(self) -> dict:
-        return {"A": self.A.tolist(), "B": self.B.tolist()}
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,6 @@ class SubsetSumInstance:
     @property
     def total(self) -> int:
         return sum(self.items)
-
-    def to_json_dict(self) -> dict:
-        return {"items": list(self.items)}
 
 
 @dataclass(frozen=True)
@@ -223,21 +221,6 @@ def kraus_to_stochastic(kraus) -> np.ndarray:
     return np.sum([np.abs(E) ** 2 for E in mats], axis=0)
 
 
-def _project_columns_simplex(M: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every column onto the probability simplex.
-
-    Standard sorted-threshold algorithm, vectorized over columns.
-    """
-    k, n = M.shape
-    s = np.sort(M, axis=0)[::-1]
-    cums = np.cumsum(s, axis=0) - 1.0
-    idx = np.arange(1, k + 1)[:, None]
-    cond = s - cums / idx > 0
-    rho = k - np.argmax(cond[::-1], axis=0) - 1   # last True per column
-    theta = cums[rho, np.arange(n)] / (rho + 1.0)
-    return np.maximum(M - theta, 0.0)
-
-
 @dataclass(frozen=True)
 class ClassicalSearchResult:
     pair: StochasticTransformPair
@@ -246,52 +229,62 @@ class ClassicalSearchResult:
     residual_history: tuple[float, ...] = ()
 
 
-def _pgd_stochastic(target: np.ndarray, M: np.ndarray, A: np.ndarray,
-                    settings: SolveSettings) -> np.ndarray:
-    """Minimize ‖target − A·M‖² over column-stochastic A, monotone PGD."""
-    L = 2.0 * float(np.sum(M ** 2))
-    if L <= 0:
-        return A
-    f = float(np.sum((target - A @ M) ** 2))
-    for _ in range(settings.max_inner_iters):
-        grad = -2.0 * (target - A @ M) @ M.T
-        step = 1.0 / L
-        for _ in range(MAX_BACKTRACKS):
-            trial = _project_columns_simplex(A - step * grad)
-            f_trial = float(np.sum((target - trial @ M) ** 2))
-            if f_trial <= f:
-                break
-            step *= 0.5
-        else:
-            break
-        move = np.max(np.abs(trial - A))
-        A, f = trial, f_trial
-        if move <= STATIONARITY_TOL:
-            break
-    return A
+def _normalize_columns(Z: np.ndarray) -> np.ndarray:
+    """Retraction onto the oblique manifold: every column scaled to unit norm."""
+    return Z / np.linalg.norm(Z, axis=0)
+
+
+def _stochastic_jacobian(P1: np.ndarray, U: np.ndarray, V: np.ndarray, AB) -> np.ndarray:
+    """Jacobian of T = A·P₁·Bᵀ, A = U∘U and B = V∘V, on the oblique tangent spaces.
+
+    ∂T_xy/∂U_ij = 2U_ij·δ_xi·(P₁Bᵀ)_jy, so the gradient of cell (x, y)
+    lives in row x of U; its tangent projection g_j − u_j(u_jᵀg_j) adds
+    −2U_ij·A_xj·(P₁Bᵀ)_jy to every row.  The V part is built the same
+    way from A·P₁.  J is dense, n₂m₂ × (n₂n₁ + m₂m₁), columns as (U, V).
+    """
+    n2, m2 = U.shape[0], V.shape[0]
+    A, B = AB
+    GU = 2.0 * U[:, None, :] * (P1 @ B.T).T          # (x, y, j): 2U_xj (P₁Bᵀ)_jy
+    GV = 2.0 * V[None, :, :] * (A @ P1)[:, None, :]  # (x, y, l): 2V_yl (AP₁)_xl
+    J = np.empty((n2, m2, U.size + V.size))
+    JU = J[..., :U.size].reshape(n2, m2, *U.shape)
+    JV = J[..., U.size:].reshape(n2, m2, *V.shape)
+    np.multiply(-U, (U[:, None, :] * GU)[:, :, None, :], out=JU)
+    np.multiply(-V, (V[None, :, :] * GV)[:, :, None, :], out=JV)
+    JU[np.arange(n2), :, np.arange(n2)] += GU
+    JV[:, np.arange(m2), np.arange(m2)] += GV
+    return J.reshape(n2 * m2, -1)
 
 
 def classical_feasible_search(P1: Correlation, P2: Correlation,
                               settings: SolveSettings | None = None) -> ClassicalSearchResult:
-    """Alternating least squares for P₂ ≈ A P₁ Bᵀ over stochastic A, B.
+    """Levenberg–Marquardt search for P₂ ≈ A P₁ Bᵀ over stochastic A, B.
 
-    One block is a PGD pass over A and then one over B; each pass solves
-    a convex problem and never increases the residual.  Restarts, stop
-    rules and the choice of the best restart are those of
-    :func:`corrgen.factorize.best_of_restarts`.  Non-convergence is
-    reported, not thrown, and does not certify infeasibility.
+    A = U∘U and B = V∘V with unit columns of U and V (the oblique
+    manifold; Absil & Gallivan, ICASSP 2006), so every iterate is
+    column-stochastic.  Each restart starts from normalized Gaussian
+    columns and runs :func:`corrgen.factorize.levenberg_marquardt_blocks`
+    with column normalization as the retraction; restarts and the choice
+    of the best one are those of :func:`corrgen.factorize.best_of_restarts`.
+    A zero entry of U or V has zero gradient, so a restart can end on a
+    face of the simplex.  Non-convergence is reported, not thrown, and
+    does not certify infeasibility.  A J of more than
+    ``factorize.MAX_JACOBIAN_ENTRIES`` entries raises ``FactorizationError``.
     """
     settings = settings or SolveSettings()
-    n2, m2 = P2.matrix.shape
-    n1, m1 = P1.matrix.shape
+    seed, target = P1.matrix, P2.matrix
+    (n2, m2), (n1, m1) = target.shape, seed.shape
+
+    def evaluate(U, V):
+        A, B = U * U, V * V
+        R = A @ seed @ B.T - target
+        return float(np.sum(R ** 2)), R.ravel(), (A, B)
 
     def search(rng):
-        A = _project_columns_simplex(rng.random((n2, n1)))
-        B = _project_columns_simplex(rng.random((m2, m1)))
-        while True:
-            A = _pgd_stochastic(P2.matrix, P1.matrix @ B.T, A, settings)
-            B = _pgd_stochastic(P2.matrix.T, P1.matrix.T @ A.T, B, settings)
-            yield float(np.sum((P2.matrix - A @ P1.matrix @ B.T) ** 2)), False, (A, B)
+        U = _normalize_columns(rng.standard_normal((n2, n1)))
+        V = _normalize_columns(rng.standard_normal((m2, m1)))
+        return levenberg_marquardt_blocks(U, V, evaluate, partial(_stochastic_jacobian, seed),
+                                          _normalize_columns, settings)
 
     (A, B), history, _, converged = best_of_restarts(search, settings)
     return ClassicalSearchResult(StochasticTransformPair(A, B), history[-1], converged, history)

@@ -205,7 +205,7 @@ def cmd_classical(args) -> int:
         oracle = (classical.decide_diag_to_half_identity(seed)
                   if classical.is_diag_to_half_identity(seed, target) else None)
         result = classical.classical_feasible_search(seed, target, settings)
-    except classical.ClassicalError as exc:
+    except (classical.ClassicalError, factorize.FactorizationError) as exc:
         raise InputError(str(exc)) from exc
     payload = {
         "residual": result.residual,
@@ -232,21 +232,16 @@ def cmd_reduce(args) -> int:
         raise InputError(f"bad --items: {exc}") from exc
     if args.side == "quantum":
         built = classical.build_quantum_hardness_instance(inst)
-        payload = {
-            "items": list(inst.items),
-            "schmidt": built.spectrum.lambdas.tolist(),
-            "target": built.target.to_json_dict(),
-            "exact_lambdas": [str(f) for f in built.exact_lambdas],
-        }
+        seed = {"schmidt": built.spectrum.lambdas.tolist()}
     else:
         built = classical.build_classical_hardness_instance(inst)
-        payload = {
-            "items": list(inst.items),
-            "seed": built.seed.to_json_dict(),
-            "target": built.target.to_json_dict(),
-            "exact_lambdas": [str(f) for f in built.exact_lambdas],
-        }
-    _emit(payload, args)
+        seed = {"seed": built.seed.to_json_dict()}
+    _emit({
+        "items": list(inst.items),
+        **seed,
+        "target": built.target.to_json_dict(),
+        "exact_lambdas": [str(f) for f in built.exact_lambdas],
+    }, args)
     return EXIT_OK
 
 

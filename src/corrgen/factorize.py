@@ -29,12 +29,14 @@ overshoots, and without θ every step backtracks several times.  The
 step solves the smaller of the n·m and (n+m)·k² square systems, so it
 costs O(n·m·(n+m)·k²·min(n·m, (n+m)·k²)) and is meant for desk-scale
 targets; a J of more than ``MAX_JACOBIAN_ENTRIES`` entries is refused
-before anything is allocated.  A QR retraction and
+before it is built.  A QR retraction and
 Armijo backtracking from length 1 complete the step; a block of steps
-ends stuck once −⟨grad f, d⟩ ≤ ``STALL_TOL``·f.  Every iterate is
-feasible to rounding error, so the search only ever trades objective,
-never feasibility.  A failed search means "no factorization found",
-never "infeasible".
+ends stuck once −⟨grad f, d⟩ ≤ ``STALL_TOL``·f.  The step loop,
+:func:`levenberg_marquardt_blocks`, takes its objective, Jacobian and
+retraction as arguments, and the classical search runs on it too.
+Every iterate is feasible to rounding error, so the search only ever
+trades objective, never feasibility.  A failed search means "no
+factorization found", never "infeasible".
 
 Real symmetric matrices only.  Complex Hermitian factors could in
 principle exist where real ones do not; this is a documented limitation.
@@ -43,6 +45,7 @@ principle exist where real ones do not; this is a documented limitation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 import itertools
 
 import numpy as np
@@ -55,7 +58,7 @@ MAX_BACKTRACKS = 40
 STALL_TOL = 1e-12
 #: Blocks of steps over which the stall drop is measured.
 STALL_WINDOW = 10
-#: Gradient norm (factorize) or step size (classical) at which a search stops.
+#: Gradient norm at which a search stops.
 STATIONARITY_TOL = 1e-10
 
 #: Largest Jacobian, in entries, that the search builds (128 MB of floats).
@@ -247,18 +250,17 @@ def _random_stiefel(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
 
 
 def _evaluate(P: np.ndarray, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
-    """Objective ‖T − P‖², the two factor stacks and the residual R = T − P."""
+    """Objective ‖T − P‖², the flat residual vec(T − P) and the factor stacks (C, D)."""
     C, D = _factor_stack(s, X), _factor_stack(s, Y)
     R = np.einsum("xab,yba->xy", C, D) - P
-    return float(np.sum(R ** 2)), C, D, R
+    return float(np.sum(R ** 2)), R.ravel(), (C, D)
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, C: np.ndarray,
-              D: np.ndarray) -> np.ndarray:
+def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, factors) -> np.ndarray:
     """Jacobian J of the cell table on the product of the tangent spaces.
 
     Row x·m + y is the tangent projection G − Z·sym(ZᵀG) of ∇T_xy,
@@ -268,6 +270,7 @@ def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, C: np.ndarray,
     and is written in place: no other array of its size is made.
     """
     n, m = X.shape[0], Y.shape[0]
+    C, D = factors
     GX = 2.0 * np.einsum("xab,ybc->xyac", X * s, D * s)
     GY = 2.0 * np.einsum("yab,xbc->xyac", Y * s, C * s)
     J = np.empty((n, m, X.size + Y.size))
@@ -284,7 +287,7 @@ def _levenberg_marquardt(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
     """The direction −Jᵀ(JJᵀ + μI)⁻¹r = −(JᵀJ + μI)⁻¹Jᵀr for damping μ > 0.
 
     The two forms are equal (push-through identity); the smaller of the
-    n·m × n·m and (n+m)·k² × (n+m)·k² systems is solved.
+    JJᵀ and JᵀJ systems is solved.
     """
     rows, cols = J.shape
     if rows <= cols:
@@ -292,26 +295,65 @@ def _levenberg_marquardt(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
     return -np.linalg.solve(J.T @ J + mu * np.eye(cols), r @ J)
 
 
+def levenberg_marquardt_blocks(X, Y, evaluate, jacobian, retract, settings: SolveSettings):
+    """Blocks of the Levenberg–Marquardt steps described above, from (X, Y).
+
+    ``evaluate(X, Y)`` returns ``(f, r, result)`` with f = ‖r‖²;
+    ``jacobian(X, Y, result)`` returns the dense Jacobian of the flat
+    residual r on the tangent spaces, columns flattened as (X, Y); and
+    ``retract`` maps a moved block back onto its manifold.  A block is up
+    to ``max_inner_iters`` steps and ends early at f ≤ ``residual_tol``,
+    or stuck at gradient norm < ``STATIONARITY_TOL``, −slope ≤
+    ``STALL_TOL``·f or no acceptable step; then ``(f, stuck, result)`` is
+    yielded for :func:`best_of_restarts`.  A J of more than
+    ``MAX_JACOBIAN_ENTRIES`` entries raises :class:`FactorizationError`.
+    """
+    f, r, result = evaluate(X, Y)
+    if r.size * (X.size + Y.size) > MAX_JACOBIAN_ENTRIES:
+        raise FactorizationError(
+            f"a Jacobian of {r.size} x {X.size + Y.size} entries is over the budget"
+            f" of 2^{MAX_JACOBIAN_ENTRIES.bit_length() - 1}")
+    theta = 1.0
+    while True:
+        stuck = False
+        for _ in range(settings.max_inner_iters):
+            if f <= settings.residual_tol:
+                break
+            J = jacobian(X, Y, result)
+            grad = 2.0 * (r @ J)
+            d = _levenberg_marquardt(J, r, theta * f)
+            slope = float(grad @ d)
+            if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= STALL_TOL * f:
+                stuck = True
+                break
+            dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
+            step = 1.0
+            for _ in range(MAX_BACKTRACKS):
+                Xt, Yt = retract(X + step * dX), retract(Y + step * dY)
+                trial = evaluate(Xt, Yt)
+                if trial[0] <= f + ARMIJO * step * slope:
+                    break
+                step *= 0.5
+            else:
+                stuck = True
+                break
+            theta = max(1.0, 0.5 * theta) if step == 1.0 else theta / step
+            X, Y, (f, r, result) = Xt, Yt, trial
+        yield f, stuck, result
+
+
 def alternate(P, lam, k: int, settings: SolveSettings | None = None,
               lam_squared: bool = False) -> SolveOutcome:
     """Multi-restart Riemannian Levenberg–Marquardt search for a factorization.
 
     Each restart draws (X, Y) at random from the Stiefel manifolds and
-    minimizes f = ‖r‖², r = vec(T − P), jointly over both.  Each step
-    backtracks from length 1 under the Armijo rule (slope ⟨grad f, d⟩)
-    along the Levenberg–Marquardt direction d = −Jᵀ(JJᵀ + θ‖r‖²·I)⁻¹r,
-    where row (x, y) of J, a dense n·m × (n+m)·k² array rebuilt every
-    step, is the tangent projection of ∇T_xy, and θ (1 at each restart)
-    grows by 1/t after a step shortened to length t and halves, down to
-    1, after a full one.  One outer iteration is a
-    block of up to ``max_inner_iters`` steps, ending early at objective
-    ≤ ``residual_tol``, or stuck at gradient norm < ``STATIONARITY_TOL``,
-    −slope ≤ ``STALL_TOL``·f or no acceptable step.  Restarts, the stall
-    test and the choice of the best restart are those of
-    :func:`best_of_restarts`.  An infeasible Λ is not
-    an error — it simply yields a high residual and ``converged=False``.
-    A target whose J would exceed ``MAX_JACOBIAN_ENTRIES`` entries
-    (for instance 100×100 with k = 4) raises :class:`FactorizationError`.
+    runs :func:`levenberg_marquardt_blocks` on f = ‖vec(T − P)‖² with the
+    QR retraction; restarts, the stall test and the choice of the best
+    restart are those of :func:`best_of_restarts`.  An infeasible Λ is
+    not an error — it simply yields a high residual and
+    ``converged=False``.  A target whose J would exceed
+    ``MAX_JACOBIAN_ENTRIES`` entries (for instance 100×100 with k = 4)
+    raises :class:`FactorizationError`.
     """
     from .correlation import Correlation
 
@@ -325,43 +367,12 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     if k != lam.size:
         raise FactorizationError("k must equal the number of Lambda entries")
     n, m = P.shape
-    if n * m * (n + m) * k * k > MAX_JACOBIAN_ENTRIES:
-        raise FactorizationError(
-            f"a {n}x{m} target with k={k} needs a Jacobian of {n * m} x {(n + m) * k * k}"
-            f" entries, over the budget of 2^{MAX_JACOBIAN_ENTRIES.bit_length() - 1}")
     s = np.sqrt(lam)
 
     def search(rng):
         X, Y = _random_stiefel(rng, n, k), _random_stiefel(rng, m, k)
-        f, C, D, R = _evaluate(P, s, X, Y)
-        theta = 1.0
-        while True:
-            stuck = False
-            for _ in range(settings.max_inner_iters):
-                if f <= settings.residual_tol:
-                    break
-                J = _jacobian(s, X, Y, C, D)
-                r = R.ravel()
-                grad = 2.0 * (r @ J)
-                d = _levenberg_marquardt(J, r, theta * f)
-                slope = float(grad @ d)
-                if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= STALL_TOL * f:
-                    stuck = True
-                    break
-                dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
-                step = 1.0
-                for _ in range(MAX_BACKTRACKS):
-                    Xt, Yt = _retract(X + step * dX), _retract(Y + step * dY)
-                    ft, Ct, Dt, Rt = _evaluate(P, s, Xt, Yt)
-                    if ft <= f + ARMIJO * step * slope:
-                        break
-                    step *= 0.5
-                else:
-                    stuck = True
-                    break
-                theta = max(1.0, 0.5 * theta) if step == 1.0 else theta / step
-                X, Y, f, C, D, R = Xt, Yt, ft, Ct, Dt, Rt
-            yield f, stuck, (C, D)
+        return levenberg_marquardt_blocks(X, Y, partial(_evaluate, P, s),
+                                          partial(_jacobian, s), _retract, settings)
 
     (C, D), history, restart, converged = best_of_restarts(search, settings)
     return SolveOutcome(

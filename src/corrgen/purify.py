@@ -35,6 +35,8 @@ class PureStateMatrix:
         m = np.array(amplitudes, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise PurificationError("amplitudes must form a non-empty matrix")
+        if not np.all(np.isfinite(m)):
+            raise PurificationError("amplitudes must be finite")
         norm = float(np.sum(m ** 2))
         if norm <= 0:
             raise PurificationError("state must have positive norm")
@@ -44,9 +46,6 @@ class PureStateMatrix:
             m = m / np.sqrt(norm)
         m.setflags(write=False)
         object.__setattr__(self, "amplitudes", m)
-
-    def to_json_dict(self) -> dict:
-        return {"amplitudes": self.amplitudes.tolist()}
 
 
 def schmidt_spectrum(state: PureStateMatrix) -> SchmidtSpectrum:

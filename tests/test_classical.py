@@ -23,7 +23,9 @@ from corrgen import (
     subset_sum_oracle,
     verify,
 )
+from corrgen.classical import _normalize_columns, _stochastic_jacobian
 from corrgen.conditions import SchmidtSpectrum
+from corrgen.factorize import _levenberg_marquardt
 
 HALF_ID = Correlation([[0.5, 0.0], [0.0, 0.5]])
 # q1, q2 are primes below 2^19 and p1, p2 primes below 2^20 / 3, so every
@@ -224,6 +226,67 @@ class TestSchmidtBasisProtocol:
             schmidt_basis_protocol(SchmidtSpectrum([0.5, 0.5]), [0, 5])
 
 
+# (n1, m1, n2, m2); the last shape has more cells than tangent coordinates,
+# so its step solves the (n₂n₁ + m₂m₁)-sided system instead of the n₂m₂ one
+SHAPES = [(2, 3, 2, 2), (3, 2, 4, 3), (1, 2, 2, 1), (1, 1, 3, 3)]
+
+
+def _random_point(rng, n1, m1, n2, m2):
+    """A random seed and target, and a point (U, V) with unit columns."""
+    seed = rng.dirichlet(np.ones(n1 * m1)).reshape(n1, m1)
+    target = rng.dirichlet(np.ones(n2 * m2)).reshape(n2, m2)
+    return (seed, target, _normalize_columns(rng.standard_normal((n2, n1))),
+            _normalize_columns(rng.standard_normal((m2, m1))))
+
+
+def _table(seed, U, V):
+    return (U * U) @ seed @ (V * V).T
+
+
+def _tangent(Z, W):
+    """W projected onto the tangent space of the oblique manifold at Z."""
+    return W - Z * np.sum(Z * W, axis=0)
+
+
+class TestParametrization:
+    @pytest.mark.parametrize("n1, m1, n2, m2", SHAPES)
+    def test_jacobian_matches_finite_differences(self, rng, n1, m1, n2, m2):
+        seed, _, U, V = _random_point(rng, n1, m1, n2, m2)
+        J = _stochastic_jacobian(seed, U, V, (U * U, V * V))
+        assert J.shape == (n2 * m2, n2 * n1 + m2 * m1)
+        h = 1e-5
+        for _ in range(3):
+            vU = _tangent(U, rng.standard_normal(U.shape))
+            vV = _tangent(V, rng.standard_normal(V.shape))
+            T_plus = _table(seed, _normalize_columns(U + h * vU), _normalize_columns(V + h * vV))
+            T_minus = _table(seed, _normalize_columns(U - h * vU),
+                             _normalize_columns(V - h * vV))
+            np.testing.assert_allclose(J @ np.concatenate([vU.ravel(), vV.ravel()]),
+                                       ((T_plus - T_minus) / (2 * h)).ravel(),
+                                       rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("n1, m1, n2, m2", SHAPES)
+    def test_direction_is_tangent(self, rng, n1, m1, n2, m2):
+        seed, target, U, V = _random_point(rng, n1, m1, n2, m2)
+        r = (_table(seed, U, V) - target).ravel()
+        d = _levenberg_marquardt(_stochastic_jacobian(seed, U, V, (U * U, V * V)), r, r @ r)
+        for Z, dZ in ((U, d[:U.size].reshape(U.shape)), (V, d[U.size:].reshape(V.shape))):
+            np.testing.assert_allclose(np.sum(Z * dZ, axis=0), 0.0, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.tuples(*[st.integers(1, 4)] * 4),
+           step=st.floats(0.0, 10.0))
+    def test_retraction_is_stochastic(self, seed, shape, step):
+        rng = np.random.default_rng(seed)
+        _, _, U, V = _random_point(rng, *shape)
+        for Z in (U, V):
+            moved = _normalize_columns(Z + step * _tangent(Z, rng.standard_normal(Z.shape)))
+            A = moved * moved
+            assert A.min() >= 0
+            np.testing.assert_allclose(A.sum(axis=0), 1.0, atol=1e-14)
+            StochasticTransformPair(A, A)
+
+
 def _assert_same_search(multi, single):
     assert ((multi.residual, multi.converged, multi.residual_history)
             == (single.residual, single.converged, single.residual_history))
@@ -245,7 +308,7 @@ class TestSearch:
 
     def test_restarts_stop_at_first_converged(self):
         # restarts 1 and 3 converge on this budget, 0 and 2 do not
-        seed = Correlation(np.diag([0.25, 0.25, 0.5]))
+        seed = Correlation(np.diag([1, 1, 1, 3]) / 6)
         runs = [classical_feasible_search(seed, HALF_ID, SolveSettings(
                     restarts=1, rng_seed=1 + r, max_outer_iters=30)) for r in range(4)]
         first = next(r for r, res in enumerate(runs) if res.converged)
@@ -277,9 +340,12 @@ class TestSearch:
         assert res.residual > 1e-3
 
     def test_history_monotone(self):
+        # two steps per block spread the search over several blocks
         seed = Correlation(np.diag([0.25, 0.25, 0.5]))
-        res = classical_feasible_search(seed, HALF_ID, SolveSettings(restarts=1))
+        res = classical_feasible_search(seed, HALF_ID,
+                                        SolveSettings(restarts=1, max_inner_iters=2))
         h = res.residual_history
+        assert len(h) > 1
         assert all(h[i + 1] <= h[i] + 1e-15 for i in range(len(h) - 1))
 
     def test_deterministic(self):

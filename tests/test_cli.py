@@ -321,6 +321,14 @@ class TestClassicalAndReduce:
         assert code == 0
         assert "exact_decision" not in json.loads(out)
 
+    def test_oversized_pair_exit_1(self, capsys, tmp_path):
+        # a 64 x 64 seed and target need a Jacobian of 4,096 x 8,192 entries
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"matrix": np.full((64, 64), 1 / 64 ** 2).tolist()}))
+        code, out, err = run(capsys, "classical", "--seed", str(path), "--target", str(path))
+        assert code == 1 and out == ""
+        assert "budget" in err
+
     def test_reduce_quantum(self, capsys):
         code, out, _ = run(capsys, "reduce", "--items", "1,2,3")
         assert code == 0

@@ -135,7 +135,7 @@ class TestInitAndProjection:
         s = np.sqrt(np.array([0.7, 0.0, 0.3]))
         X = _retract(rng.standard_normal((4, 3, 3)))
         Y = _retract(rng.standard_normal((2, 3, 3)))
-        _, C, D, _ = _evaluate(np.zeros((4, 2)), s, X, Y)
+        _, _, (C, D) = _evaluate(np.zeros((4, 2)), s, X, Y)
         F = DiagonalPsdFactorization(C, D, s ** 2)
         assert F.feasibility_error() <= 1e-15
         # the zero Lambda entry leaves a zero row and column in every factor
@@ -192,8 +192,8 @@ class TestParametrization:
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_gradient_matches_finite_differences(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        _, C, D, R = _evaluate(P, s, X, Y)
-        gX, gY = _split(2.0 * (R.ravel() @ _jacobian(s, X, Y, C, D)), X, Y)
+        _, r, factors = _evaluate(P, s, X, Y)
+        gX, gY = _split(2.0 * (r @ _jacobian(s, X, Y, factors)), X, Y)
         # the Riemannian gradient is a tangent vector: sym(ZᵀG) = 0
         for Z, g in ((X, gX), (Y, gY)):
             np.testing.assert_allclose(_tangent(Z, g), g, atol=1e-15)
@@ -208,25 +208,23 @@ class TestParametrization:
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_jacobian_matches_finite_differences(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        _, C, D, _ = _evaluate(P, s, X, Y)
-        J = _jacobian(s, X, Y, C, D)
+        J = _jacobian(s, X, Y, _evaluate(P, s, X, Y)[2])
         assert J.shape == (n * m, (n + m) * k * k)
         h = 1e-5
         for _ in range(3):
             vX = _tangent(X, rng.standard_normal(X.shape))
             vY = _tangent(Y, rng.standard_normal(Y.shape))
-            R_plus = _evaluate(P, s, _retract(X + h * vX), _retract(Y + h * vY))[3]
-            R_minus = _evaluate(P, s, _retract(X - h * vX), _retract(Y - h * vY))[3]
+            r_plus = _evaluate(P, s, _retract(X + h * vX), _retract(Y + h * vY))[1]
+            r_minus = _evaluate(P, s, _retract(X - h * vX), _retract(Y - h * vY))[1]
             np.testing.assert_allclose(J @ np.concatenate([vX.ravel(), vY.ravel()]),
-                                       ((R_plus - R_minus) / (2 * h)).ravel(),
+                                       (r_plus - r_minus) / (2 * h),
                                        rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_direction_is_tangent(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        _, C, D, R = _evaluate(P, s, X, Y)
-        r = R.ravel()
-        dX, dY = _split(_levenberg_marquardt(_jacobian(s, X, Y, C, D), r, r @ r), X, Y)
+        _, r, factors = _evaluate(P, s, X, Y)
+        dX, dY = _split(_levenberg_marquardt(_jacobian(s, X, Y, factors), r, r @ r), X, Y)
         for Z, dZ in ((X, dX), (Y, dY)):
             ZtdZ = np.einsum("xab,xac->bc", Z, dZ)
             np.testing.assert_allclose(ZtdZ + ZtdZ.T, 0.0, atol=1e-14)
@@ -234,8 +232,8 @@ class TestParametrization:
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_direction_solves_either_system(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        _, C, D, R = _evaluate(P, s, X, Y)
-        J, r = _jacobian(s, X, Y, C, D), R.ravel()
+        _, r, factors = _evaluate(P, s, X, Y)
+        J = _jacobian(s, X, Y, factors)
         mu = r @ r
         np.testing.assert_allclose(
             _levenberg_marquardt(J, r, mu),
@@ -247,11 +245,11 @@ class TestParametrization:
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_direction_descends(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        f, C, D, R = _evaluate(P, s, X, Y)
-        J = _jacobian(s, X, Y, C, D)
-        grad = 2.0 * (R.ravel() @ J)
+        f, r, factors = _evaluate(P, s, X, Y)
+        J = _jacobian(s, X, Y, factors)
+        grad = 2.0 * (r @ J)
         assert grad @ grad > 1e-12   # not a stationary point
-        d = _levenberg_marquardt(J, R.ravel(), f)
+        d = _levenberg_marquardt(J, r, f)
         assert grad @ d < 0
         dX, dY = _split(d, X, Y)
         t = 1e-6
