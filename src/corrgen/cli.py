@@ -88,7 +88,9 @@ def _load_json_file(path: str) -> dict:
 
 def _load_correlation(path: str) -> Correlation:
     try:
-        return Correlation.from_json_dict(_load_json_file(path))
+        # a total mass that overflows is reported once, as the error below
+        with np.errstate(over="ignore"):
+            return Correlation.from_json_dict(_load_json_file(path))
     except CorrelationError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -8,6 +8,11 @@ NOT_RULED_OUT — a passing report never certifies generability.
 All comparisons carry an additive slack of ``SLACK`` applied in the
 seed's favor: a borderline numerical tie never produces a false
 RULED_OUT.
+
+The battery derives the marginals and the supported cells of a target
+once (:func:`~corrgen.correlation.cell_tables`) and every check reads
+them; the fidelity sum takes all row-pair overlaps in one vectorized
+pass rather than one call per pair.
 """
 
 from __future__ import annotations
@@ -19,14 +24,15 @@ import numpy as np
 from .correlation import (
     Correlation,
     CorrelationError,
-    classical_fidelity,
-    marginal_x,
-    marginal_y,
+    cell_tables,
     mutual_information,
     shannon_entropy,
 )
 
 SLACK = 1e-10
+
+#: Entries of the largest row-pair product the fidelity sum builds at once.
+FIDELITY_BLOCK_ENTRIES = 2 ** 20
 
 #: Default α grid: both monotone regimes of the Rényi family plus the
 #: closed-form α=∞ case.
@@ -120,10 +126,7 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     Zero-probability cells are skipped.
     """
     lam = spectrum.lambdas
-    px = marginal_x(P)
-    py = marginal_y(P)
-    prod = np.outer(px, py)
-    mask = P.matrix > 0
+    t = cell_tables(P)
 
     records = []
     for alpha in alphas:
@@ -133,11 +136,11 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
             raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
         if np.isinf(alpha):
             lhs = float(np.sum(1.0 / lam))
-            rhs = float(np.max(P.matrix[mask] / prod[mask]))
+            rhs = float(np.max(t.cells / t.prod))
             ok = lhs >= rhs - SLACK
         else:
             lhs = float(np.sum(lam ** (2.0 / alpha - 1.0)) ** alpha)
-            rhs = float(np.sum(P.matrix[mask] ** alpha / prod[mask] ** (alpha - 1.0)))
+            rhs = float(np.sum(t.cells ** alpha / t.prod ** (alpha - 1.0)))
             if alpha < 1.0:
                 ok = lhs <= rhs + SLACK
             else:
@@ -148,11 +151,8 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
 
 def check_min_schmidt(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """λ_r against the min over supported cells of P(x)P(y)/P(x,y)."""
-    px = marginal_x(P)
-    py = marginal_y(P)
-    prod = np.outer(px, py)
-    mask = P.matrix > 0
-    rhs = float(np.min(prod[mask] / P.matrix[mask]))
+    t = cell_tables(P)
+    rhs = float(np.min(t.prod / t.cells))
     lhs = float(spectrum.lambdas[-1])
     return ConditionRecord("min_schmidt", lhs, rhs, lhs <= rhs + SLACK)
 
@@ -177,8 +177,8 @@ def v2_classical(P: Correlation) -> float:
     Σ_y (Σ_x P(x)·|P(y|x) − P(y)|²)^{1/2}; rows with zero marginal are
     skipped.  Zero exactly when P is a product distribution.
     """
-    px = marginal_x(P)
-    py = marginal_y(P)
+    t = cell_tables(P)
+    px, py = t.px, t.py
     keep = px > 0
     cond = P.matrix[keep] / px[keep, None]
     inner = np.sum(px[keep, None] * np.abs(cond - py[None, :]) ** 2, axis=0)
@@ -194,13 +194,21 @@ def check_v2(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
 
 
 def check_fidelity_sum(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
-    """Pairwise row-fidelity sum ΣᵢΣⱼF(Pᵢ,Pⱼ)² against Σλ²."""
+    """Pairwise row-fidelity sum ΣᵢΣⱼF(Pᵢ,Pⱼ)² against Σλ².
+
+    Every overlap F(Pᵢ,Pⱼ) = Σ_y √(Pᵢ(y)Pⱼ(y)) comes from one array
+    expression, in blocks of rows that keep the n×n×m product bounded.
+    The squares are added one by one in row-major order; ``sum`` would
+    round differently on Python ≥ 3.12, which compensates float sums.
+    """
     rows = P.matrix
-    n = rows.shape[0]
+    n, m = rows.shape
+    block = max(1, FIDELITY_BLOCK_ENTRIES // (n * m))
     lhs = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs += classical_fidelity(rows[i], rows[j]) ** 2
+    for first in range(0, n, block):
+        pairs = rows[first:first + block, None, :] * rows[None, :, :]
+        for f in np.sqrt(pairs).sum(axis=-1).ravel().tolist():
+            lhs += f ** 2
     rhs = float(np.sum(spectrum.lambdas ** 2))
     return ConditionRecord("fidelity_sum", lhs, rhs, lhs >= rhs - SLACK)
 

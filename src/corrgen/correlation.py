@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,11 @@ class Correlation:
     renormalized: bool = field(default=False, compare=False)
 
     def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=float)
+        try:
+            m = np.array(matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CorrelationError(
+                f"correlation must be a rectangular matrix of numbers: {exc}") from exc
         if m.ndim != 2 or m.size == 0:
             raise CorrelationError("correlation must be a non-empty 2-d matrix")
         if not np.all(np.isfinite(m)):
@@ -47,8 +52,8 @@ class Correlation:
         if np.any(m < 0):
             raise CorrelationError("correlation entries must be nonnegative")
         mass = m.sum()
-        if mass <= 0:
-            raise CorrelationError("correlation must have positive total mass")
+        if not 0 < mass < np.inf:   # finite entries can still sum to inf
+            raise CorrelationError("correlation must have positive, finite total mass")
         renorm = abs(mass - 1.0) > MASS_TOL
         if renorm:
             m = m / mass
@@ -90,6 +95,43 @@ def marginal_y(P: Correlation) -> np.ndarray:
     return P.matrix.sum(axis=0)
 
 
+class CellTables(NamedTuple):
+    """The arrays of one target that the condition battery reads (read-only)."""
+
+    px: np.ndarray       # P(x), row sums
+    py: np.ndarray       # P(y), column sums
+    cells: np.ndarray    # P(x,y) on the cells with P(x,y) > 0, row-major
+    prod: np.ndarray     # P(x)P(y) on the same cells
+
+
+_last_tables: tuple[Correlation, CellTables] | None = None
+
+
+def cell_tables(P: Correlation) -> CellTables:
+    """Marginals and supported cells of P, derived once per target.
+
+    A Correlation never changes, so the tables of the target asked for
+    last are kept and handed out again while the same object is asked
+    for: a battery of checks on one target derives them once.  Only that
+    one target is kept, so memory does not grow with the targets alive,
+    as it would with tables stored on every instance.  The pair is read
+    once and replaced whole, so a caller on another thread at worst
+    derives the tables again.
+    """
+    global _last_tables
+    last = _last_tables
+    if last is not None and last[0] is P:
+        return last[1]
+    px = marginal_x(P)
+    py = marginal_y(P)
+    mask = P.matrix > 0
+    tables = CellTables(px, py, P.matrix[mask], np.outer(px, py)[mask])
+    for a in tables:
+        a.setflags(write=False)
+    _last_tables = (P, tables)
+    return tables
+
+
 def shannon_entropy(v) -> float:
     """Entropy −Σ v_i log₂ v_i in bits of a probability vector."""
     v = np.asarray(v, dtype=float)
@@ -107,11 +149,8 @@ def mutual_information(P: Correlation) -> float:
     Zero-probability cells contribute nothing; the result is clamped at 0
     to absorb −0.0 from rounding.
     """
-    px = marginal_x(P)
-    py = marginal_y(P)
-    prod = np.outer(px, py)
-    mask = P.matrix > 0
-    terms = P.matrix[mask] * np.log2(P.matrix[mask] / prod[mask])
+    t = cell_tables(P)
+    terms = t.cells * np.log2(t.cells / t.prod)
     return max(float(terms.sum()), 0.0)
 
 

@@ -70,7 +70,10 @@ class FactorizationError(ValueError):
 
 
 def _as_sqrt_lambda(lam, squared: bool = False) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
+    try:
+        lam = np.asarray(lam, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FactorizationError(f"Lambda must be an array of numbers: {exc}") from exc
     if not np.all(np.isfinite(lam)):
         raise FactorizationError("Lambda entries must be finite")
     if lam.ndim == 2:
@@ -98,8 +101,11 @@ class DiagonalPsdFactorization:
     lam: np.ndarray        # (k,), entries √λ_i
 
     def __init__(self, C, D, lam, lam_squared: bool = False) -> None:
-        C = np.array(C, dtype=float)
-        D = np.array(D, dtype=float)
+        try:
+            C = np.array(C, dtype=float)
+            D = np.array(D, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise FactorizationError(f"factor stacks must be arrays of numbers: {exc}") from exc
         lam = _as_sqrt_lambda(lam, squared=lam_squared)
         k = lam.size
         if C.ndim != 3 or D.ndim != 3 or C.shape[1:] != (k, k) or D.shape[1:] != (k, k):
@@ -153,6 +159,8 @@ class DiagonalPsdFactorization:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiagonalPsdFactorization":
+        if not isinstance(data, dict):
+            raise FactorizationError("factorization JSON must be an object")
         try:
             return cls(data["C"], data["D"], data["lambda"])
         except KeyError as exc:

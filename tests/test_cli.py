@@ -386,6 +386,83 @@ class TestLambdaCandidatesAndPipeline:
         assert "no factorization found" in payload["result"]
 
 
+NAN, INF = float("nan"), float("inf")
+
+# Each is read by Python's json (NaN and Infinity literals included) but
+# is no correlation: a non-finite entry, a total mass that overflows to
+# inf, a string, a ragged row.
+BAD_MATRICES = {
+    "nan": [[NAN, 0.5], [0.5, 0.0]],
+    "inf": [[INF, 0.5], [0.5, 0.0]],
+    "-inf": [[0.5, -INF], [0.5, 0.0]],
+    "overflow": [[1e308, 1e308], [1e308, 0.0]],
+    "string": [["a", 0.5], [0.5, 0.0]],
+    "ragged": [[0.5, 0.5], [0.0]],
+}
+
+BAD_FACTORIZATIONS = {
+    "nan": {"lambda": [1.0], "C": [[[NAN]]], "D": [[[1.0]]]},
+    "inf": {"lambda": [1.0], "C": [[[INF]]], "D": [[[1.0]]]},
+    "-inf": {"lambda": [1.0], "C": [[[1.0]]], "D": [[[-INF]]]},
+    "string": {"lambda": [1.0], "C": [[["a"]]], "D": [[[1.0]]]},
+    "ragged": {"lambda": [1.0], "C": [[[1.0, 0.0]], [[1.0]]], "D": [[[1.0]]]},
+    "string-lambda": {"lambda": ["a"], "C": [[[1.0]]], "D": [[[1.0]]]},
+    "not-an-object": [[[1.0]]],
+}
+
+# {bad} is the file with the bad entries, {good} a valid 2x2 correlation
+# and {factorization} a valid 1x1 factorization
+CORRELATION_COMMANDS = {
+    "check-target": ("check", "--target", "{bad}", "--schmidt", "0.5,0.5"),
+    "check-seed": ("check", "--target", "{good}", "--seed", "{bad}"),
+    "pipeline": ("pipeline", "--target", "{bad}", "--schmidt", "0.5,0.5", "--restarts", "1"),
+    "factorize": ("factorize", "--target", "{bad}", "--lambda", "0.6,0.8", "--restarts", "1"),
+    "classical-seed": ("classical", "--seed", "{bad}", "--target", "{good}", "--restarts", "1"),
+    "classical-target": ("classical", "--seed", "{good}", "--target", "{bad}",
+                         "--restarts", "1"),
+    "lambda-candidates": ("lambda-candidates", "--target", "{bad}"),
+    "verify-target": ("verify", "--target", "{bad}", "--factorization", "{factorization}"),
+}
+
+FACTORIZATION_COMMANDS = {
+    "verify": ("verify", "--target", "{good}", "--factorization", "{bad}"),
+    "simulate": ("simulate", "--factorization", "{bad}", "--samples", "10"),
+}
+
+
+class TestBadEntries:
+    """Every command that reads a file exits 1 with a message on bad entries."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, argv, bad, names_file):
+        paths = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json",
+                 "factorization": tmp_path / "factorization.json"}
+        paths["bad"].write_text(json.dumps(bad))
+        paths["good"].write_text(json.dumps({"matrix": [[0.5, 0.0], [0.0, 0.5]]}))
+        paths["factorization"].write_text(
+            json.dumps({"lambda": [1.0], "C": [[[1.0]]], "D": [[[1.0]]]}))
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        if names_file:
+            # the message is about the bad file, not a later mismatch
+            assert f"{paths['bad']}:" in err
+
+    @pytest.mark.parametrize("entries", list(BAD_MATRICES))
+    @pytest.mark.parametrize("command", list(CORRELATION_COMMANDS))
+    def test_bad_correlation_exit_1(self, capsys, tmp_path, command, entries):
+        self._run(capsys, tmp_path, CORRELATION_COMMANDS[command],
+                  {"matrix": BAD_MATRICES[entries]}, True)
+
+    @pytest.mark.parametrize("entries", list(BAD_FACTORIZATIONS))
+    @pytest.mark.parametrize("command", list(FACTORIZATION_COMMANDS))
+    def test_bad_factorization_exit_1(self, capsys, tmp_path, command, entries):
+        self._run(capsys, tmp_path, FACTORIZATION_COMMANDS[command],
+                  BAD_FACTORIZATIONS[entries], False)
+
+
 class TestOutputContract:
     def test_byte_identical_runs(self, capsys, target_alg):
         _, out1, _ = run(capsys, "factorize", "--target", target_alg,
@@ -430,6 +507,18 @@ class TestOutputContract:
         seed.write_text(json.dumps({"matrix": [[0.25, 0, 0], [0, 0.25, 0], [0, 0, 0.5]]}))
         _, out, _ = run(capsys, "classical", "--seed", str(seed), "--target", half_identity)
         assert out[out.index('  "note"'):] == EXACT_DECISION_BLOCK
+
+    def test_check_stdout_pinned(self, capsys, tmp_path):
+        ex5 = tmp_path / "ex5.json"
+        ex5.write_text(json.dumps({"matrix": [[4, 1, 1], [1, 1, 0], [1, 0, 1]]}))
+        code, out, _ = run(capsys, "check", "--target", str(ex5), "--schmidt", "0.5,0.3,0.2")
+        assert (code, out) == (0, CHECK_EX5)
+        zero_row = tmp_path / "zero_row.json"
+        zero_row.write_text(json.dumps(
+            {"matrix": [[0.01, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.495, 0.495]]}))
+        code, out, _ = run(capsys, "check", "--target", str(zero_row),
+                           "--schmidt", "0.5,0.3,0.2")
+        assert (code, out) == (2, CHECK_ZERO_ROW)
 
 
 HALF_IDENTITY_JSON = """\
@@ -504,3 +593,155 @@ EXACT_DECISION_BLOCK = """\
   }
 }
 """
+
+CHECK_NOTES = """\
+  "notes": [
+    "Conditions are necessary only; a passing report does not certify generability.",
+    "Sum-of-squares bounds take r as the seed's Schmidt rank, which may exceed the PSD-rank of the target."
+  ]
+}
+"""
+
+CHECK_EX5 = """\
+{
+  "conditions": [
+    {
+      "name": "min_schmidt",
+      "lhs": 0.2,
+      "rhs": 0.4,
+      "satisfied": true
+    },
+    {
+      "name": "holevo",
+      "lhs": 0.219973094022,
+      "rhs": 1.48547529723,
+      "satisfied": true
+    },
+    {
+      "name": "mutual_information_baseline",
+      "lhs": 0.219973094022,
+      "rhs": 2.97095059445,
+      "satisfied": true
+    },
+    {
+      "name": "v2",
+      "lhs": 0.38,
+      "rhs": 0.944444444444,
+      "satisfied": true
+    },
+    {
+      "name": "fidelity_sum",
+      "lhs": 0.82,
+      "rhs": 0.38,
+      "satisfied": true
+    },
+    {
+      "name": "renyi",
+      "lhs": 0.4,
+      "rhs": 0.944142471631,
+      "satisfied": true,
+      "alpha": 0.5
+    },
+    {
+      "name": "renyi",
+      "lhs": 0.610428810368,
+      "rhs": 0.96730970008,
+      "satisfied": true,
+      "alpha": 0.75
+    },
+    {
+      "name": "renyi",
+      "lhs": 9.0,
+      "rhs": 1.27777777778,
+      "satisfied": true,
+      "alpha": 2.0
+    },
+    {
+      "name": "renyi",
+      "lhs": 88.9374310297,
+      "rhs": 2.02160493827,
+      "satisfied": true,
+      "alpha": 3.0
+    },
+    {
+      "name": "renyi",
+      "lhs": 10.3333333333,
+      "rhs": 2.5,
+      "satisfied": true,
+      "alpha": "inf"
+    }
+  ],
+  "verdict": "NOT_RULED_OUT",
+""" + CHECK_NOTES
+
+CHECK_ZERO_ROW = """\
+{
+  "conditions": [
+    {
+      "name": "min_schmidt",
+      "lhs": 0.2,
+      "rhs": 0.01,
+      "satisfied": false
+    },
+    {
+      "name": "holevo",
+      "lhs": 0.0807931358959,
+      "rhs": 1.48547529723,
+      "satisfied": true
+    },
+    {
+      "name": "mutual_information_baseline",
+      "lhs": 0.0807931358959,
+      "rhs": 2.97095059445,
+      "satisfied": true
+    },
+    {
+      "name": "v2",
+      "lhs": 0.38,
+      "rhs": 0.9868,
+      "satisfied": true
+    },
+    {
+      "name": "fidelity_sum",
+      "lhs": 0.9802,
+      "rhs": 0.38,
+      "satisfied": true
+    },
+    {
+      "name": "renyi",
+      "lhs": 0.4,
+      "rhs": 0.986037562736,
+      "satisfied": true,
+      "alpha": 0.5
+    },
+    {
+      "name": "renyi",
+      "lhs": 0.610428810368,
+      "rhs": 0.990677941895,
+      "satisfied": true,
+      "alpha": 0.75
+    },
+    {
+      "name": "renyi",
+      "lhs": 9.0,
+      "rhs": 2.0,
+      "satisfied": true,
+      "alpha": 2.0
+    },
+    {
+      "name": "renyi",
+      "lhs": 88.9374310297,
+      "rhs": 101.01010101,
+      "satisfied": false,
+      "alpha": 3.0
+    },
+    {
+      "name": "renyi",
+      "lhs": 10.3333333333,
+      "rhs": 100.0,
+      "satisfied": false,
+      "alpha": "inf"
+    }
+  ],
+  "verdict": "RULED_OUT",
+""" + CHECK_NOTES

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corrgen import (
     Correlation,
@@ -14,9 +14,11 @@ from corrgen import (
     check_min_schmidt,
     check_renyi,
     check_v2,
+    classical_fidelity,
     v2_classical,
     verify,
 )
+from corrgen import conditions
 from corrgen.conditions import SpectrumError, mutual_information_baseline
 
 from conftest import random_correlation
@@ -147,6 +149,18 @@ class TestFidelitySum:
         assert rec.rhs == pytest.approx(0.5)
         assert rec.satisfied
 
+    @pytest.mark.parametrize("entries", [1, 40], ids=["one-row-blocks", "uneven-blocks"])
+    def test_row_blocks_match_pairwise_loop(self, rng, monkeypatch, entries):
+        # a 5x4 target in blocks of 1 row, or of 2, 2 and 1 rows: the path a
+        # target too large for one block takes
+        monkeypatch.setattr(conditions, "FIDELITY_BLOCK_ENTRIES", entries)
+        P = random_correlation(rng, 5, 4)
+        expected = 0.0
+        for a in P.matrix:
+            for b in P.matrix:
+                expected += classical_fidelity(a, b) ** 2
+        assert check_fidelity_sum(BELL, P).lhs == expected
+
 
 class TestCheckAll:
     def test_example1_ruled_out_by_min_schmidt(self):
@@ -211,6 +225,46 @@ class TestImplications:
         a = check_min_schmidt(BELL, P)
         b = check_min_schmidt(BELL, perm)
         assert a.rhs == pytest.approx(b.rhs, abs=1e-14)
+
+
+class TestCheckAllAgreesWithStandaloneChecks:
+    """check_all shares one set of cell tables between its checks; each
+    standalone check below gets a fresh Correlation, so it derives its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+           k=st.integers(1, 5), zero_cells=st.booleans(), zero_row=st.booleans(),
+           zero_column=st.booleans())
+    def test_records_equal(self, seed, n, m, k, zero_cells, zero_row, zero_column):
+        rng = np.random.default_rng(seed)
+        M = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+        if zero_cells:
+            M[rng.random((n, m)) < 0.3] = 0.0
+        if zero_row:
+            M[rng.integers(n)] = 0.0
+        if zero_column:
+            M[:, rng.integers(m)] = 0.0
+        lam = rng.dirichlet(np.ones(k))
+        assume(M.sum() > 0 and lam.min() > 0)
+        P = Correlation(M)
+        spec = SchmidtSpectrum(lam)
+
+        def fresh():
+            return Correlation(P.matrix)
+
+        expected = [check_min_schmidt(spec, fresh()), check_holevo(spec, fresh()),
+                    mutual_information_baseline(spec, fresh()), check_v2(spec, fresh()),
+                    check_fidelity_sum(spec, fresh()), *check_renyi(spec, fresh())]
+        check_all(spec, EX5)   # the tables kept last belong to another target
+        records = check_all(spec, P).records
+        # dataclass equality: == on every float, bool and name
+        assert list(records) == expected
+
+        reference = 0.0
+        for a in P.matrix:
+            for b in P.matrix:
+                reference += classical_fidelity(a, b) ** 2
+        assert records[4].lhs == pytest.approx(reference, rel=1e-15, abs=0)
 
 
 def _povm(rng, count, k, partition):
