@@ -263,9 +263,10 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
     A = U∘U and B = V∘V with unit columns of U and V (the oblique
     manifold; Absil & Gallivan, ICASSP 2006), so every iterate is
     column-stochastic.  Each restart starts from normalized Gaussian
-    columns and runs :func:`corrgen.factorize.levenberg_marquardt_blocks`
-    with column normalization as the retraction; restarts and the choice
-    of the best one are those of :func:`corrgen.factorize.best_of_restarts`.
+    columns and runs :func:`corrgen.factorize.levenberg_marquardt_blocks`,
+    with its ``PROGRESS_TOL`` give-up rule and column normalization as the
+    retraction; restarts and the choice of the best one are those of
+    :func:`corrgen.factorize.best_of_restarts`.
     A zero entry of U or V has zero gradient, so a restart can end on a
     face of the simplex.  Non-convergence is reported, not thrown, and
     does not certify infeasibility.  A J of more than

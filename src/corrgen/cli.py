@@ -76,14 +76,25 @@ def _emit(payload: dict, args) -> None:
         print(text)
 
 
+def _holds_non_number(value) -> bool:
+    """Whether nested lists hold a string or a bool, which numpy would read as a number."""
+    if isinstance(value, list):
+        return any(map(_holds_non_number, value))
+    return isinstance(value, (str, bool))
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    if isinstance(data, dict) and any(
+            _holds_non_number(data.get(key)) for key in ("matrix", "lambda", "C", "D")):
+        raise InputError(f"{path}: entries must be numbers, not strings or booleans")
+    return data
 
 
 def _load_correlation(path: str) -> Correlation:

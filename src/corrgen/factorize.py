@@ -29,9 +29,12 @@ overshoots, and without θ every step backtracks several times.  The
 step solves the smaller of the n·m and (n+m)·k² square systems, so it
 costs O(n·m·(n+m)·k²·min(n·m, (n+m)·k²)) and is meant for desk-scale
 targets; a J of more than ``MAX_JACOBIAN_ENTRIES`` entries is refused
-before it is built.  A QR retraction and
-Armijo backtracking from length 1 complete the step; a block of steps
-ends stuck once −⟨grad f, d⟩ ≤ ``STALL_TOL``·f.  The step loop,
+before it is built.  A QR retraction and Armijo backtracking from length
+1 complete the step.  The one slow-progress rule gives a restart up once
+−⟨grad f, d⟩ ≤ ``PROGRESS_TOL``·f: the slope is one to two times the
+decrease the model ‖r + Jd‖² predicts (Nocedal & Wright, *Numerical
+Optimization*, ch. 4, §10.3), a ratio of order 1 on any path to a zero
+residual.  The step loop,
 :func:`levenberg_marquardt_blocks`, takes its objective, Jacobian and
 retraction as arguments, and the classical search runs on it too.
 Every iterate is feasible to rounding error, so the search only ever
@@ -54,10 +57,8 @@ import numpy as np
 ARMIJO = 1e-4
 #: Halvings of the step before a line search gives up.
 MAX_BACKTRACKS = 40
-#: Relative objective drop below which a search counts as stalled.
-STALL_TOL = 1e-12
-#: Blocks of steps over which the stall drop is measured.
-STALL_WINDOW = 10
+#: Predicted relative decrease, −⟨grad f, d⟩/f, at or below which a search stops.
+PROGRESS_TOL = 1e-4
 #: Gradient norm at which a search stops.
 STATIONARITY_TOL = 1e-10
 
@@ -189,10 +190,10 @@ def best_of_restarts(search, settings: SolveSettings):
     ``(objective, stuck, result)`` after each block of steps.  Restart r
     gets ``default_rng(rng_seed + r)`` and ends after
     ``max_outer_iters`` blocks, at objective ≤ ``residual_tol``
-    (converged), on a stuck block, or once the objective has dropped by
-    less than ``STALL_TOL`` (relative) over ``STALL_WINDOW`` blocks.
-    The restart with the lowest final objective wins, ties going to the
-    lower index, and the first converged restart ends the search.
+    (converged), or on a stuck block, which is where slow progress ends
+    it; no window of past objectives is kept.  The restart with the
+    lowest final objective wins, ties going to the lower index, and the
+    first converged restart ends the search.
     Returns the winner's ``(result, history, restart, converged)``.
     """
     best = None
@@ -203,10 +204,6 @@ def best_of_restarts(search, settings: SolveSettings):
             history.append(objective)
             if objective <= settings.residual_tol or stuck:
                 break
-            if len(history) > STALL_WINDOW:
-                start = history[-STALL_WINDOW - 1]
-                if start - objective < STALL_TOL * max(start, 1e-30):
-                    break
         if best is None or history[-1] < best[1][-1]:
             best = (result, tuple(history), restart, history[-1] <= settings.residual_tol)
         if best[3]:
@@ -265,7 +262,8 @@ def _evaluate(P: np.ndarray, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
+    A = 0.5 * A  # halved before the sum, so A + Aᵀ cannot overflow
+    return A + np.swapaxes(A, -1, -2)
 
 
 def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, factors) -> np.ndarray:
@@ -312,8 +310,8 @@ def levenberg_marquardt_blocks(X, Y, evaluate, jacobian, retract, settings: Solv
     ``retract`` maps a moved block back onto its manifold.  A block is up
     to ``max_inner_iters`` steps and ends early at f ≤ ``residual_tol``,
     or stuck at gradient norm < ``STATIONARITY_TOL``, −slope ≤
-    ``STALL_TOL``·f or no acceptable step; then ``(f, stuck, result)`` is
-    yielded for :func:`best_of_restarts`.  A J of more than
+    ``PROGRESS_TOL``·f or no acceptable step; then ``(f, stuck, result)``
+    is yielded for :func:`best_of_restarts`.  A J of more than
     ``MAX_JACOBIAN_ENTRIES`` entries raises :class:`FactorizationError`.
     """
     f, r, result = evaluate(X, Y)
@@ -331,7 +329,7 @@ def levenberg_marquardt_blocks(X, Y, evaluate, jacobian, retract, settings: Solv
             grad = 2.0 * (r @ J)
             d = _levenberg_marquardt(J, r, theta * f)
             slope = float(grad @ d)
-            if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= STALL_TOL * f:
+            if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= PROGRESS_TOL * f:
                 stuck = True
                 break
             dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
@@ -355,20 +353,16 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     """Multi-restart Riemannian Levenberg–Marquardt search for a factorization.
 
     Each restart draws (X, Y) at random from the Stiefel manifolds and
-    runs :func:`levenberg_marquardt_blocks` on f = ‖vec(T − P)‖² with the
-    QR retraction; restarts, the stall test and the choice of the best
-    restart are those of :func:`best_of_restarts`.  An infeasible Λ is
-    not an error — it simply yields a high residual and
+    runs :func:`levenberg_marquardt_blocks`, and its give-up rule, on
+    f = ‖vec(T − P)‖² with the QR retraction; restarts and the choice of
+    the best restart are those of :func:`best_of_restarts`.  An
+    infeasible Λ is not an error — it simply yields a high residual and
     ``converged=False``.  A target whose J would exceed
     ``MAX_JACOBIAN_ENTRIES`` entries (for instance 100×100 with k = 4)
     raises :class:`FactorizationError`.
     """
-    from .correlation import Correlation
-
     settings = settings or SolveSettings()
-    if isinstance(P, Correlation):
-        P = P.matrix
-    P = np.asarray(P, dtype=float)
+    P = np.asarray(getattr(P, "matrix", P), dtype=float)  # a Correlation or a table
     if P.ndim != 2:
         raise FactorizationError("P must be a 2-D table")
     lam = _as_sqrt_lambda(lam, squared=lam_squared)
@@ -400,11 +394,7 @@ def verify(P, F: DiagonalPsdFactorization, tol: float = 1e-6) -> VerifyResult:
     ``feasibility`` covers the factor-sum deviation from Λ and any
     negative eigenvalues.
     """
-    from .correlation import Correlation
-
-    if isinstance(P, Correlation):
-        P = P.matrix
-    P = np.asarray(P, dtype=float)
+    P = np.asarray(getattr(P, "matrix", P), dtype=float)  # a Correlation or a table
     if P.shape != (F.C.shape[0], F.D.shape[0]):
         raise FactorizationError("factorization shape does not match the correlation")
     residual = float(np.max(np.abs(P - F.trace_table())))

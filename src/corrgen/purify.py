@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditions import DEFAULT_ALPHAS, ConditionReport, SchmidtSpectrum, check_all
 from .correlation import Correlation, CorrelationError
-from .factorize import DiagonalPsdFactorization, FactorizationError
+from .factorize import DiagonalPsdFactorization
 
 
 class PurificationError(ValueError):
@@ -178,15 +178,13 @@ def cnot_purification(P: Correlation) -> PureStateMatrix:
 
 
 def sample_protocol(F: DiagonalPsdFactorization, n_samples: int, rng_seed: int) -> np.ndarray:
-    """Empirical n×m counts from i.i.d. draws of cells ∝ tr(C_x D_y)."""
-    table = F.trace_table()
-    if np.min(table) < -1e-10:
-        raise FactorizationError("cell probabilities are negative beyond tolerance")
-    probs = np.maximum(table, 0.0)
+    """Empirical n×m counts of i.i.d. cells ∝ tr(C_x D_y), drawn once ``F.validate()`` passes."""
+    F.validate()
+    probs = np.maximum(F.trace_table(), 0.0)
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     counts = rng.multinomial(n_samples, probs.ravel())
-    return counts.reshape(table.shape)
+    return counts.reshape(probs.shape)
 
 
 def mixed_seed_check(P_target: Correlation, P_seed: Correlation,

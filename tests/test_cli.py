@@ -230,6 +230,26 @@ class TestFactorizeVerifySimulate:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "finite" in err
 
+    def test_simulate_rejects_infeasible_factors(self, capsys, tmp_path):
+        # finite factors whose sum is not Lambda are not a protocol to sample
+        fact = tmp_path / "f.json"
+        fact.write_text('{"lambda":[1.0],"C":[[[1e308]]],"D":[[[1.0]]]}')
+        code, out, err = run(capsys, "simulate", "--factorization", str(fact),
+                             "--samples", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_huge_factor_no_warning(self, capsys, tmp_path):
+        fact = tmp_path / "f.json"
+        fact.write_text('{"lambda":[1.0],"C":[[[1e308]]],"D":[[[1.0]]]}')
+        target = tmp_path / "one.json"
+        target.write_text('{"matrix":[[1.0]]}')
+        code, out, err = run(capsys, "verify", "--target", str(target),
+                             "--factorization", str(fact))
+        assert code == 0 and err == ""
+        assert json.loads(out)["ok"] is False
+
     @pytest.mark.parametrize("lam", ["nan,0.5", "0.5,inf"])
     def test_non_finite_lambda_exit_1(self, capsys, target_alg, lam):
         code, out, err = run(capsys, "factorize", "--target", target_alg,
@@ -398,6 +418,9 @@ BAD_MATRICES = {
     "overflow": [[1e308, 1e308], [1e308, 0.0]],
     "string": [["a", 0.5], [0.5, 0.0]],
     "ragged": [[0.5, 0.5], [0.0]],
+    # numpy would read these as 0.5 and as 1 and 0
+    "quoted": [["0.5", 0.0], [0.0, "0.5"]],
+    "boolean": [[True, False], [False, True]],
 }
 
 BAD_FACTORIZATIONS = {
@@ -407,6 +430,8 @@ BAD_FACTORIZATIONS = {
     "string": {"lambda": [1.0], "C": [[["a"]]], "D": [[[1.0]]]},
     "ragged": {"lambda": [1.0], "C": [[[1.0, 0.0]], [[1.0]]], "D": [[[1.0]]]},
     "string-lambda": {"lambda": ["a"], "C": [[[1.0]]], "D": [[[1.0]]]},
+    "quoted": {"lambda": [1.0], "C": [[["1.0"]]], "D": [[[1.0]]]},
+    "boolean": {"lambda": [True], "C": [[[1.0]]], "D": [[[True]]]},
     "not-an-object": [[[1.0]]],
 }
 
