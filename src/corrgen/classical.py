@@ -4,7 +4,8 @@ search, and the SUBSET-SUM reduction builders with an exact oracle.
 Quantum local operations give no extra reachability when both seed and
 target are classical, so the search below is over pairs of
 column-stochastic matrices only, built as squares of unit columns and
-searched by the factorization search's Levenberg–Marquardt steps.  The
+searched by the factorization search's restarts and Levenberg–Marquardt
+steps, :func:`corrgen.factorize.levenberg_marquardt_search`.  The
 search is a heuristic; a failed search is not an infeasibility proof.
 Exact decisions are available precisely where the reduction proofs give
 structure: a diagonal seed against the half-identity target reduces to
@@ -25,8 +26,7 @@ import numpy as np
 
 from .conditions import SchmidtSpectrum
 from .correlation import Correlation
-from .factorize import (DiagonalPsdFactorization, SolveSettings, best_of_restarts,
-                        levenberg_marquardt_blocks)
+from .factorize import DiagonalPsdFactorization, SolveSettings, levenberg_marquardt_search
 
 
 class ClassicalError(ValueError):
@@ -262,14 +262,12 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
 
     A = U∘U and B = V∘V with unit columns of U and V (the oblique
     manifold; Absil & Gallivan, ICASSP 2006), so every iterate is
-    column-stochastic.  Each restart starts from normalized Gaussian
-    columns and runs :func:`corrgen.factorize.levenberg_marquardt_blocks`,
-    with its ``PROGRESS_TOL`` give-up rule and column normalization as the
-    retraction; restarts and the choice of the best one are those of
-    :func:`corrgen.factorize.best_of_restarts`.
-    A zero entry of U or V has zero gradient, so a restart can end on a
-    face of the simplex.  Non-convergence is reported, not thrown, and
-    does not certify infeasibility.  A J of more than
+    column-stochastic.  Runs :func:`corrgen.factorize.levenberg_marquardt_search`,
+    with its restarts and its ``PROGRESS_TOL`` give-up rule, from normalized
+    Gaussian columns, with column normalization as the retraction.  A zero
+    entry of U or V has zero gradient, so a restart can end on a face of
+    the simplex.  Non-convergence is reported, not thrown, and does not
+    certify infeasibility.  A J of more than
     ``factorize.MAX_JACOBIAN_ENTRIES`` entries raises ``FactorizationError``.
     """
     settings = settings or SolveSettings()
@@ -281,20 +279,18 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
         R = A @ seed @ B.T - target
         return float(np.sum(R ** 2)), R.ravel(), (A, B)
 
-    def search(rng):
-        U = _normalize_columns(rng.standard_normal((n2, n1)))
-        V = _normalize_columns(rng.standard_normal((m2, m1)))
-        return levenberg_marquardt_blocks(U, V, evaluate, partial(_stochastic_jacobian, seed),
-                                          _normalize_columns, settings)
+    def start(rng):
+        return (_normalize_columns(rng.standard_normal((n2, n1))),
+                _normalize_columns(rng.standard_normal((m2, m1))))
 
-    (A, B), history, _, converged = best_of_restarts(search, settings)
+    (A, B), history, _, converged = levenberg_marquardt_search(
+        start, evaluate, partial(_stochastic_jacobian, seed), _normalize_columns, settings)
     return ClassicalSearchResult(StochasticTransformPair(A, B), history[-1], converged, history)
 
 
 def is_diag_to_half_identity(P1: Correlation, P2: Correlation, tol: float = 1e-12) -> bool:
     """Whether (P1, P2) is a diagonal-seed → ½I₂ instance with exact decision."""
-    off = P1.matrix - np.diag(np.diag(P1.matrix))
-    if P1.n != P1.m or np.max(np.abs(off)) > tol:
+    if P1.n != P1.m or np.max(np.abs(P1.matrix - np.diag(np.diag(P1.matrix)))) > tol:
         return False
     return P2.matrix.shape == (2, 2) and np.max(np.abs(P2.matrix - HALF_IDENTITY.matrix)) <= tol
 

@@ -116,10 +116,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
 
 def _spectrum_from_args(args) -> conditions.SchmidtSpectrum:
     if args.schmidt:
-        try:
-            return conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
-        except conditions.SpectrumError as exc:
-            raise InputError(str(exc)) from exc
+        return conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
     raise InputError("provide --schmidt or --seed")
 
 
@@ -135,40 +132,25 @@ def _solve_settings(args) -> factorize.SolveSettings:
         kwargs["restarts"] = args.restarts
     if args.tol is not None:
         kwargs["residual_tol"] = args.tol
-    try:
-        return factorize.SolveSettings(**kwargs)
-    except factorize.FactorizationError as exc:
-        raise InputError(str(exc)) from exc
+    return factorize.SolveSettings(**kwargs)
 
 
 def cmd_check(args) -> int:
     target = _load_correlation(args.target)
     alphas = _alphas_from_args(args)
-    try:
-        if args.seed:
-            report = purify.mixed_seed_check(target, _load_correlation(args.seed), alphas)
-        else:
-            report = conditions.check_all(_spectrum_from_args(args), target, alphas)
-    except conditions.SpectrumError as exc:
-        raise InputError(str(exc)) from exc
+    if args.seed:
+        report = purify.mixed_seed_check(target, _load_correlation(args.seed), alphas)
+    else:
+        report = conditions.check_all(_spectrum_from_args(args), target, alphas)
     _emit(report.to_json_dict(), args)
     return EXIT_RULED_OUT if report.verdict == conditions.RULED_OUT else EXIT_OK
 
 
-def _lambda_from_args(args) -> np.ndarray:
-    if not getattr(args, "lam", None):
-        raise InputError("provide --lambda")
-    return np.array(_parse_floats(args.lam, "--lambda"))
-
-
 def cmd_factorize(args) -> int:
     target = _load_correlation(args.target)
-    lam = _lambda_from_args(args)
-    try:
-        outcome = factorize.alternate(target, lam, lam.size, _solve_settings(args),
-                                      lam_squared=args.lambda_squared)
-    except factorize.FactorizationError as exc:
-        raise InputError(str(exc)) from exc
+    lam = np.array(_parse_floats(args.lam, "--lambda"))
+    outcome = factorize.alternate(target, lam, lam.size, _solve_settings(args),
+                                  lam_squared=args.lambda_squared)
     payload = {
         "objective": outcome.objective,
         "iterations": outcome.iterations,
@@ -186,25 +168,19 @@ def cmd_verify(args) -> int:
     if not args.tol >= 0:
         raise InputError(f"--tol must be nonnegative, got {args.tol}")
     target = _load_correlation(args.target)
-    try:
-        F = factorize.DiagonalPsdFactorization.from_json_dict(
-            _load_json_file(args.factorization))
-        result = factorize.verify(target, F, tol=args.tol)
-    except factorize.FactorizationError as exc:
-        raise InputError(str(exc)) from exc
+    F = factorize.DiagonalPsdFactorization.from_json_dict(_load_json_file(args.factorization))
+    result = factorize.verify(target, F, tol=args.tol)
     _emit(result.to_json_dict(), args)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    if args.samples < 0:
-        raise InputError(f"--samples must be nonnegative, got {args.samples}")
-    try:
-        F = factorize.DiagonalPsdFactorization.from_json_dict(
-            _load_json_file(args.factorization))
-        counts = purify.sample_protocol(F, args.samples, args.seed_rng)
-    except factorize.FactorizationError as exc:
-        raise InputError(str(exc)) from exc
+    if not 0 <= args.samples < 2 ** 63:  # numpy's sampler takes a C long
+        raise InputError(f"--samples must lie in [0, 2^63 - 1], got {args.samples}")
+    if args.seed_rng < 0:  # numpy seeds with nonnegative integers only
+        raise InputError(f"--seed-rng must be nonnegative, got {args.seed_rng}")
+    F = factorize.DiagonalPsdFactorization.from_json_dict(_load_json_file(args.factorization))
+    counts = purify.sample_protocol(F, args.samples, args.seed_rng)
     _emit({"counts": counts.tolist(), "samples": args.samples}, args)
     return EXIT_OK
 
@@ -213,13 +189,10 @@ def cmd_classical(args) -> int:
     seed = _load_correlation(args.seed)
     target = _load_correlation(args.target)
     settings = _solve_settings(args)
-    try:
-        # an exact decision over the oracle budget fails before the search runs
-        oracle = (classical.decide_diag_to_half_identity(seed)
-                  if classical.is_diag_to_half_identity(seed, target) else None)
-        result = classical.classical_feasible_search(seed, target, settings)
-    except (classical.ClassicalError, factorize.FactorizationError) as exc:
-        raise InputError(str(exc)) from exc
+    # an exact decision over the oracle budget fails before the search runs
+    oracle = (classical.decide_diag_to_half_identity(seed)
+              if classical.is_diag_to_half_identity(seed, target) else None)
+    result = classical.classical_feasible_search(seed, target, settings)
     payload = {
         "residual": result.residual,
         "converged": result.converged,
@@ -240,9 +213,9 @@ def cmd_classical(args) -> int:
 def cmd_reduce(args) -> int:
     try:
         items = [int(t) for t in args.items.split(",") if t.strip()]
-        inst = classical.SubsetSumInstance(items)
-    except (ValueError, classical.ClassicalError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad --items: {exc}") from exc
+    inst = classical.SubsetSumInstance(items)
     if args.side == "quantum":
         built = classical.build_quantum_hardness_instance(inst)
         seed = {"schmidt": built.spectrum.lambdas.tolist()}
@@ -271,10 +244,7 @@ def cmd_lambda_candidates(args) -> int:
 def cmd_pipeline(args) -> int:
     target = _load_correlation(args.target)
     spectrum = _spectrum_from_args(args)
-    try:
-        report = conditions.check_all(spectrum, target, _alphas_from_args(args))
-    except conditions.SpectrumError as exc:
-        raise InputError(str(exc)) from exc
+    report = conditions.check_all(spectrum, target, _alphas_from_args(args))
     payload = {"check": report.to_json_dict()}
     if report.verdict == conditions.RULED_OUT:
         payload["result"] = "ruled out by necessary conditions"
@@ -383,7 +353,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, CorrelationError, conditions.SpectrumError,
+            factorize.FactorizationError, purify.PurificationError,
+            classical.ClassicalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

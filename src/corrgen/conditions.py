@@ -18,6 +18,7 @@ pass rather than one call per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -65,7 +66,8 @@ class SchmidtSpectrum:
             raise SpectrumError("squared Schmidt coefficients must be finite")
         if np.any(lam <= 0):
             raise SpectrumError("squared Schmidt coefficients must be positive")
-        if abs(lam.sum() - 1.0) > 1e-9:
+        # the largest entry is tested first, so a huge one never reaches the sum to overflow it
+        if lam[0] - 1.0 > 1e-9 or abs(lam.sum() - 1.0) > 1e-9:
             raise SpectrumError("squared Schmidt coefficients must sum to 1")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
@@ -129,23 +131,22 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     t = cell_tables(P)
 
     records = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        # NaN fails every comparison below and would read as a violated bound
-        if np.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
-            raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
-        if np.isinf(alpha):
-            lhs = float(np.sum(1.0 / lam))
-            rhs = float(np.max(t.cells / t.prod))
-            ok = lhs >= rhs - SLACK
-        else:
-            lhs = float(np.sum(lam ** (2.0 / alpha - 1.0)) ** alpha)
-            rhs = float(np.sum(t.cells ** alpha / t.prod ** (alpha - 1.0)))
-            if alpha < 1.0:
-                ok = lhs <= rhs + SLACK
+    # NaN fails every comparison below and would read as a violated bound,
+    # so a NaN order, and a side an extreme order overflows, are refused
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for alpha in map(float, alphas):
+            if math.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
+                raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
+            if math.isinf(alpha):
+                lhs = float(np.sum(1.0 / lam))
+                rhs = float(np.max(t.cells / t.prod))
             else:
-                ok = lhs >= rhs - SLACK
-        records.append(ConditionRecord("renyi", lhs, rhs, ok, alpha=alpha))
+                lhs = float(np.sum(lam ** (2.0 / alpha - 1.0)) ** alpha)
+                rhs = float(np.sum(t.cells ** alpha / t.prod ** (alpha - 1.0)))
+            if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                raise SpectrumError(f"the Rényi bound at alpha = {alpha} overflows floating point")
+            ok = lhs <= rhs + SLACK if alpha < 1.0 else lhs >= rhs - SLACK
+            records.append(ConditionRecord("renyi", lhs, rhs, ok, alpha=alpha))
     return records
 
 

@@ -126,6 +126,9 @@ def cell_tables(P: Correlation) -> CellTables:
     py = marginal_y(P)
     mask = P.matrix > 0
     tables = CellTables(px, py, P.matrix[mask], np.outer(px, py)[mask])
+    # below the normal float range the ratios the checks take turn inf or NaN
+    if np.minimum(tables.cells, tables.prod).min() < np.finfo(float).tiny:
+        raise CorrelationError("a supported cell or its P(x)P(y) is below the normal float range")
     for a in tables:
         a.setflags(write=False)
     _last_tables = (P, tables)

@@ -34,8 +34,8 @@ before it is built.  A QR retraction and Armijo backtracking from length
 −⟨grad f, d⟩ ≤ ``PROGRESS_TOL``·f: the slope is one to two times the
 decrease the model ‖r + Jd‖² predicts (Nocedal & Wright, *Numerical
 Optimization*, ch. 4, §10.3), a ratio of order 1 on any path to a zero
-residual.  The step loop,
-:func:`levenberg_marquardt_blocks`, takes its objective, Jacobian and
+residual.  One function, :func:`levenberg_marquardt_search`, runs the
+restarts and the steps; it takes its start, objective, Jacobian and
 retraction as arguments, and the classical search runs on it too.
 Every iterate is feasible to rounding error, so the search only ever
 trades objective, never feasibility.  A failed search means "no
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-import itertools
 
 import numpy as np
 
@@ -61,6 +60,8 @@ MAX_BACKTRACKS = 40
 PROGRESS_TOL = 1e-4
 #: Gradient norm at which a search stops.
 STATIONARITY_TOL = 1e-10
+#: Steps per block; a search records its objective after each block.
+BLOCK_STEPS = 250
 
 #: Largest Jacobian, in entries, that the search builds (128 MB of floats).
 MAX_JACOBIAN_ENTRIES = 2 ** 24
@@ -174,41 +175,14 @@ class SolveSettings:
     residual_tol: float = 1e-9
     restarts: int = 10
     rng_seed: int = 12345
-    max_inner_iters: int = 250
 
     def __post_init__(self):
-        if min(self.max_outer_iters, self.restarts, self.max_inner_iters) < 1:
+        if min(self.max_outer_iters, self.restarts) < 1:
             raise FactorizationError("iteration counts must be >= 1")
         if not self.residual_tol > 0:
             raise FactorizationError("residual_tol must be positive")
-
-
-def best_of_restarts(search, settings: SolveSettings):
-    """Run a block-wise search from seeded starts and keep the best restart.
-
-    ``search(rng)`` starts from a point drawn with ``rng`` and yields
-    ``(objective, stuck, result)`` after each block of steps.  Restart r
-    gets ``default_rng(rng_seed + r)`` and ends after
-    ``max_outer_iters`` blocks, at objective ≤ ``residual_tol``
-    (converged), or on a stuck block, which is where slow progress ends
-    it; no window of past objectives is kept.  The restart with the
-    lowest final objective wins, ties going to the lower index, and the
-    first converged restart ends the search.
-    Returns the winner's ``(result, history, restart, converged)``.
-    """
-    best = None
-    for restart in range(settings.restarts):
-        blocks = search(np.random.default_rng(settings.rng_seed + restart))
-        history = []
-        for objective, stuck, result in itertools.islice(blocks, settings.max_outer_iters):
-            history.append(objective)
-            if objective <= settings.residual_tol or stuck:
-                break
-        if best is None or history[-1] < best[1][-1]:
-            best = (result, tuple(history), restart, history[-1] <= settings.residual_tol)
-        if best[3]:
-            break
-    return best
+        if self.rng_seed < 0:  # numpy seeds with nonnegative integers only
+            raise FactorizationError("rng_seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -301,65 +275,75 @@ def _levenberg_marquardt(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
     return -np.linalg.solve(J.T @ J + mu * np.eye(cols), r @ J)
 
 
-def levenberg_marquardt_blocks(X, Y, evaluate, jacobian, retract, settings: SolveSettings):
-    """Blocks of the Levenberg–Marquardt steps described above, from (X, Y).
+def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: SolveSettings):
+    """Multi-restart search by the Levenberg–Marquardt steps described above.
 
-    ``evaluate(X, Y)`` returns ``(f, r, result)`` with f = ‖r‖²;
-    ``jacobian(X, Y, result)`` returns the dense Jacobian of the flat
-    residual r on the tangent spaces, columns flattened as (X, Y); and
-    ``retract`` maps a moved block back onto its manifold.  A block is up
-    to ``max_inner_iters`` steps and ends early at f ≤ ``residual_tol``,
-    or stuck at gradient norm < ``STATIONARITY_TOL``, −slope ≤
-    ``PROGRESS_TOL``·f or no acceptable step; then ``(f, stuck, result)``
-    is yielded for :func:`best_of_restarts`.  A J of more than
-    ``MAX_JACOBIAN_ENTRIES`` entries raises :class:`FactorizationError`.
+    Restart r starts from the pair ``(X, Y) = start(default_rng(rng_seed +
+    r))``.  ``evaluate(X, Y)`` returns ``(f, r, result)`` with f = ‖r‖²,
+    ``jacobian(X, Y, result)`` the dense Jacobian of r on the tangent
+    spaces, columns flattened as (X, Y), and ``retract`` maps a moved block
+    back onto its manifold.  f is recorded after every ``BLOCK_STEPS``
+    steps.  A restart ends converged at f ≤ ``residual_tol``; stuck at
+    gradient norm < ``STATIONARITY_TOL``, on the ``PROGRESS_TOL`` rule or
+    with no acceptable step; or after ``max_outer_iters`` blocks.  The
+    lowest final f wins, ties going to the lower restart, and the first
+    converged restart ends the search.  Returns the winner's ``(result,
+    history, restart, converged)``.
     """
-    f, r, result = evaluate(X, Y)
-    if r.size * (X.size + Y.size) > MAX_JACOBIAN_ENTRIES:
-        raise FactorizationError(
-            f"a Jacobian of {r.size} x {X.size + Y.size} entries is over the budget"
-            f" of 2^{MAX_JACOBIAN_ENTRIES.bit_length() - 1}")
-    theta = 1.0
-    while True:
-        stuck = False
-        for _ in range(settings.max_inner_iters):
+    best = None
+    for restart in range(settings.restarts):
+        X, Y = start(np.random.default_rng(settings.rng_seed + restart))
+        f, r, result = evaluate(X, Y)
+        if r.size * (X.size + Y.size) > MAX_JACOBIAN_ENTRIES:
+            raise FactorizationError(
+                f"a Jacobian of {r.size} x {X.size + Y.size} entries is over the budget"
+                f" of 2^{MAX_JACOBIAN_ENTRIES.bit_length() - 1}")
+        theta, stuck, history = 1.0, False, []
+        while not stuck and len(history) < settings.max_outer_iters:
+            for _ in range(BLOCK_STEPS):
+                if f <= settings.residual_tol:
+                    break
+                J = jacobian(X, Y, result)
+                grad = 2.0 * (r @ J)
+                d = _levenberg_marquardt(J, r, theta * f)
+                slope = float(grad @ d)
+                if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= PROGRESS_TOL * f:
+                    stuck = True
+                    break
+                dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
+                step = 1.0
+                for _ in range(MAX_BACKTRACKS):
+                    Xt, Yt = retract(X + step * dX), retract(Y + step * dY)
+                    trial = evaluate(Xt, Yt)
+                    if trial[0] <= f + ARMIJO * step * slope:
+                        break
+                    step *= 0.5
+                else:
+                    stuck = True
+                    break
+                theta = max(1.0, 0.5 * theta) if step == 1.0 else theta / step
+                X, Y, (f, r, result) = Xt, Yt, trial
+            history.append(f)
             if f <= settings.residual_tol:
                 break
-            J = jacobian(X, Y, result)
-            grad = 2.0 * (r @ J)
-            d = _levenberg_marquardt(J, r, theta * f)
-            slope = float(grad @ d)
-            if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= PROGRESS_TOL * f:
-                stuck = True
-                break
-            dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
-            step = 1.0
-            for _ in range(MAX_BACKTRACKS):
-                Xt, Yt = retract(X + step * dX), retract(Y + step * dY)
-                trial = evaluate(Xt, Yt)
-                if trial[0] <= f + ARMIJO * step * slope:
-                    break
-                step *= 0.5
-            else:
-                stuck = True
-                break
-            theta = max(1.0, 0.5 * theta) if step == 1.0 else theta / step
-            X, Y, (f, r, result) = Xt, Yt, trial
-        yield f, stuck, result
+        if best is None or f < best[1][-1]:
+            best = (result, tuple(history), restart, f <= settings.residual_tol)
+        if best[3]:
+            break
+    return best
 
 
 def alternate(P, lam, k: int, settings: SolveSettings | None = None,
               lam_squared: bool = False) -> SolveOutcome:
     """Multi-restart Riemannian Levenberg–Marquardt search for a factorization.
 
-    Each restart draws (X, Y) at random from the Stiefel manifolds and
-    runs :func:`levenberg_marquardt_blocks`, and its give-up rule, on
-    f = ‖vec(T − P)‖² with the QR retraction; restarts and the choice of
-    the best restart are those of :func:`best_of_restarts`.  An
-    infeasible Λ is not an error — it simply yields a high residual and
-    ``converged=False``.  A target whose J would exceed
-    ``MAX_JACOBIAN_ENTRIES`` entries (for instance 100×100 with k = 4)
-    raises :class:`FactorizationError`.
+    Runs :func:`levenberg_marquardt_search`, with its restarts and its
+    give-up rule, on f = ‖vec(T − P)‖² from random points of the Stiefel
+    manifolds, with the QR retraction.  An infeasible Λ is not an error —
+    it simply yields a high residual and ``converged=False`` — but a Λ so
+    large that the search overflows floating point, and a target whose J
+    would exceed ``MAX_JACOBIAN_ENTRIES`` entries (for instance 100×100
+    with k = 4), raise :class:`FactorizationError`.
     """
     settings = settings or SolveSettings()
     P = np.asarray(getattr(P, "matrix", P), dtype=float)  # a Correlation or a table
@@ -371,12 +355,15 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     n, m = P.shape
     s = np.sqrt(lam)
 
-    def search(rng):
-        X, Y = _random_stiefel(rng, n, k), _random_stiefel(rng, m, k)
-        return levenberg_marquardt_blocks(X, Y, partial(_evaluate, P, s),
-                                          partial(_jacobian, s), _retract, settings)
+    def start(rng):
+        return _random_stiefel(rng, n, k), _random_stiefel(rng, m, k)
 
-    (C, D), history, restart, converged = best_of_restarts(search, settings)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            (C, D), history, restart, converged = levenberg_marquardt_search(
+                start, partial(_evaluate, P, s), partial(_jacobian, s), _retract, settings)
+    except FloatingPointError as exc:
+        raise FactorizationError(f"the search with this Lambda overflows: {exc}") from exc
     return SolveOutcome(
         factorization=DiagonalPsdFactorization(C, D, lam),
         objective=history[-1],

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditions import DEFAULT_ALPHAS, ConditionReport, SchmidtSpectrum, check_all
 from .correlation import Correlation, CorrelationError
-from .factorize import DiagonalPsdFactorization
+from .factorize import DiagonalPsdFactorization, FactorizationError
 
 
 class PurificationError(ValueError):
@@ -181,6 +181,8 @@ def sample_protocol(F: DiagonalPsdFactorization, n_samples: int, rng_seed: int) 
     """Empirical n×m counts of i.i.d. cells ∝ tr(C_x D_y), drawn once ``F.validate()`` passes."""
     F.validate()
     probs = np.maximum(F.trace_table(), 0.0)
+    if not probs.sum() > 0:
+        raise FactorizationError("the cell table has no positive mass to sample")
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     counts = rng.multinomial(n_samples, probs.ravel())

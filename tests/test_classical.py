@@ -339,11 +339,11 @@ class TestSearch:
         assert not res.converged
         assert res.residual > 1e-3
 
-    def test_history_monotone(self):
+    def test_history_monotone(self, monkeypatch):
         # two steps per block spread the search over several blocks
+        monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 2)
         seed = Correlation(np.diag([0.25, 0.25, 0.5]))
-        res = classical_feasible_search(seed, HALF_ID,
-                                        SolveSettings(restarts=1, max_inner_iters=2))
+        res = classical_feasible_search(seed, HALF_ID, SolveSettings(restarts=1))
         h = res.residual_history
         assert len(h) > 1
         assert all(h[i + 1] <= h[i] + 1e-15 for i in range(len(h) - 1))
@@ -360,6 +360,7 @@ class TestExactDecision:
     def test_detects_shape(self):
         assert is_diag_to_half_identity(Correlation(np.diag([0.4, 0.6])), HALF_ID)
         assert not is_diag_to_half_identity(Correlation([[0.2, 0.3], [0.1, 0.4]]), HALF_ID)
+        assert not is_diag_to_half_identity(Correlation([[0.5, 0, 0], [0, 0.5, 0]]), HALF_ID)
         assert not is_diag_to_half_identity(Correlation(np.diag([0.4, 0.6])),
                                             Correlation([[0.3, 0], [0, 0.7]]))
 

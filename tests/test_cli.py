@@ -89,6 +89,16 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--target", target_alg)
         assert code == 1
 
+    def test_seed_lost_mass_exit_1(self, capsys, tmp_path, half_identity):
+        # 199 Schmidt coefficients of 9e-13 fall under the 1e-12 cut and
+        # take 1.8e-10 of the mass with them
+        seed = tmp_path / "seed.json"
+        diag = [1 - 199 * 9e-13] + [9e-13] * 199
+        seed.write_text(json.dumps({"matrix": np.diag(diag).tolist()}))
+        code, out, err = run(capsys, "check", "--target", half_identity, "--seed", str(seed))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "lost probability mass" in err
+
     def test_classical_seed_input(self, capsys, target_diag, half_identity):
         code, out, _ = run(capsys, "check", "--target", target_diag,
                            "--seed", half_identity)
@@ -123,7 +133,8 @@ class TestCheck:
         assert code == 1
         assert "finite" in err
 
-    @pytest.mark.parametrize("flag", [("--restarts", "0"), ("--tol", "-1"), ("--tol", "nan")])
+    @pytest.mark.parametrize("flag", [("--restarts", "0"), ("--tol", "-1"), ("--tol", "nan"),
+                                      ("--seed-rng", "-1")])
     def test_bad_solver_settings_exit_1(self, capsys, target_alg, flag):
         code, out, err = run(capsys, "pipeline", "--target", target_alg,
                              "--schmidt", "0.8,0.2", *flag)
@@ -213,11 +224,30 @@ class TestFactorizeVerifySimulate:
     def test_simulate_negative_samples_exit_1(self, capsys, tmp_path):
         fact = tmp_path / "f.json"
         fact.write_text(json.dumps({"lambda": [1.0], "C": [[[1.0]]], "D": [[[1.0]]]}))
+        # numpy's sampler takes at most 2^63 - 1 draws
+        for samples in ("-1", "100000000000000000000"):
+            code, out, err = run(capsys, "simulate", "--factorization", str(fact),
+                                 "--samples", samples)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "--samples" in err
+
+    def test_simulate_negative_seed_exit_1(self, capsys, tmp_path):
+        fact = tmp_path / "f.json"
+        fact.write_text(json.dumps({"lambda": [1.0], "C": [[[1.0]]], "D": [[[1.0]]]}))
         code, out, err = run(capsys, "simulate", "--factorization", str(fact),
-                             "--samples", "-1")
-        assert code == 1
-        assert out == ""
-        assert "--samples" in err
+                             "--samples", "5", "--seed-rng=-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--seed-rng" in err
+
+    def test_simulate_zero_mass_exit_1(self, capsys, tmp_path):
+        # a zero Lambda is feasible, but its cell table has nothing to sample
+        fact = tmp_path / "f.json"
+        fact.write_text('{"lambda":[0.0],"C":[[[0.0]]],"D":[[[0.0]]]}')
+        code, out, err = run(capsys, "simulate", "--factorization", str(fact),
+                             "--samples", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "mass" in err
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_non_finite_factor_exit_1(self, capsys, tmp_path, command):
@@ -265,13 +295,15 @@ class TestFactorizeVerifySimulate:
         assert "nonnegative" in err
 
     def test_oversized_target_exit_1(self, capsys, tmp_path):
-        # 100 x 100 cells with k = 4 need a Jacobian of 10^4 x 3,200 entries
+        # 100 x 100 cells with k = 4 need a Jacobian of 10^4 x 3,200 entries;
+        # the uniform target passes every condition, so `pipeline` reaches the search
         target = tmp_path / "big.json"
         target.write_text(json.dumps({"matrix": np.full((100, 100), 1e-4).tolist()}))
-        code, out, err = run(capsys, "factorize", "--target", str(target),
-                             "--lambda", "0.5,0.5,0.5,0.5")
-        assert code == 1 and out == ""
-        assert "budget" in err
+        for command, spectrum in (("factorize", ("--lambda", "0.5,0.5,0.5,0.5")),
+                                  ("pipeline", ("--schmidt", "0.25,0.25,0.25,0.25"))):
+            code, out, err = run(capsys, command, "--target", str(target), *spectrum)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "budget" in err
 
 
 class TestClassicalAndReduce:
@@ -533,6 +565,15 @@ class TestOutputContract:
         _, out, _ = run(capsys, "classical", "--seed", str(seed), "--target", half_identity)
         assert out[out.index('  "note"'):] == EXACT_DECISION_BLOCK
 
+    def test_factorize_stdout_pinned(self, capsys, target_alg):
+        code, out, _ = run(capsys, "factorize", "--target", target_alg,
+                           "--lambda", "0.2,0.8", "--lambda-squared")
+        assert (code, out) == (0, FACTORIZE_WORKED_2X2)
+
+    def test_pipeline_stdout_pinned(self, capsys, target_alg):
+        code, out, _ = run(capsys, "pipeline", "--target", target_alg, "--schmidt", "0.8,0.2")
+        assert (code, out) == (0, PIPELINE_WORKED_2X2)
+
     def test_check_stdout_pinned(self, capsys, tmp_path):
         ex5 = tmp_path / "ex5.json"
         ex5.write_text(json.dumps({"matrix": [[4, 1, 1], [1, 1, 0], [1, 0, 1]]}))
@@ -770,3 +811,193 @@ CHECK_ZERO_ROW = """\
   ],
   "verdict": "RULED_OUT",
 """ + CHECK_NOTES
+
+FACTORIZE_WORKED_2X2 = """\
+{
+  "objective": 7.03095158997e-11,
+  "iterations": 1,
+  "restart_index": 0,
+  "converged": true,
+  "factorization": {
+    "lambda": [
+      0.4472135955,
+      0.894427191
+    ],
+    "C": [
+      [
+        [
+          0.160400816952,
+          -0.256432300062
+        ],
+        [
+          -0.256432300062,
+          0.665157334723
+        ]
+      ],
+      [
+        [
+          0.286812778548,
+          0.256432300062
+        ],
+        [
+          0.256432300062,
+          0.229269856277
+        ]
+      ]
+    ],
+    "D": [
+      [
+        [
+          0.236409053996,
+          0.237366116257
+        ],
+        [
+          0.237366116257,
+          0.627152716052
+        ]
+      ],
+      [
+        [
+          0.210804541504,
+          -0.237366116257
+        ],
+        [
+          -0.237366116257,
+          0.267274474948
+        ]
+      ]
+    ]
+  }
+}
+"""
+
+PIPELINE_WORKED_2X2 = """\
+{
+  "check": {
+    "conditions": [
+      {
+        "name": "min_schmidt",
+        "lhs": 0.2,
+        "rhs": 0.666666666667,
+        "satisfied": true
+      },
+      {
+        "name": "holevo",
+        "lhs": 0.251629167388,
+        "rhs": 0.721928094887,
+        "satisfied": true
+      },
+      {
+        "name": "mutual_information_baseline",
+        "lhs": 0.251629167388,
+        "rhs": 1.44385618977,
+        "satisfied": true
+      },
+      {
+        "name": "v2",
+        "lhs": 0.68,
+        "rhs": 0.888888888889,
+        "satisfied": true
+      },
+      {
+        "name": "fidelity_sum",
+        "lhs": 0.777777777778,
+        "rhs": 0.68,
+        "satisfied": true
+      },
+      {
+        "name": "renyi",
+        "lhs": 0.721110255093,
+        "rhs": 0.929231233412,
+        "satisfied": true,
+        "alpha": 0.5
+      },
+      {
+        "name": "renyi",
+        "lhs": 0.812220126723,
+        "rhs": 0.960591313014,
+        "satisfied": true,
+        "alpha": 0.75
+      },
+      {
+        "name": "renyi",
+        "lhs": 4.0,
+        "rhs": 1.25,
+        "satisfied": true,
+        "alpha": 2.0
+      },
+      {
+        "name": "renyi",
+        "lhs": 21.6521618191,
+        "rhs": 1.6875,
+        "satisfied": true,
+        "alpha": 3.0
+      },
+      {
+        "name": "renyi",
+        "lhs": 6.25,
+        "rhs": 1.5,
+        "satisfied": true,
+        "alpha": "inf"
+      }
+    ],
+    "verdict": "NOT_RULED_OUT",
+    "notes": [
+      "Conditions are necessary only; a passing report does not certify generability.",
+      "Sum-of-squares bounds take r as the seed's Schmidt rank, which may exceed the PSD-rank of the target."
+    ]
+  },
+  "result": "witness factorization found",
+  "factorization": {
+    "lambda": [
+      0.894427191,
+      0.4472135955
+    ],
+    "C": [
+      [
+        [
+          0.6590780194,
+          -0.254241732715
+        ],
+        [
+          -0.254241732715,
+          0.172562708787
+        ]
+      ],
+      [
+        [
+          0.235349171599,
+          0.254241732715
+        ],
+        [
+          0.254241732715,
+          0.274650886713
+        ]
+      ]
+    ],
+    "D": [
+      [
+        [
+          0.631450138051,
+          0.240201081342
+        ],
+        [
+          0.240201081342,
+          0.227815899651
+        ]
+      ],
+      [
+        [
+          0.262977052949,
+          -0.240201081342
+        ],
+        [
+          -0.240201081342,
+          0.219397695849
+        ]
+      ]
+    ],
+    "objective": 7.28143389071e-10
+  }
+}
+"""

@@ -20,6 +20,7 @@ from corrgen import (
 )
 from corrgen import conditions
 from corrgen.conditions import SpectrumError, mutual_information_baseline
+from corrgen.correlation import CorrelationError
 
 from conftest import random_correlation
 
@@ -38,7 +39,8 @@ class TestSpectrum:
         np.testing.assert_allclose(s.lambdas, [0.9, 0.1])
 
     @pytest.mark.parametrize("bad", [[0.5, 0.6], [1.0, 0.0], [-0.5, 1.5], [],
-                                     [float("nan"), 0.5], [float("nan")], [float("inf"), 0.5]])
+                                     [float("nan"), 0.5], [float("nan")], [float("inf"), 0.5],
+                                     [1e308, 1e308]])
     def test_rejects_invalid(self, bad):
         with pytest.raises(SpectrumError):
             SchmidtSpectrum(bad)
@@ -67,7 +69,8 @@ class TestRenyi:
         assert rec.rhs == pytest.approx(2.0)
         assert not rec.satisfied
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.0, -2.0, float("nan"), float("-inf")])
+    # at alpha = 1e308 both sides overflow, and a NaN side would read as a violation
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.0, -2.0, float("nan"), float("-inf"), 1e308])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(SpectrumError):
             check_renyi(BELL, DIAG37, alphas=[alpha])
@@ -184,6 +187,13 @@ class TestCheckAll:
         assert {"name", "lhs", "rhs", "satisfied"} <= set(data["conditions"][0])
         inf_records = [c for c in data["conditions"] if c.get("alpha") == "inf"]
         assert len(inf_records) == 1
+
+    @pytest.mark.parametrize("tiny", [1e-200, 2e-311])
+    def test_cells_below_normal_range_rejected(self, tiny):
+        # P(x)P(y) = 1e-400 rounds to 0, and a subnormal cell overflows P(x)P(y)/P(x,y):
+        # the checks' ratios would turn inf or NaN
+        with pytest.raises(CorrelationError, match="normal float range"):
+            check_all(BELL, Correlation([[1.0, 0.0], [0.0, tiny]]))
 
 
 class TestImplications:

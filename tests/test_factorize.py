@@ -264,8 +264,10 @@ class TestParametrization:
         lam = np.sqrt(rng.dirichlet(np.ones(k)))
         if zero:
             lam[rng.integers(k)] = 0.0
-        out = alternate(P, lam, k, SolveSettings(restarts=1, max_outer_iters=3,
-                                                 max_inner_iters=40, rng_seed=seed))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 40)
+            out = alternate(P, lam, k, SolveSettings(restarts=1, max_outer_iters=3,
+                                                     rng_seed=seed))
         F = out.factorization
         assert F.feasibility_error() <= 1e-12
         h = out.objective_history
@@ -298,9 +300,10 @@ class TestAlternate:
         r = min(range(3), key=lambda i: runs[i].objective)
         _assert_same_search(best, runs[r], r)
 
-    def test_restarts_stop_at_first_converged(self):
+    def test_restarts_stop_at_first_converged(self, monkeypatch):
         # on this budget restart 0 misses the worked 2x2 and later ones hit it
-        budget = dict(max_outer_iters=2, max_inner_iters=5)
+        monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 5)
+        budget = dict(max_outer_iters=2)
         runs = [alternate(ALG, ALG_LAM, 2, SolveSettings(restarts=1, rng_seed=3 + r, **budget))
                 for r in range(4)]
         first = next(r for r, out in enumerate(runs) if out.converged)
@@ -358,6 +361,11 @@ class TestAlternate:
     def test_k_mismatch_rejected(self):
         with pytest.raises(FactorizationError):
             alternate(ALG, ALG_LAM, 3)
+
+    def test_overflowing_lambda_rejected(self):
+        # cells near 1e308 square to inf in the objective
+        with pytest.raises(FactorizationError, match="overflows"):
+            alternate(ALG, [1e308, 1e308], 2, SolveSettings(restarts=1))
 
     def test_jacobian_budget(self):
         # 256 x 256 cells with k = 2 need a J of 65,536 x 2,048 entries
