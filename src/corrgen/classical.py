@@ -229,9 +229,9 @@ class ClassicalSearchResult:
     residual_history: tuple[float, ...] = ()
 
 
-def _normalize_columns(Z: np.ndarray) -> np.ndarray:
-    """Retraction onto the oblique manifold: every column scaled to unit norm."""
-    return Z / np.linalg.norm(Z, axis=0)
+def _normalize_columns(U: np.ndarray, V: np.ndarray):
+    """Retraction onto the two oblique manifolds: every column of U and V scaled to unit norm."""
+    return U / np.linalg.norm(U, axis=0), V / np.linalg.norm(V, axis=0)
 
 
 def _stochastic_jacobian(P1: np.ndarray, U: np.ndarray, V: np.ndarray, AB) -> np.ndarray:
@@ -264,9 +264,9 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
     manifold; Absil & Gallivan, ICASSP 2006), so every iterate is
     column-stochastic.  Runs :func:`corrgen.factorize.levenberg_marquardt_search`,
     with its restarts and its ``PROGRESS_TOL`` give-up rule, from normalized
-    Gaussian columns, with column normalization as the retraction.  A zero
-    entry of U or V has zero gradient, so a restart can end on a face of
-    the simplex.  Non-convergence is reported, not thrown, and does not
+    Gaussian columns, with the normalization of the columns of U and V, as
+    a pair, as the retraction.  A zero entry of U or V has zero gradient,
+    so a restart can end on a face of the simplex.  Non-convergence is reported, not thrown, and does not
     certify infeasibility.  A J of more than
     ``factorize.MAX_JACOBIAN_ENTRIES`` entries raises ``FactorizationError``.
     """
@@ -280,8 +280,7 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
         return float(np.sum(R ** 2)), R.ravel(), (A, B)
 
     def start(rng):
-        return (_normalize_columns(rng.standard_normal((n2, n1))),
-                _normalize_columns(rng.standard_normal((m2, m1))))
+        return _normalize_columns(rng.standard_normal((n2, n1)), rng.standard_normal((m2, m1)))
 
     (A, B), history, _, converged = levenberg_marquardt_search(
         start, evaluate, partial(_stochastic_jacobian, seed), _normalize_columns, settings)

@@ -91,6 +91,8 @@ def _load_json_file(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    if isinstance(data, dict) and isinstance(data.get("factorization"), dict):
+        data = data["factorization"]  # the output of `factorize` and `pipeline`
     if isinstance(data, dict) and any(
             _holds_non_number(data.get(key)) for key in ("matrix", "lambda", "C", "D")):
         raise InputError(f"{path}: entries must be numbers, not strings or booleans")

@@ -29,8 +29,11 @@ overshoots, and without θ every step backtracks several times.  The
 step solves the smaller of the n·m and (n+m)·k² square systems, so it
 costs O(n·m·(n+m)·k²·min(n·m, (n+m)·k²)) and is meant for desk-scale
 targets; a J of more than ``MAX_JACOBIAN_ENTRIES`` entries is refused
-before it is built.  A QR retraction and Armijo backtracking from length
-1 complete the step.  The one slow-progress rule gives a restart up once
+before it is built.  Where θ·‖r‖² falls below ε times the mean diagonal
+of the system solved, μ is raised to that floor, so a residual lost to
+rounding cannot leave the system singular.  A QR retraction of both
+stacks in one batched QR and Armijo backtracking from length 1 complete
+the step.  The one slow-progress rule gives a restart up once
 −⟨grad f, d⟩ ≤ ``PROGRESS_TOL``·f: the slope is one to two times the
 decrease the model ‖r + Jd‖² predicts (Nocedal & Wright, *Numerical
 Optimization*, ch. 4, §10.3), a ratio of order 1 on any path to a zero
@@ -205,34 +208,38 @@ class VerifyResult:
         return {"residual": self.residual, "feasibility": self.feasibility, "ok": self.ok}
 
 
-def _factor_stack(s: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The stack S·UₓUₓᵀ·S from blocks Z[x] = Uₓᵀ, with S = diag(s)."""
-    ZS = Z * s
-    return ZS.transpose(0, 2, 1) @ ZS
+def _retract(X: np.ndarray, Y: np.ndarray):
+    """QR retraction of both stacks of blocks onto {ΣZₓᵀZₓ = I}, by one batched QR.
 
-
-def _retract(Z: np.ndarray) -> np.ndarray:
-    """QR retraction of a stack of blocks onto {ΣZₓᵀZₓ = I}.
-
-    The sign of each column is fixed so that R has a nonnegative
-    diagonal, which makes the retraction a function of Z alone.
+    The two stacks, flattened, are zero-padded to the same height; the
+    zero rows leave the Householder reflections of the other rows as they
+    are.  The sign of each column is fixed so that R has a nonnegative
+    diagonal, which makes the retraction a function of (X, Y) alone.
     """
-    q, r = np.linalg.qr(Z.reshape(-1, Z.shape[-1]))
-    return (q * np.copysign(1.0, np.diag(r))).reshape(Z.shape)
+    rows = (X.shape[0] * X.shape[-1], Y.shape[0] * Y.shape[-1])
+    Z = np.zeros((2, max(rows), X.shape[-1]))
+    Z[0, :rows[0]], Z[1, :rows[1]] = X.reshape(rows[0], -1), Y.reshape(rows[1], -1)
+    q, r = np.linalg.qr(Z)
+    q *= np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None]
+    return q[0, :rows[0]].reshape(X.shape), q[1, :rows[1]].reshape(Y.shape)
 
 
-def _random_stiefel(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
-    """A random point of {ΣZₓᵀZₓ = I}: ``count`` blocks of size k×k."""
-    if count < 1 or k < 1:
+def _random_stiefel(rng: np.random.Generator, n: int, m: int, k: int):
+    """A random point (X, Y) of {ΣZₓᵀZₓ = I}: n and m blocks of size k×k."""
+    if min(n, m, k) < 1:
         raise FactorizationError("need at least one label and one Lambda entry")
-    return _retract(rng.standard_normal((count, k, k)))
+    return _retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k)))
 
 
 def _evaluate(P: np.ndarray, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
-    """Objective ‖T − P‖², the flat residual vec(T − P) and the factor stacks (C, D)."""
-    C, D = _factor_stack(s, X), _factor_stack(s, Y)
+    """Objective ‖T − P‖², the flat residual vec(T − P) and (C, D, X·S, Y·S).
+
+    C and D are the factor stacks S·UₓUₓᵀ·S built from the scaled blocks.
+    """
+    XS, YS = X * s, Y * s
+    C, D = XS.transpose(0, 2, 1) @ XS, YS.transpose(0, 2, 1) @ YS
     R = np.einsum("xab,yba->xy", C, D) - P
-    return float(np.sum(R ** 2)), R.ravel(), (C, D)
+    return float(np.sum(R ** 2)), R.ravel(), (C, D, XS, YS)
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
@@ -240,7 +247,7 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return A + np.swapaxes(A, -1, -2)
 
 
-def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, factors) -> np.ndarray:
+def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, result) -> np.ndarray:
     """Jacobian J of the cell table on the product of the tangent spaces.
 
     Row x·m + y is the tangent projection G − Z·sym(ZᵀG) of ∇T_xy,
@@ -248,18 +255,19 @@ def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, factors) -> np.ndarra
     2·Y_y·S Cₓ S in block y of Y, so its projection is −Z·sym(ZₓᵀG) in
     every block of Z plus G in its own one.  J is dense, n·m × (n+m)·k²,
     and is written in place: no other array of its size is made.
+    ``result`` is the ``(C, D, X·S, Y·S)`` that :func:`_evaluate` returns.
     """
     n, m = X.shape[0], Y.shape[0]
-    C, D = factors
-    GX = 2.0 * np.einsum("xab,ybc->xyac", X * s, D * s)
-    GY = 2.0 * np.einsum("yab,xbc->xyac", Y * s, C * s)
+    C, D, XS, YS = result
+    GX = 2.0 * np.einsum("xab,ybc->xyac", XS, D * s)
+    GY = 2.0 * np.einsum("yab,xbc->xyac", YS, C * s)
     J = np.empty((n, m, X.size + Y.size))
     JX = J[..., :X.size].reshape((n, m) + X.shape)
     JY = J[..., X.size:].reshape((n, m) + Y.shape)
     np.matmul(-X, _sym(np.einsum("xab,xyac->xybc", X, GX))[:, :, None], out=JX)
     np.matmul(-Y, _sym(np.einsum("yab,xyac->xybc", Y, GY))[:, :, None], out=JY)
-    JX[np.arange(n), :, np.arange(n)] += GX
-    JY[:, np.arange(m), np.arange(m)] += GY
+    np.einsum("xyxab->xyab", JX)[...] += GX  # the diagonal views, block x and block y
+    np.einsum("xyyab->xyab", JY)[...] += GY
     return J.reshape(n * m, -1)
 
 
@@ -267,12 +275,16 @@ def _levenberg_marquardt(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
     """The direction −Jᵀ(JJᵀ + μI)⁻¹r = −(JᵀJ + μI)⁻¹Jᵀr for damping μ > 0.
 
     The two forms are equal (push-through identity); the smaller of the
-    JJᵀ and JᵀJ systems is solved.
+    JJᵀ and JᵀJ systems is solved, with μ added in place on its diagonal.
+    μ is raised to ε·trace/size of that system if it is below, since a
+    smaller μ is lost to rounding and can leave the system singular.
     """
-    rows, cols = J.shape
-    if rows <= cols:
-        return -(np.linalg.solve(J @ J.T + mu * np.eye(rows), r) @ J)
-    return -np.linalg.solve(J.T @ J + mu * np.eye(cols), r @ J)
+    wide = J.shape[0] <= J.shape[1]
+    A = J @ J.T if wide else J.T @ J
+    A.reshape(-1)[::len(A) + 1] += max(mu, np.finfo(float).eps * A.trace() / len(A))
+    if wide:
+        return -(np.linalg.solve(A, r) @ J)
+    return -np.linalg.solve(A, r @ J)
 
 
 def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: SolveSettings):
@@ -281,11 +293,12 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
     Restart r starts from the pair ``(X, Y) = start(default_rng(rng_seed +
     r))``.  ``evaluate(X, Y)`` returns ``(f, r, result)`` with f = ‖r‖²,
     ``jacobian(X, Y, result)`` the dense Jacobian of r on the tangent
-    spaces, columns flattened as (X, Y), and ``retract`` maps a moved block
-    back onto its manifold.  f is recorded after every ``BLOCK_STEPS``
-    steps.  A restart ends converged at f ≤ ``residual_tol``; stuck at
-    gradient norm < ``STATIONARITY_TOL``, on the ``PROGRESS_TOL`` rule or
-    with no acceptable step; or after ``max_outer_iters`` blocks.  The
+    spaces, columns flattened as (X, Y), and ``retract(X, Y)`` maps the
+    moved pair back onto the product of the two manifolds in one call.  f
+    is recorded after every ``BLOCK_STEPS`` steps.  A restart ends
+    converged at f ≤ ``residual_tol``; stuck at gradient norm <
+    ``STATIONARITY_TOL``, on the ``PROGRESS_TOL`` rule or with no
+    acceptable step; or after ``max_outer_iters`` blocks.  The
     lowest final f wins, ties going to the lower restart, and the first
     converged restart ends the search.  Returns the winner's ``(result,
     history, restart, converged)``.
@@ -313,7 +326,7 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
                 dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
                 step = 1.0
                 for _ in range(MAX_BACKTRACKS):
-                    Xt, Yt = retract(X + step * dX), retract(Y + step * dY)
+                    Xt, Yt = retract(X + step * dX, Y + step * dY)
                     trial = evaluate(Xt, Yt)
                     if trial[0] <= f + ARMIJO * step * slope:
                         break
@@ -339,11 +352,12 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
 
     Runs :func:`levenberg_marquardt_search`, with its restarts and its
     give-up rule, on f = ‖vec(T − P)‖² from random points of the Stiefel
-    manifolds, with the QR retraction.  An infeasible Λ is not an error —
-    it simply yields a high residual and ``converged=False`` — but a Λ so
-    large that the search overflows floating point, and a target whose J
-    would exceed ``MAX_JACOBIAN_ENTRIES`` entries (for instance 100×100
-    with k = 4), raise :class:`FactorizationError`.
+    manifolds, with the QR retraction of both stacks in one batched QR.
+    An infeasible Λ is not an error — it simply yields a high residual and
+    ``converged=False`` — but a Λ so large that the search overflows
+    floating point, and a target whose J would exceed
+    ``MAX_JACOBIAN_ENTRIES`` entries (for instance 100×100 with k = 4),
+    raise :class:`FactorizationError`.
     """
     settings = settings or SolveSettings()
     P = np.asarray(getattr(P, "matrix", P), dtype=float)  # a Correlation or a table
@@ -355,13 +369,11 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     n, m = P.shape
     s = np.sqrt(lam)
 
-    def start(rng):
-        return _random_stiefel(rng, n, k), _random_stiefel(rng, m, k)
-
     try:
         with np.errstate(over="raise", invalid="raise"):
-            (C, D), history, restart, converged = levenberg_marquardt_search(
-                start, partial(_evaluate, P, s), partial(_jacobian, s), _retract, settings)
+            (C, D, _, _), history, restart, converged = levenberg_marquardt_search(
+                partial(_random_stiefel, n=n, m=m, k=k), partial(_evaluate, P, s),
+                partial(_jacobian, s), _retract, settings)
     except FloatingPointError as exc:
         raise FactorizationError(f"the search with this Lambda overflows: {exc}") from exc
     return SolveOutcome(

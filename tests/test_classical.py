@@ -235,8 +235,8 @@ def _random_point(rng, n1, m1, n2, m2):
     """A random seed and target, and a point (U, V) with unit columns."""
     seed = rng.dirichlet(np.ones(n1 * m1)).reshape(n1, m1)
     target = rng.dirichlet(np.ones(n2 * m2)).reshape(n2, m2)
-    return (seed, target, _normalize_columns(rng.standard_normal((n2, n1))),
-            _normalize_columns(rng.standard_normal((m2, m1))))
+    return (seed, target, *_normalize_columns(rng.standard_normal((n2, n1)),
+                                              rng.standard_normal((m2, m1))))
 
 
 def _table(seed, U, V):
@@ -258,9 +258,8 @@ class TestParametrization:
         for _ in range(3):
             vU = _tangent(U, rng.standard_normal(U.shape))
             vV = _tangent(V, rng.standard_normal(V.shape))
-            T_plus = _table(seed, _normalize_columns(U + h * vU), _normalize_columns(V + h * vV))
-            T_minus = _table(seed, _normalize_columns(U - h * vU),
-                             _normalize_columns(V - h * vV))
+            T_plus = _table(seed, *_normalize_columns(U + h * vU, V + h * vV))
+            T_minus = _table(seed, *_normalize_columns(U - h * vU, V - h * vV))
             np.testing.assert_allclose(J @ np.concatenate([vU.ravel(), vV.ravel()]),
                                        ((T_plus - T_minus) / (2 * h)).ravel(),
                                        rtol=1e-6, atol=1e-9)
@@ -279,8 +278,8 @@ class TestParametrization:
     def test_retraction_is_stochastic(self, seed, shape, step):
         rng = np.random.default_rng(seed)
         _, _, U, V = _random_point(rng, *shape)
-        for Z in (U, V):
-            moved = _normalize_columns(Z + step * _tangent(Z, rng.standard_normal(Z.shape)))
+        pair = [Z + step * _tangent(Z, rng.standard_normal(Z.shape)) for Z in (U, V)]
+        for moved in _normalize_columns(*pair):
             A = moved * moved
             assert A.min() >= 0
             np.testing.assert_allclose(A.sum(axis=0), 1.0, atol=1e-14)

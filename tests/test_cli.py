@@ -174,6 +174,29 @@ class TestFactorizeVerifySimulate:
         counts = json.loads(out)["counts"]
         assert sum(map(sum, counts)) == 1000
 
+    def test_factorize_output_verifies(self, capsys, target_alg, tmp_path):
+        # verify reads the factors nested under "factorization" in factorize's stdout;
+        # the worked 2x2 converges with a cell error above verify's default tol
+        code, out, _ = run(capsys, "factorize", "--target", target_alg,
+                           "--lambda", f"{1/np.sqrt(5)},{2/np.sqrt(5)}")
+        assert code == 0
+        fact_path = tmp_path / "factorize.json"
+        fact_path.write_text(out)
+        code, out, err = run(capsys, "verify", "--target", target_alg,
+                             "--factorization", str(fact_path))
+        assert code == 0, err
+        assert "residual" in json.loads(out)
+
+    def test_pipeline_output_simulates(self, capsys, target_alg, tmp_path):
+        code, out, _ = run(capsys, "pipeline", "--target", target_alg, "--schmidt", "0.8,0.2")
+        assert code == 0 and "factorization" in json.loads(out)
+        fact_path = tmp_path / "pipeline.json"
+        fact_path.write_text(out)
+        code, out, err = run(capsys, "simulate", "--factorization", str(fact_path),
+                             "--samples", "100", "--seed-rng", "5")
+        assert code == 0, err
+        assert sum(map(sum, json.loads(out)["counts"])) == 100
+
     def test_lambda_squared_flag(self, capsys, target_alg):
         code, out, _ = run(capsys, "factorize", "--target", target_alg,
                            "--lambda", "0.2,0.8", "--lambda-squared",
@@ -366,6 +389,18 @@ class TestClassicalAndReduce:
         payload = json.loads(out)
         assert "exact_decision" not in payload
         assert payload["note"] == "search result is not a feasibility decision"
+
+    def test_tol_below_rounding(self, capsys, tmp_path):
+        # the residual falls below rounding, where the damping θ·f alone
+        # once left a singular system and a numpy traceback
+        seed, target = tmp_path / "seed.json", tmp_path / "uniform.json"
+        seed.write_text(json.dumps({"matrix": [[0.25, 0.0], [0.0, 0.75]]}))
+        target.write_text(json.dumps({"matrix": [[0.25, 0.25], [0.25, 0.25]]}))
+        code, out, err = run(capsys, "classical", "--seed", str(seed), "--target", str(target),
+                             "--tol", "1e-300")
+        assert code in (0, 1) and "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["residual"] < 1e-20
 
     def test_generic_search_no_exact_block(self, capsys, target_alg, half_identity):
         code, out, _ = run(capsys, "classical", "--seed", target_alg,

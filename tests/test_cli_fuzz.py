@@ -2,8 +2,9 @@
 
 The JSON files start from well-formed correlations and factorizations,
 then some entries are swapped for NaN, ±inf, 1e308, zero, a string or a
-bool, or a row is cut short.  Flag values include negative, huge and NaN
-numbers.  ``cli.main`` runs in process; any exception other than its own
+bool, or a row is cut short, and a factorization is sometimes nested under
+``"factorization"`` as ``factorize`` writes it.  Flag values include
+negative, huge and NaN numbers, and tolerances below rounding.  ``cli.main`` runs in process; any exception other than its own
 usage-error exit fails the property, and an exit of 1 must come with an
 ``error`` message and no stdout.
 """
@@ -70,9 +71,13 @@ def factorizations(draw, n, m):
     return {"lambda": lam, "C": C, "D": D}
 
 
+# tolerances below the rounding floor of the objective, down to the least subnormal
+TOLS = st.one_of(NUMBERS, st.sampled_from(["1e-300", "5e-324"]))
+
+
 def _solver_flags(draw):
     flags = ["--restarts", "1"]
-    for flag, values in (("--tol", NUMBERS), ("--seed-rng", COUNTS)):
+    for flag, values in (("--tol", TOLS), ("--seed-rng", COUNTS)):
         if draw(st.booleans()):
             flags.append(f"{flag}={draw(values)}")
     return flags
@@ -86,6 +91,8 @@ def invocations(draw):
     n, m = draw(SIZES), draw(SIZES)
     files = {"target": draw(matrices(n, m)), "seed": draw(matrices(draw(SIZES), draw(SIZES))),
              "factorization": draw(factorizations(n, m))}
+    if draw(st.booleans()):  # nested, as `factorize` and `pipeline` write it
+        files["factorization"] = {"factorization": files["factorization"]}
     alphas = [f"--alphas={draw(LISTS)}"] if draw(st.booleans()) else []
     if command == "check":
         argv = ["check", "--target", "{target}", f"--schmidt={draw(LISTS)}", *alphas]

@@ -11,10 +11,10 @@ from corrgen import (
     lambda_candidates_from_purifications,
     verify,
 )
+from corrgen import factorize
 from corrgen.factorize import (
     MAX_JACOBIAN_ENTRIES,
     _evaluate,
-    _factor_stack,
     _jacobian,
     _levenberg_marquardt,
     _random_stiefel,
@@ -107,25 +107,34 @@ def _tangent(Z, V):
     return V - Z @ (0.5 * (ZtV + ZtV.T))
 
 
+def _factors(s, X, Y):
+    """The factor stacks (C, D) of the point (X, Y)."""
+    return _evaluate(np.zeros((X.shape[0], Y.shape[0])), s, X, Y)[2][:2]
+
+
 class TestInitAndProjection:
-    """Restart starting points and the QR retraction, which maps any stack
-    of blocks back to one whose factors are PSD and sum to Lambda."""
+    """Restart starting points and the QR retraction, which maps any pair
+    of block stacks back to one whose factors are PSD and sum to Lambda."""
 
     def test_init_deterministic(self):
-        a = _random_stiefel(np.random.default_rng(7), 4, 3)
-        b = _random_stiefel(np.random.default_rng(7), 4, 3)
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (4, 3, 3)
-        assert not np.array_equal(a, _random_stiefel(np.random.default_rng(8), 4, 3))
+        a = _random_stiefel(np.random.default_rng(7), 4, 2, 3)
+        b = _random_stiefel(np.random.default_rng(7), 4, 2, 3)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+        assert (a[0].shape, a[1].shape) == ((4, 3, 3), (2, 3, 3))
+        c = _random_stiefel(np.random.default_rng(8), 4, 2, 3)
+        assert not np.array_equal(a[0], c[0]) and not np.array_equal(a[1], c[1])
 
     def test_init_psd(self, rng):
         s = np.sqrt(np.array([0.5, 0.3, 0.2]))
-        for mat in _factor_stack(s, _random_stiefel(rng, 5, 3)):
-            assert np.linalg.eigvalsh(mat)[0] >= -1e-12
+        for stack in _factors(s, *_random_stiefel(rng, 5, 2, 3)):
+            for mat in stack:
+                assert np.linalg.eigvalsh(mat)[0] >= -1e-12
 
     def test_init_rejects_bad_counts(self, rng):
-        with pytest.raises(FactorizationError):
-            _random_stiefel(rng, 0, 2)
+        for n, m in ((0, 1), (1, 0)):
+            with pytest.raises(FactorizationError):
+                _random_stiefel(rng, n, m, 2)
         # an empty table has no labels to carry Lambda
         for P in (np.zeros((0, 2)), np.zeros((2, 0)), np.full(2, 0.5)):
             with pytest.raises(FactorizationError):
@@ -133,35 +142,49 @@ class TestInitAndProjection:
 
     def test_project_feasible_sum_exact(self, rng):
         s = np.sqrt(np.array([0.7, 0.0, 0.3]))
-        X = _retract(rng.standard_normal((4, 3, 3)))
-        Y = _retract(rng.standard_normal((2, 3, 3)))
-        _, _, (C, D) = _evaluate(np.zeros((4, 2)), s, X, Y)
+        X, Y = _retract(rng.standard_normal((4, 3, 3)), rng.standard_normal((2, 3, 3)))
+        C, D = _factors(s, X, Y)
         F = DiagonalPsdFactorization(C, D, s ** 2)
         assert F.feasibility_error() <= 1e-15
         # the zero Lambda entry leaves a zero row and column in every factor
         assert np.all(C[:, 1, :] == 0) and np.all(D[:, :, 1] == 0)
 
     def test_project_feasible_fixed_point(self, rng):
-        Z = _retract(rng.standard_normal((3, 2, 2)))
-        np.testing.assert_allclose(_retract(Z), Z, atol=1e-14)
+        X, Y = _retract(rng.standard_normal((3, 2, 2)), rng.standard_normal((5, 2, 2)))
+        for Z, again in zip((X, Y), _retract(X, Y)):
+            np.testing.assert_allclose(again, Z, atol=1e-14)
 
     def test_project_feasible_scalar_blocks(self, rng):
         for count in (1, 3):
-            Z = _retract(rng.standard_normal((count, 1, 1)))
-            assert np.sum(Z ** 2) == pytest.approx(1.0, abs=1e-14)
-            C = _factor_stack(np.array([1.0]), Z)
-            assert C.sum() == pytest.approx(1.0, abs=1e-14) and C.min() >= 0
+            pair = _retract(rng.standard_normal((count, 1, 1)), rng.standard_normal((2, 1, 1)))
+            for Z, C in zip(pair, _factors(np.array([1.0]), *pair)):
+                assert np.sum(Z ** 2) == pytest.approx(1.0, abs=1e-14)
+                assert C.sum() == pytest.approx(1.0, abs=1e-14) and C.min() >= 0
 
     def test_project_feasible_large_blocks(self, rng):
         for count, k in ((1, 5), (3, 5)):
-            Z = _retract(rng.standard_normal((count, k, k)))
-            np.testing.assert_allclose(np.einsum("xab,xac->bc", Z, Z), np.eye(k),
-                                       atol=1e-14)
+            pair = _retract(rng.standard_normal((count, k, k)), rng.standard_normal((2, k, k)))
+            for Z in pair:
+                np.testing.assert_allclose(np.einsum("xab,xac->bc", Z, Z), np.eye(k),
+                                           atol=1e-14)
         lam = np.abs(rng.random(5)) + 0.1
-        C = _factor_stack(np.sqrt(lam), Z)
-        np.testing.assert_allclose(C.sum(axis=0), np.diag(lam), atol=1e-14)
-        for mat in C:
-            assert np.linalg.eigvalsh(mat)[0] >= -1e-12
+        for C in _factors(np.sqrt(lam), *pair):
+            np.testing.assert_allclose(C.sum(axis=0), np.diag(lam), atol=1e-14)
+            for mat in C:
+                assert np.linalg.eigvalsh(mat)[0] >= -1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+           k=st.integers(1, 4))
+    def test_pair_retraction_matches_per_block_qr(self, seed, n, m, k):
+        rng = np.random.default_rng(seed)
+        X, Y = rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k))
+        for Z, got in zip((X, Y), _retract(X, Y)):
+            q, r = np.linalg.qr(Z.reshape(-1, k))
+            reference = (q * np.copysign(1.0, np.diag(r))).reshape(Z.shape)
+            np.testing.assert_allclose(got, reference, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(np.einsum("xab,xac->bc", got, got), np.eye(k),
+                                       rtol=0, atol=1e-14)
 
 
 # the last shape has more cells than tangent coordinates, so its step
@@ -173,8 +196,7 @@ def _random_point(rng, n, m, k):
     """A random target, sqrt-Lambda entries and point (X, Y) of the manifolds."""
     P = rng.dirichlet(np.ones(n * m)).reshape(n, m)
     s = np.sqrt(rng.dirichlet(np.ones(k)))
-    return (P, s, _retract(rng.standard_normal((n, k, k))),
-            _retract(rng.standard_normal((m, k, k))))
+    return (P, s, *_retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k))))
 
 
 def _split(v, X, Y):
@@ -192,16 +214,16 @@ class TestParametrization:
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_gradient_matches_finite_differences(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        _, r, factors = _evaluate(P, s, X, Y)
-        gX, gY = _split(2.0 * (r @ _jacobian(s, X, Y, factors)), X, Y)
+        _, r, result = _evaluate(P, s, X, Y)
+        gX, gY = _split(2.0 * (r @ _jacobian(s, X, Y, result)), X, Y)
         # the Riemannian gradient is a tangent vector: sym(ZᵀG) = 0
         for Z, g in ((X, gX), (Y, gY)):
             np.testing.assert_allclose(_tangent(Z, g), g, atol=1e-15)
         vX = _tangent(X, rng.standard_normal(X.shape))
         vY = _tangent(Y, rng.standard_normal(Y.shape))
         h = 1e-5
-        f_plus = _evaluate(P, s, _retract(X + h * vX), _retract(Y + h * vY))[0]
-        f_minus = _evaluate(P, s, _retract(X - h * vX), _retract(Y - h * vY))[0]
+        f_plus = _evaluate(P, s, *_retract(X + h * vX, Y + h * vY))[0]
+        f_minus = _evaluate(P, s, *_retract(X - h * vX, Y - h * vY))[0]
         directional = float(np.sum(gX * vX) + np.sum(gY * vY))
         assert (f_plus - f_minus) / (2 * h) == pytest.approx(directional, rel=1e-6, abs=1e-12)
 
@@ -214,8 +236,8 @@ class TestParametrization:
         for _ in range(3):
             vX = _tangent(X, rng.standard_normal(X.shape))
             vY = _tangent(Y, rng.standard_normal(Y.shape))
-            r_plus = _evaluate(P, s, _retract(X + h * vX), _retract(Y + h * vY))[1]
-            r_minus = _evaluate(P, s, _retract(X - h * vX), _retract(Y - h * vY))[1]
+            r_plus = _evaluate(P, s, *_retract(X + h * vX, Y + h * vY))[1]
+            r_minus = _evaluate(P, s, *_retract(X - h * vX, Y - h * vY))[1]
             np.testing.assert_allclose(J @ np.concatenate([vX.ravel(), vY.ravel()]),
                                        (r_plus - r_minus) / (2 * h),
                                        rtol=1e-6, atol=1e-9)
@@ -223,8 +245,8 @@ class TestParametrization:
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_direction_is_tangent(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        _, r, factors = _evaluate(P, s, X, Y)
-        dX, dY = _split(_levenberg_marquardt(_jacobian(s, X, Y, factors), r, r @ r), X, Y)
+        _, r, result = _evaluate(P, s, X, Y)
+        dX, dY = _split(_levenberg_marquardt(_jacobian(s, X, Y, result), r, r @ r), X, Y)
         for Z, dZ in ((X, dX), (Y, dY)):
             ZtdZ = np.einsum("xab,xac->bc", Z, dZ)
             np.testing.assert_allclose(ZtdZ + ZtdZ.T, 0.0, atol=1e-14)
@@ -232,8 +254,8 @@ class TestParametrization:
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_direction_solves_either_system(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        _, r, factors = _evaluate(P, s, X, Y)
-        J = _jacobian(s, X, Y, factors)
+        _, r, result = _evaluate(P, s, X, Y)
+        J = _jacobian(s, X, Y, result)
         mu = r @ r
         np.testing.assert_allclose(
             _levenberg_marquardt(J, r, mu),
@@ -245,15 +267,24 @@ class TestParametrization:
     @pytest.mark.parametrize("n, m, k", SHAPES)
     def test_direction_descends(self, rng, n, m, k):
         P, s, X, Y = _random_point(rng, n, m, k)
-        f, r, factors = _evaluate(P, s, X, Y)
-        J = _jacobian(s, X, Y, factors)
+        f, r, result = _evaluate(P, s, X, Y)
+        J = _jacobian(s, X, Y, result)
         grad = 2.0 * (r @ J)
         assert grad @ grad > 1e-12   # not a stationary point
         d = _levenberg_marquardt(J, r, f)
         assert grad @ d < 0
         dX, dY = _split(d, X, Y)
         t = 1e-6
-        assert _evaluate(P, s, _retract(X + t * dX), _retract(Y + t * dY))[0] < f
+        assert _evaluate(P, s, *_retract(X + t * dX, Y + t * dY))[0] < f
+
+    @pytest.mark.parametrize("J", [np.ones((2, 3)), np.ones((3, 2))], ids=["JJt", "JtJ"])
+    def test_damping_floor(self, J):
+        # the solved system is 3·ones(2, 2), singular, and 1e-300 is lost to
+        # rounding next to 3: μ is raised to ε times its mean diagonal
+        r = np.arange(1.0, J.shape[0] + 1)
+        d = _levenberg_marquardt(J, r, 1e-300)
+        assert np.all(np.isfinite(d))
+        np.testing.assert_array_equal(d, _levenberg_marquardt(J, r, 3 * np.finfo(float).eps))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
@@ -357,6 +388,25 @@ class TestAlternate:
     def test_transpose_symmetry(self):
         out = alternate(Correlation(ALG.matrix.T), ALG_LAM, 2)
         assert out.converged
+
+    def test_one_qr_per_evaluated_point(self, monkeypatch):
+        # a restart's start and each trial point are retracted by one QR
+        # call and evaluated once, on a target where every restart gives up
+        counts = {"qr": 0, "evaluate": 0}
+        qr, evaluate = np.linalg.qr, factorize._evaluate
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "qr", counting("qr", qr))
+        monkeypatch.setattr(factorize, "_evaluate", counting("evaluate", evaluate))
+        P = np.array([[4, 1, 1], [1, 1, 0], [1, 0, 1]]) / 10
+        out = alternate(P, np.sqrt([0.6, 0.4]), 2, SolveSettings(restarts=2, max_outer_iters=30))
+        assert not out.converged
+        assert counts["qr"] == counts["evaluate"] > 2
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(FactorizationError):
