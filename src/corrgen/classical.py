@@ -224,9 +224,12 @@ def kraus_to_stochastic(kraus) -> np.ndarray:
 @dataclass(frozen=True)
 class ClassicalSearchResult:
     pair: StochasticTransformPair
-    residual: float           # squared Frobenius error ‖P₂ − A P₁ Bᵀ‖²
     converged: bool
-    residual_history: tuple[float, ...] = ()
+    residual_history: tuple[float, ...]   # squared error ‖P₂ − A P₁ Bᵀ‖² after each block
+
+    @property
+    def residual(self) -> float:
+        return self.residual_history[-1]
 
 
 def _normalize_columns(U: np.ndarray, V: np.ndarray):
@@ -251,8 +254,8 @@ def _stochastic_jacobian(P1: np.ndarray, U: np.ndarray, V: np.ndarray, AB) -> np
     JV = J[..., U.size:].reshape(n2, m2, *V.shape)
     np.multiply(-U, (U[:, None, :] * GU)[:, :, None, :], out=JU)
     np.multiply(-V, (V[None, :, :] * GV)[:, :, None, :], out=JV)
-    JU[np.arange(n2), :, np.arange(n2)] += GU
-    JV[:, np.arange(m2), np.arange(m2)] += GV
+    np.einsum("xyxj->xyj", JU)[...] += GU  # the diagonal views, row x of U and row y of V
+    np.einsum("xyyl->xyl", JV)[...] += GV
     return J.reshape(n2 * m2, -1)
 
 
@@ -284,14 +287,15 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
 
     (A, B), history, _, converged = levenberg_marquardt_search(
         start, evaluate, partial(_stochastic_jacobian, seed), _normalize_columns, settings)
-    return ClassicalSearchResult(StochasticTransformPair(A, B), history[-1], converged, history)
+    return ClassicalSearchResult(StochasticTransformPair(A, B), converged, history)
 
 
-def is_diag_to_half_identity(P1: Correlation, P2: Correlation, tol: float = 1e-12) -> bool:
-    """Whether (P1, P2) is a diagonal-seed → ½I₂ instance with exact decision."""
-    if P1.n != P1.m or np.max(np.abs(P1.matrix - np.diag(np.diag(P1.matrix)))) > tol:
+def is_diag_to_half_identity(P1: Correlation, P2: Correlation) -> bool:
+    """Whether (P1, P2) is a diagonal-seed → ½I₂ instance with exact decision, to 1e-12 per entry."""
+    if P1.n != P1.m or np.max(np.abs(P1.matrix - np.diag(np.diag(P1.matrix)))) > 1e-12:
         return False
-    return P2.matrix.shape == (2, 2) and np.max(np.abs(P2.matrix - HALF_IDENTITY.matrix)) <= tol
+    return (P2.matrix.shape == (2, 2)
+            and np.max(np.abs(P2.matrix - HALF_IDENTITY.matrix)) <= 1e-12)
 
 
 def decide_diag_to_half_identity(P1: Correlation) -> OracleResult | None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import classical, conditions, factorize, purify
 from .correlation import Correlation, CorrelationError
 
-DEFAULT_RNG_SEED = 12345
+DEFAULT_RNG_SEED = factorize.SolveSettings.rng_seed
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -110,8 +110,7 @@ def _load_correlation(path: str) -> Correlation:
 
 def _parse_floats(text: str, name: str) -> list[float]:
     try:
-        return [float("inf") if t.strip().lower() in ("inf", "infinity") else float(t)
-                for t in text.split(",") if t.strip()]
+        return [float(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise InputError(f"cannot parse {name} list {text!r}") from exc
 
@@ -151,8 +150,11 @@ def cmd_check(args) -> int:
 def cmd_factorize(args) -> int:
     target = _load_correlation(args.target)
     lam = np.array(_parse_floats(args.lam, "--lambda"))
-    outcome = factorize.alternate(target, lam, lam.size, _solve_settings(args),
-                                  lam_squared=args.lambda_squared)
+    if args.lambda_squared:
+        if np.any(lam < 0):
+            raise InputError("--lambda-squared entries must be nonnegative")
+        lam = np.sqrt(lam)
+    outcome = factorize.alternate(target, lam, lam.size, _solve_settings(args))
     payload = {
         "objective": outcome.objective,
         "iterations": outcome.iterations,
@@ -256,7 +258,8 @@ def cmd_pipeline(args) -> int:
     outcome = factorize.alternate(target, lam, lam.size, _solve_settings(args))
     if outcome.converged:
         payload["result"] = "witness factorization found"
-        payload["factorization"] = outcome.factorization.to_json_dict(outcome.objective)
+        payload["factorization"] = {**outcome.factorization.to_json_dict(),
+                                    "objective": outcome.objective}
     else:
         payload["result"] = "no factorization found (heuristic search; not an infeasibility proof)"
         payload["objective"] = outcome.objective

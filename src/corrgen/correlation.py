@@ -11,7 +11,6 @@ All logarithms are base 2; 0·log 0 = 0 by continuity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -79,10 +78,6 @@ class Correlation:
         if not isinstance(data, dict) or "matrix" not in data:
             raise CorrelationError('correlation JSON must contain a "matrix" key')
         return cls(data["matrix"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "Correlation":
-        return cls.from_json_dict(json.loads(text))
 
 
 def marginal_x(P: Correlation) -> np.ndarray:

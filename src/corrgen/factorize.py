@@ -50,7 +50,7 @@ principle exist where real ones do not; this is a documented limitation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -74,44 +74,41 @@ class FactorizationError(ValueError):
     """Raised for structurally invalid factorizations or solver inputs."""
 
 
-def _as_sqrt_lambda(lam, squared: bool = False) -> np.ndarray:
+def _as_sqrt_lambda(lam) -> np.ndarray:
     try:
-        lam = np.asarray(lam, dtype=float)
+        lam = np.array(lam, dtype=float)
     except (TypeError, ValueError) as exc:
         raise FactorizationError(f"Lambda must be an array of numbers: {exc}") from exc
     if not np.all(np.isfinite(lam)):
         raise FactorizationError("Lambda entries must be finite")
-    if lam.ndim == 2:
-        if np.max(np.abs(lam - np.diag(np.diag(lam)))) > 0:
-            raise FactorizationError("Lambda must be diagonal")
-        lam = np.diag(lam)
     if lam.ndim != 1 or lam.size == 0:
-        raise FactorizationError("Lambda must be a non-empty diagonal")
+        raise FactorizationError("Lambda must be a non-empty vector of sqrt-lambda entries")
     if np.any(lam < 0):
         raise FactorizationError("Lambda entries must be nonnegative")
-    return np.sqrt(lam) if squared else lam.copy()
+    return lam
 
 
 @dataclass(frozen=True)
 class DiagonalPsdFactorization:
     """PSD factor families {C_x}, {D_y} with common diagonal factor sum Λ.
 
-    ``lam`` holds the diagonal of Λ, i.e. the √λ entries — squared
-    values are only exposed through :meth:`squared_lambdas` to keep the
-    λ-vs-√λ convention in one place.
+    ``lam`` is the diagonal of Λ as a 1-D vector, i.e. the √λ entries; it
+    is the only form the constructor takes.  Squared values are only
+    exposed through :meth:`squared_lambdas` to keep the λ-vs-√λ
+    convention in one place.
     """
 
     C: np.ndarray          # (n, k, k)
     D: np.ndarray          # (m, k, k)
     lam: np.ndarray        # (k,), entries √λ_i
 
-    def __init__(self, C, D, lam, lam_squared: bool = False) -> None:
+    def __init__(self, C, D, lam) -> None:
         try:
             C = np.array(C, dtype=float)
             D = np.array(D, dtype=float)
         except (TypeError, ValueError) as exc:
             raise FactorizationError(f"factor stacks must be arrays of numbers: {exc}") from exc
-        lam = _as_sqrt_lambda(lam, squared=lam_squared)
+        lam = _as_sqrt_lambda(lam)
         k = lam.size
         if C.ndim != 3 or D.ndim != 3 or C.shape[1:] != (k, k) or D.shape[1:] != (k, k):
             raise FactorizationError("factor stacks must have shape (count, k, k)")
@@ -144,23 +141,15 @@ class DiagonalPsdFactorization:
         dev_d = np.max(np.abs(self.D.sum(axis=0) - lam_diag))
         return float(max(dev_c, dev_d, self.max_negative_eigenvalue()))
 
-    def validate(self, psd_tol: float = 1e-8, sum_tol: float = 1e-8,
-                 cell_tol: float = 1e-10) -> None:
-        if self.max_negative_eigenvalue() > psd_tol:
-            raise FactorizationError("factor matrices are not PSD within tolerance")
-        lam_diag = np.diag(self.lam)
-        if np.max(np.abs(self.C.sum(axis=0) - lam_diag)) > sum_tol:
-            raise FactorizationError("sum of C factors differs from Lambda")
-        if np.max(np.abs(self.D.sum(axis=0) - lam_diag)) > sum_tol:
-            raise FactorizationError("sum of D factors differs from Lambda")
-        if np.min(self.trace_table()) < -cell_tol:
+    def validate(self) -> None:
+        """Raise unless :meth:`feasibility_error` ≤ 1e-8 and every cell trace ≥ −1e-10."""
+        if self.feasibility_error() > 1e-8:
+            raise FactorizationError("factors are not PSD with sums equal to Lambda within 1e-8")
+        if np.min(self.trace_table()) < -1e-10:
             raise FactorizationError("negative cell trace beyond tolerance")
 
-    def to_json_dict(self, objective: float | None = None) -> dict:
-        d = {"lambda": self.lam.tolist(), "C": self.C.tolist(), "D": self.D.tolist()}
-        if objective is not None:
-            d["objective"] = objective
-        return d
+    def to_json_dict(self) -> dict:
+        return {"lambda": self.lam.tolist(), "C": self.C.tolist(), "D": self.D.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiagonalPsdFactorization":
@@ -191,11 +180,17 @@ class SolveSettings:
 @dataclass(frozen=True)
 class SolveOutcome:
     factorization: DiagonalPsdFactorization
-    objective: float
-    iterations: int
     restart_index: int
     converged: bool
-    objective_history: tuple[float, ...] = field(default=(), repr=False)
+    objective_history: tuple[float, ...]   # f after each block of the winning restart
+
+    @property
+    def objective(self) -> float:
+        return self.objective_history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_history)
 
 
 @dataclass(frozen=True)
@@ -346,13 +341,15 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
     return best
 
 
-def alternate(P, lam, k: int, settings: SolveSettings | None = None,
-              lam_squared: bool = False) -> SolveOutcome:
+def alternate(P, lam, k: int, settings: SolveSettings | None = None) -> SolveOutcome:
     """Multi-restart Riemannian Levenberg–Marquardt search for a factorization.
 
-    Runs :func:`levenberg_marquardt_search`, with its restarts and its
-    give-up rule, on f = ‖vec(T − P)‖² from random points of the Stiefel
-    manifolds, with the QR retraction of both stacks in one batched QR.
+    ``P`` is a :class:`~corrgen.correlation.Correlation`, so the target was
+    checked when it was built, and ``lam`` is the 1-D vector of √λ entries,
+    the diagonal of Λ.  Runs :func:`levenberg_marquardt_search`, with its
+    restarts and its give-up rule, on f = ‖vec(T − P)‖² from random points
+    of the Stiefel manifolds, with the QR retraction of both stacks in one
+    batched QR.
     An infeasible Λ is not an error — it simply yields a high residual and
     ``converged=False`` — but a Λ so large that the search overflows
     floating point, and a target whose J would exceed
@@ -360,10 +357,8 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
     raise :class:`FactorizationError`.
     """
     settings = settings or SolveSettings()
-    P = np.asarray(getattr(P, "matrix", P), dtype=float)  # a Correlation or a table
-    if P.ndim != 2:
-        raise FactorizationError("P must be a 2-D table")
-    lam = _as_sqrt_lambda(lam, squared=lam_squared)
+    P = P.matrix
+    lam = _as_sqrt_lambda(lam)
     if k != lam.size:
         raise FactorizationError("k must equal the number of Lambda entries")
     n, m = P.shape
@@ -376,24 +371,17 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None,
                 partial(_jacobian, s), _retract, settings)
     except FloatingPointError as exc:
         raise FactorizationError(f"the search with this Lambda overflows: {exc}") from exc
-    return SolveOutcome(
-        factorization=DiagonalPsdFactorization(C, D, lam),
-        objective=history[-1],
-        iterations=len(history),
-        restart_index=restart,
-        converged=converged,
-        objective_history=history,
-    )
+    return SolveOutcome(DiagonalPsdFactorization(C, D, lam), restart, converged, history)
 
 
 def verify(P, F: DiagonalPsdFactorization, tol: float = 1e-6) -> VerifyResult:
-    """Check a candidate factorization against P cell by cell.
+    """Check a candidate factorization cell by cell against the Correlation P.
 
     ``residual`` is the max cell error |P(x,y) − tr(C_x D_y)|;
     ``feasibility`` covers the factor-sum deviation from Λ and any
     negative eigenvalues.
     """
-    P = np.asarray(getattr(P, "matrix", P), dtype=float)  # a Correlation or a table
+    P = P.matrix
     if P.shape != (F.C.shape[0], F.D.shape[0]):
         raise FactorizationError("factorization shape does not match the correlation")
     residual = float(np.max(np.abs(P - F.trace_table())))

@@ -99,13 +99,14 @@ class PurificationBundle:
         """The √λ_i values carried by the bundle's diagonal Gram pattern."""
         return np.diag(self.gram_v()).copy()
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
+        """Raise unless both Gram matrices are diagonal and equal to within 1e-8."""
         gv, gw = self.gram_v(), self.gram_w()
         off = max(np.max(np.abs(gv - np.diag(np.diag(gv)))),
                   np.max(np.abs(gw - np.diag(np.diag(gw)))))
-        if off > tol:
+        if off > 1e-8:
             raise PurificationError("cross terms of the vector families do not vanish")
-        if np.max(np.abs(np.diag(gv) - np.diag(gw))) > tol:
+        if np.max(np.abs(np.diag(gv) - np.diag(gw))) > 1e-8:
             raise PurificationError("v and w families disagree on the Schmidt weights")
 
     def induced_state(self) -> PureStateMatrix:
@@ -122,29 +123,18 @@ class PurificationBundle:
         return Correlation(np.einsum("xij,yij->xy", gx, hy))
 
 
-def _psd_sqrt(mat: np.ndarray, clamp: float = 1e-10) -> np.ndarray:
-    sym = 0.5 * (mat + mat.T)
-    vals, vecs = np.linalg.eigh(sym)
-    if vals[0] < -clamp:
+def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
+    """Symmetric square roots of a stack of PSD matrices; eigenvalues down to −1e-10 count as 0."""
+    vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+    if np.any(vals[..., 0] < -1e-10):
         raise PurificationError("matrix square root of a non-PSD input")
-    vals = np.sqrt(np.maximum(vals, 0.0))
-    return (vecs * vals) @ vecs.T
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def factorization_to_purification(F: DiagonalPsdFactorization) -> PurificationBundle:
     """Vector families from factor square roots: v_x^i = i-th column of √(C_xᵀ)."""
-    n, m, k = F.C.shape[0], F.D.shape[0], F.k
-    v = np.empty((n, k, k))
-    w = np.empty((m, k, k))
-    for x in range(n):
-        root = _psd_sqrt(F.C[x].T)
-        for i in range(k):
-            v[x, i] = root[:, i]
-    for y in range(m):
-        root = _psd_sqrt(F.D[y])
-        for i in range(k):
-            w[y, i] = root[:, i]
-    return PurificationBundle(v, w)
+    return PurificationBundle(np.swapaxes(_psd_sqrt(np.swapaxes(F.C, 1, 2)), 1, 2),
+                              np.swapaxes(_psd_sqrt(F.D), 1, 2))
 
 
 def purification_to_factorization(bundle: PurificationBundle) -> DiagonalPsdFactorization:

@@ -27,7 +27,8 @@ class TestConstruction:
     def test_unit_mass_not_flagged(self):
         assert not Correlation([[0.5, 0.0], [0.0, 0.5]]).renormalized
 
-    @pytest.mark.parametrize("bad", [[[0, 0], [0, 0]], [[-0.5, 1.5]], [[np.nan, 1]]])
+    @pytest.mark.parametrize("bad", [[[0, 0], [0, 0]], [[-0.5, 1.5]], [[np.nan, 1]],
+                                     np.zeros((0, 2)), np.zeros((2, 0)), np.full(2, 0.5)])
     def test_rejects_invalid(self, bad):
         with pytest.raises(CorrelationError):
             Correlation(bad)
@@ -39,7 +40,7 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         P = Correlation([[0.2, 0.3], [0.1, 0.4]])
-        Q = Correlation.from_json(json.dumps(P.to_json_dict()))
+        Q = Correlation.from_json_dict(json.loads(json.dumps(P.to_json_dict())))
         np.testing.assert_allclose(Q.matrix, P.matrix)
 
 

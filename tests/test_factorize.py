@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from corrgen import (
     Correlation,
+    CorrelationError,
     DiagonalPsdFactorization,
     FactorizationError,
     SolveSettings,
@@ -41,23 +42,20 @@ class TestDataclass:
     def test_squared_lambdas(self):
         np.testing.assert_allclose(REF_F.squared_lambdas(), [0.2, 0.8], atol=1e-12)
 
-    def test_lam_squared_flag(self):
-        F = DiagonalPsdFactorization(REF_C, REF_D, [0.2, 0.8], lam_squared=True)
-        np.testing.assert_allclose(F.lam, ALG_LAM, atol=1e-12)
-
     def test_trace_table_close_to_target(self):
         assert np.max(np.abs(REF_F.trace_table() - ALG.matrix)) < 5e-5
 
     def test_validate_reference(self):
-        REF_F.validate(sum_tol=1e-7)
+        REF_F.validate()
 
     def test_rejects_nondiagonal_lambda(self):
-        with pytest.raises(FactorizationError):
-            DiagonalPsdFactorization(REF_C, REF_D, [[0.5, 0.1], [0.1, 0.5]])
-
-    def test_accepts_diagonal_matrix_lambda(self):
-        F = DiagonalPsdFactorization(REF_C, REF_D, np.diag(ALG_LAM))
-        np.testing.assert_allclose(F.lam, ALG_LAM)
+        # Lambda is the vector of sqrt-lambda entries: a matrix is refused,
+        # diagonal or not
+        for lam in ([[0.5, 0.1], [0.1, 0.5]], np.diag(ALG_LAM)):
+            with pytest.raises(FactorizationError, match="vector"):
+                DiagonalPsdFactorization(REF_C, REF_D, lam)
+            with pytest.raises(FactorizationError, match="vector"):
+                alternate(ALG, lam, 2)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(FactorizationError):
@@ -135,10 +133,6 @@ class TestInitAndProjection:
         for n, m in ((0, 1), (1, 0)):
             with pytest.raises(FactorizationError):
                 _random_stiefel(rng, n, m, 2)
-        # an empty table has no labels to carry Lambda
-        for P in (np.zeros((0, 2)), np.zeros((2, 0)), np.full(2, 0.5)):
-            with pytest.raises(FactorizationError):
-                alternate(P, ALG_LAM, 2)
 
     def test_project_feasible_sum_exact(self, rng):
         s = np.sqrt(np.array([0.7, 0.0, 0.3]))
@@ -207,7 +201,7 @@ def _split(v, X, Y):
 class TestParametrization:
     def test_single_label_is_forced(self):
         # one label forces C_0 = Λ for every X, which fixes the cell value
-        out = alternate(np.array([[1.0]]), [0.6, 0.8], 2)
+        out = alternate(Correlation([[1.0]]), [0.6, 0.8], 2)
         assert out.converged
         np.testing.assert_allclose(out.factorization.C, [np.diag([0.6, 0.8])], atol=1e-15)
 
@@ -295,13 +289,17 @@ class TestParametrization:
         lam = np.sqrt(rng.dirichlet(np.ones(k)))
         if zero:
             lam[rng.integers(k)] = 0.0
+        # one step per block records f after every step of the 120-step budget
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 40)
-            out = alternate(P, lam, k, SolveSettings(restarts=1, max_outer_iters=3,
-                                                     rng_seed=seed))
+            monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 1)
+            out = alternate(Correlation(P), lam, k, SolveSettings(
+                restarts=1, max_outer_iters=120, rng_seed=seed))
         F = out.factorization
         assert F.feasibility_error() <= 1e-12
         h = out.objective_history
+        # only a search that stops before its first step has one entry: a
+        # single cell, or a zero Lambda entry that leaves no descent
+        assert len(h) >= 2 or zero or n * m == 1
         assert all(b <= a for a, b in zip(h, h[1:]))
         assert out.objective == h[-1] == np.sum((P - F.trace_table()) ** 2)
 
@@ -322,7 +320,7 @@ class TestAlternate:
         # Bell -> diag(0.3, 0.7) never converges, so all three restarts run:
         # restart r is the single run at rng_seed + r, and the lowest
         # objective wins, ties going to the lower r
-        P, lam = np.diag([0.3, 0.7]), [np.sqrt(0.5)] * 2
+        P, lam = Correlation(np.diag([0.3, 0.7])), [np.sqrt(0.5)] * 2
         runs = [alternate(P, lam, 2, SolveSettings(restarts=1, rng_seed=seed + r,
                                                    max_outer_iters=20))
                 for r in range(3)]
@@ -353,11 +351,6 @@ class TestAlternate:
         assert out.restart_index == 0
         assert out.iterations == 1
 
-    def test_lambda_squared_entry_point(self):
-        out = alternate(ALG, [0.2, 0.8], 2, lam_squared=True,
-                        settings=SolveSettings(restarts=3))
-        assert out.converged
-
     def test_product_rank_one(self):
         P = Correlation(np.outer([0.4, 0.6], [0.3, 0.7]))
         out = alternate(P, [1.0], 1)
@@ -373,9 +366,12 @@ class TestAlternate:
         assert not out.converged
         assert out.objective > 1e-4
 
-    def test_history_monotone(self):
+    def test_history_monotone(self, monkeypatch):
+        # one step per block records f after every step
+        monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 1)
         out = alternate(ALG, ALG_LAM, 2, settings=SolveSettings(restarts=1))
         h = out.objective_history
+        assert len(h) >= 2
         assert all(h[i + 1] <= h[i] + 1e-15 for i in range(len(h) - 1))
 
     def test_deterministic(self):
@@ -403,10 +399,21 @@ class TestAlternate:
 
         monkeypatch.setattr(np.linalg, "qr", counting("qr", qr))
         monkeypatch.setattr(factorize, "_evaluate", counting("evaluate", evaluate))
-        P = np.array([[4, 1, 1], [1, 1, 0], [1, 0, 1]]) / 10
+        P = Correlation(np.array([[4, 1, 1], [1, 1, 0], [1, 0, 1]]) / 10)
         out = alternate(P, np.sqrt([0.6, 0.4]), 2, SolveSettings(restarts=2, max_outer_iters=30))
         assert not out.converged
         assert counts["qr"] == counts["evaluate"] > 2
+
+    @pytest.mark.parametrize("table", [[[np.nan, 0.5]], [[-0.5, 1.5]]], ids=["nan", "negative"])
+    def test_bare_table_rejected(self, table):
+        # only a Correlation, checked when it is built, reaches the search
+        P = np.array(table)
+        with pytest.raises(AttributeError):
+            alternate(P, [1.0], 1)
+        with pytest.raises(AttributeError):
+            verify(P, DiagonalPsdFactorization([[[1.0]]], [[[0.5]], [[0.5]]], [1.0]))
+        with pytest.raises(CorrelationError):
+            Correlation(P)
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(FactorizationError):
@@ -419,12 +426,12 @@ class TestAlternate:
 
     def test_jacobian_budget(self):
         # 256 x 256 cells with k = 2 need a J of 65,536 x 2,048 entries
-        P = np.full((256, 256), 1 / 256 ** 2)
+        P = Correlation(np.full((256, 256), 1 / 256 ** 2))
         assert 256 * 256 * 512 * 4 > MAX_JACOBIAN_ENTRIES
         with pytest.raises(FactorizationError, match="budget"):
             alternate(P, [0.6, 0.8], 2)
         # 32 x 32 cells with k = 2 fit
-        out = alternate(np.full((32, 32), 1 / 32 ** 2), [0.6, 0.8], 2,
+        out = alternate(Correlation(np.full((32, 32), 1 / 32 ** 2)), [0.6, 0.8], 2,
                         settings=SolveSettings(restarts=1))
         assert out.converged
 

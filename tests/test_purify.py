@@ -102,6 +102,26 @@ class TestBridge:
             np.testing.assert_allclose(G.trace_table(), P.matrix, atol=1e-9)
             np.testing.assert_allclose(G.lam, F.lam, atol=1e-9)
 
+    def test_batched_roots_match_per_matrix_loop(self, rng):
+        def root(mat):
+            vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+            return vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+
+        for n, m, k in ((1, 1, 1), (2, 3, 2), (4, 1, 3), (3, 5, 4), (5, 2, 1)):
+            F, _ = random_verified_factorization(rng, n, m, k)
+            bundle = factorization_to_purification(F)
+            for x in range(n):
+                for i in range(k):  # v_x^i is the i-th column of the root of C_xᵀ
+                    np.testing.assert_allclose(bundle.v[x, i], root(F.C[x].T)[:, i],
+                                               rtol=0, atol=1e-14)
+            for y in range(m):
+                for i in range(k):
+                    np.testing.assert_allclose(bundle.w[y, i], root(F.D[y])[:, i],
+                                               rtol=0, atol=1e-14)
+        C = np.array([[[0.5, 0.6], [0.6, 0.5]]])  # eigenvalue -0.1
+        with pytest.raises(PurificationError, match="non-PSD"):
+            factorization_to_purification(DiagonalPsdFactorization(C, C, [1.0, 1.0]))
+
     def test_induced_state_spectrum(self, rng):
         # the purification built from a factorization with factor sum
         # diag(sqrt(lambda)) has squared Schmidt coefficients lambda
