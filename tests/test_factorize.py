@@ -297,9 +297,12 @@ class TestParametrization:
         F = out.factorization
         assert F.feasibility_error() <= 1e-12
         h = out.objective_history
-        # only a search that stops before its first step has one entry: a
-        # single cell, or a zero Lambda entry that leaves no descent
-        assert len(h) >= 2 or zero or n * m == 1
+        # only a search that ends within its first step has one entry: it
+        # converged, or it gave up at its start (a single cell, a zero Lambda
+        # entry, or a start next to a stationary point) and took no step
+        if len(h) == 1 and not out.converged:
+            X, Y = _random_stiefel(np.random.default_rng(seed), n, m, k)
+            assert h[0] == _evaluate(Correlation(P).matrix, np.sqrt(lam), X, Y)[0]
         assert all(b <= a for a, b in zip(h, h[1:]))
         assert out.objective == h[-1] == np.sum((P - F.trace_table()) ** 2)
 
