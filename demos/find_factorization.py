@@ -38,7 +38,7 @@ for name, lam in zip(names, candidates):
 
     out = alternate(P, lam, lam.size, SolveSettings(restarts=10))
     print(f"solver: converged={out.converged}  objective={out.objective:.3e}  "
-          f"outer iterations={out.iterations}  restart={out.restart_index}")
+          f"steps={out.iterations}  restart={out.restart_index}")
     if not out.converged:
         print("no factorization found (heuristic search, not a proof)")
         continue

@@ -225,7 +225,7 @@ def kraus_to_stochastic(kraus) -> np.ndarray:
 class ClassicalSearchResult:
     pair: StochasticTransformPair
     converged: bool
-    residual_history: tuple[float, ...]   # squared error ‖P₂ − A P₁ Bᵀ‖² after each block
+    residual_history: tuple[float, ...]   # ‖P₂ − A P₁ Bᵀ‖² at the start and after each step
 
     @property
     def residual(self) -> float:

@@ -122,9 +122,12 @@ def _spectrum_from_args(args) -> conditions.SchmidtSpectrum:
 
 
 def _alphas_from_args(args):
-    if args.alphas:
-        return tuple(_parse_floats(args.alphas, "--alphas"))
-    return conditions.DEFAULT_ALPHAS
+    if args.alphas is None:
+        return conditions.DEFAULT_ALPHAS
+    alphas = tuple(_parse_floats(args.alphas, "--alphas"))
+    if not alphas:
+        raise InputError(f"--alphas {args.alphas!r} names no order")
+    return alphas
 
 
 def _solve_settings(args) -> factorize.SolveSettings:
@@ -169,8 +172,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.tol >= 0:
-        raise InputError(f"--tol must be nonnegative, got {args.tol}")
+    if not 0 <= args.tol < np.inf:
+        raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
     target = _load_correlation(args.target)
     F = factorize.DiagonalPsdFactorization.from_json_dict(_load_json_file(args.factorization))
     result = factorize.verify(target, F, tol=args.tol)
@@ -246,6 +249,7 @@ def cmd_lambda_candidates(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    settings = _solve_settings(args)  # a bad setting is refused even where the check rules out
     target = _load_correlation(args.target)
     spectrum = _spectrum_from_args(args)
     report = conditions.check_all(spectrum, target, _alphas_from_args(args))
@@ -255,7 +259,7 @@ def cmd_pipeline(args) -> int:
         _emit(payload, args)
         return EXIT_RULED_OUT
     lam = spectrum.sqrt_lambdas()
-    outcome = factorize.alternate(target, lam, lam.size, _solve_settings(args))
+    outcome = factorize.alternate(target, lam, lam.size, settings)
     if outcome.converged:
         payload["result"] = "witness factorization found"
         payload["factorization"] = {**outcome.factorization.to_json_dict(),

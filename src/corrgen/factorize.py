@@ -39,7 +39,9 @@ decrease the model ‖r + Jd‖² predicts (Nocedal & Wright, *Numerical
 Optimization*, ch. 4, §10.3), a ratio of order 1 on any path to a zero
 residual.  One function, :func:`levenberg_marquardt_search`, runs the
 restarts and the steps; it takes its start, objective, Jacobian and
-retraction as arguments, and the classical search runs on it too.
+retraction as arguments, and the classical search runs on it too.  It
+records f at the start point and after every step, and a restart takes
+at most ``max_outer_iters`` × ``BLOCK_STEPS`` steps.
 Every iterate is feasible to rounding error, so the search only ever
 trades objective, never feasibility.  A failed search means "no
 factorization found", never "infeasible".
@@ -63,7 +65,7 @@ MAX_BACKTRACKS = 40
 PROGRESS_TOL = 1e-4
 #: Gradient norm at which a search stops.
 STATIONARITY_TOL = 1e-10
-#: Steps per block; a search records its objective after each block.
+#: Unit of the step budget: a restart takes at most ``max_outer_iters`` × this many steps.
 BLOCK_STEPS = 250
 
 #: Largest Jacobian, in entries, that the search builds (128 MB of floats).
@@ -163,7 +165,7 @@ class DiagonalPsdFactorization:
 
 @dataclass(frozen=True)
 class SolveSettings:
-    max_outer_iters: int = 500
+    max_outer_iters: int = 500   # step budget of a restart, in units of BLOCK_STEPS
     residual_tol: float = 1e-9
     restarts: int = 10
     rng_seed: int = 12345
@@ -171,8 +173,8 @@ class SolveSettings:
     def __post_init__(self):
         if min(self.max_outer_iters, self.restarts) < 1:
             raise FactorizationError("iteration counts must be >= 1")
-        if not self.residual_tol > 0:
-            raise FactorizationError("residual_tol must be positive")
+        if not 0 < self.residual_tol < np.inf:
+            raise FactorizationError("residual_tol must be positive and finite")
         if self.rng_seed < 0:  # numpy seeds with nonnegative integers only
             raise FactorizationError("rng_seed must be nonnegative")
 
@@ -182,7 +184,7 @@ class SolveOutcome:
     factorization: DiagonalPsdFactorization
     restart_index: int
     converged: bool
-    objective_history: tuple[float, ...]   # f after each block of the winning restart
+    objective_history: tuple[float, ...]   # f at the start and after each step of the winner
 
     @property
     def objective(self) -> float:
@@ -190,7 +192,8 @@ class SolveOutcome:
 
     @property
     def iterations(self) -> int:
-        return len(self.objective_history)
+        """Steps the winning restart took."""
+        return len(self.objective_history) - 1
 
 
 @dataclass(frozen=True)
@@ -290,15 +293,15 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
     ``jacobian(X, Y, result)`` the dense Jacobian of r on the tangent
     spaces, columns flattened as (X, Y), and ``retract(X, Y)`` maps the
     moved pair back onto the product of the two manifolds in one call.  f
-    is recorded after every ``BLOCK_STEPS`` steps.  A restart ends
+    is recorded at the start point and after every step.  A restart ends
     converged at f ≤ ``residual_tol``; stuck at gradient norm <
     ``STATIONARITY_TOL``, on the ``PROGRESS_TOL`` rule or with no
-    acceptable step; or after ``max_outer_iters`` blocks.  The
+    acceptable step; or after ``max_outer_iters`` × ``BLOCK_STEPS`` steps.  The
     lowest final f wins, ties going to the lower restart, and the first
     converged restart ends the search.  Returns the winner's ``(result,
     history, restart, converged)``.
     """
-    best = None
+    best, budget = None, settings.max_outer_iters * BLOCK_STEPS
     for restart in range(settings.restarts):
         X, Y = start(np.random.default_rng(settings.rng_seed + restart))
         f, r, result = evaluate(X, Y)
@@ -306,34 +309,27 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
             raise FactorizationError(
                 f"a Jacobian of {r.size} x {X.size + Y.size} entries is over the budget"
                 f" of 2^{MAX_JACOBIAN_ENTRIES.bit_length() - 1}")
-        theta, stuck, history = 1.0, False, []
-        while not stuck and len(history) < settings.max_outer_iters:
-            for _ in range(BLOCK_STEPS):
-                if f <= settings.residual_tol:
-                    break
-                J = jacobian(X, Y, result)
-                grad = 2.0 * (r @ J)
-                d = _levenberg_marquardt(J, r, theta * f)
-                slope = float(grad @ d)
-                if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= PROGRESS_TOL * f:
-                    stuck = True
-                    break
-                dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
-                step = 1.0
-                for _ in range(MAX_BACKTRACKS):
-                    Xt, Yt = retract(X + step * dX, Y + step * dY)
-                    trial = evaluate(Xt, Yt)
-                    if trial[0] <= f + ARMIJO * step * slope:
-                        break
-                    step *= 0.5
-                else:
-                    stuck = True
-                    break
-                theta = max(1.0, 0.5 * theta) if step == 1.0 else theta / step
-                X, Y, (f, r, result) = Xt, Yt, trial
-            history.append(f)
-            if f <= settings.residual_tol:
+        theta, history = 1.0, [f]
+        while not f <= settings.residual_tol and len(history) <= budget:  # NaN f: not converged
+            J = jacobian(X, Y, result)
+            grad = 2.0 * (r @ J)
+            d = _levenberg_marquardt(J, r, theta * f)
+            slope = float(grad @ d)
+            if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= PROGRESS_TOL * f:
                 break
+            dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
+            step = 1.0
+            for _ in range(MAX_BACKTRACKS):
+                Xt, Yt = retract(X + step * dX, Y + step * dY)
+                trial = evaluate(Xt, Yt)
+                if trial[0] <= f + ARMIJO * step * slope:
+                    break
+                step *= 0.5
+            else:
+                break
+            theta = max(1.0, 0.5 * theta) if step == 1.0 else theta / step
+            X, Y, (f, r, result) = Xt, Yt, trial
+            history.append(f)
         if best is None or f < best[1][-1]:
             best = (result, tuple(history), restart, f <= settings.residual_tol)
         if best[3]:
@@ -379,8 +375,10 @@ def verify(P, F: DiagonalPsdFactorization, tol: float = 1e-6) -> VerifyResult:
 
     ``residual`` is the max cell error |P(x,y) − tr(C_x D_y)|;
     ``feasibility`` covers the factor-sum deviation from Λ and any
-    negative eigenvalues.
+    negative eigenvalues.  ``tol`` must be finite and ≥ 0.
     """
+    if not 0 <= tol < np.inf:
+        raise FactorizationError("the verify tolerance must be finite and >= 0")
     P = P.matrix
     if P.shape != (F.C.shape[0], F.D.shape[0]):
         raise FactorizationError("factorization shape does not match the correlation")
@@ -398,11 +396,8 @@ def lambda_candidates_from_purifications(P) -> list[np.ndarray]:
     """
     from .purify import canonical_purification, cnot_purification
 
-    candidates = []
-    state = canonical_purification(P)
-    sv = np.linalg.svd(state.amplitudes, compute_uv=False)
-    candidates.append(np.sort(sv[sv > 1e-12])[::-1])
+    states = [canonical_purification(P)]
     if P.matrix.shape == (2, 2):
-        sv = np.linalg.svd(cnot_purification(P).amplitudes, compute_uv=False)
-        candidates.append(np.sort(sv[sv > 1e-12])[::-1])
-    return candidates
+        states.append(cnot_purification(P))
+    svs = (np.linalg.svd(state.amplitudes, compute_uv=False) for state in states)
+    return [np.sort(sv[sv > 1e-12])[::-1] for sv in svs]

@@ -213,10 +213,8 @@ def test_criterion_10_soundness(rng):
     assert report(10, f"soundness: {false_rejections}/500 false rejections", ok)
 
 
-def test_criterion_11_monotonicity(rng, monkeypatch):
-    # one step per block records f after every step; with the default 250
-    # each of these searches fits in one block and has nothing to compare
-    monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 1)
+def test_criterion_11_monotonicity(rng):
+    # the history records f at the start point and after every step
     worst_drift = 0.0
     shortest = np.inf
     settings = SolveSettings(restarts=1, max_outer_iters=30)

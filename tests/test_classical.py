@@ -338,9 +338,7 @@ class TestSearch:
         assert not res.converged
         assert res.residual > 1e-3
 
-    def test_history_monotone(self, monkeypatch):
-        # two steps per block spread the search over several blocks
-        monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 2)
+    def test_history_monotone(self):
         seed = Correlation(np.diag([0.25, 0.25, 0.5]))
         res = classical_feasible_search(seed, HALF_ID, SolveSettings(restarts=1))
         h = res.residual_history

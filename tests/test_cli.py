@@ -127,6 +127,16 @@ class TestCheck:
         assert out == ""
         assert "alpha" in err
 
+    @pytest.mark.parametrize("command", ["check", "pipeline"])
+    @pytest.mark.parametrize("alphas", [",", ""], ids=["comma", "empty"])
+    def test_empty_alphas_exit_1(self, capsys, half_identity, command, alphas):
+        # a given order list that names no order would run no Rényi condition
+        code, out, err = run(capsys, command, "--target", half_identity,
+                             "--schmidt", "0.5,0.5", f"--alphas={alphas}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--alphas" in err
+
     def test_nan_spectrum_exit_1(self, capsys, half_identity):
         code, out, err = run(capsys, "check", "--target", half_identity,
                              "--schmidt", "nan,0.5")
@@ -234,7 +244,7 @@ class TestFactorizeVerifySimulate:
         code, out, _ = run(capsys, *argv, "--tol", "0")
         assert code == 0 and json.loads(out)["ok"] is False
 
-    @pytest.mark.parametrize("tol", ["-1e-6", "nan"])
+    @pytest.mark.parametrize("tol", ["-1e-6", "nan", "inf"])
     def test_verify_bad_tol_exit_1(self, capsys, target_alg, tmp_path, tol):
         fact = tmp_path / "f.json"
         fact.write_text(json.dumps({"lambda": [1.0], "C": [[[1.0]]], "D": [[[1.0]]]}))
@@ -243,6 +253,18 @@ class TestFactorizeVerifySimulate:
         assert code == 1
         assert out == ""
         assert "--tol" in err
+
+    @pytest.mark.parametrize("command", ["factorize", "classical", "pipeline"])
+    def test_infinite_tol_exit_1(self, capsys, target_diag, half_identity, command):
+        # a Bell seed cannot make diag(0.3, 0.7) (min-Schmidt rules it out),
+        # yet at --tol inf every start point would count as converged
+        argv = {"factorize": ("--target", target_diag, "--lambda", "0.7,0.7"),
+                "classical": ("--seed", half_identity, "--target", target_diag),
+                "pipeline": ("--target", target_diag, "--schmidt", "0.5,0.5")}[command]
+        code, out, err = run(capsys, command, *argv, "--tol", "inf")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_simulate_negative_samples_exit_1(self, capsys, tmp_path):
         fact = tmp_path / "f.json"
@@ -850,7 +872,7 @@ CHECK_ZERO_ROW = """\
 FACTORIZE_WORKED_2X2 = """\
 {
   "objective": 7.03095158997e-11,
-  "iterations": 1,
+  "iterations": 9,
   "restart_index": 0,
   "converged": true,
   "factorization": {

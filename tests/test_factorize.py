@@ -289,20 +289,15 @@ class TestParametrization:
         lam = np.sqrt(rng.dirichlet(np.ones(k)))
         if zero:
             lam[rng.integers(k)] = 0.0
-        # one step per block records f after every step of the 120-step budget
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 1)
-            out = alternate(Correlation(P), lam, k, SolveSettings(
-                restarts=1, max_outer_iters=120, rng_seed=seed))
+        out = alternate(Correlation(P), lam, k, SolveSettings(
+            restarts=1, max_outer_iters=120, rng_seed=seed))
         F = out.factorization
         assert F.feasibility_error() <= 1e-12
+        # the history is f at the start point, then f after each step
         h = out.objective_history
-        # only a search that ends within its first step has one entry: it
-        # converged, or it gave up at its start (a single cell, a zero Lambda
-        # entry, or a start next to a stationary point) and took no step
-        if len(h) == 1 and not out.converged:
-            X, Y = _random_stiefel(np.random.default_rng(seed), n, m, k)
-            assert h[0] == _evaluate(Correlation(P).matrix, np.sqrt(lam), X, Y)[0]
+        assert len(h) == out.iterations + 1
+        X, Y = _random_stiefel(np.random.default_rng(seed), n, m, k)
+        assert h[0] == _evaluate(Correlation(P).matrix, np.sqrt(lam), X, Y)[0]
         assert all(b <= a for a, b in zip(h, h[1:]))
         assert out.objective == h[-1] == np.sum((P - F.trace_table()) ** 2)
 
@@ -349,10 +344,9 @@ class TestAlternate:
         assert out.objective <= 1e-8
         assert verify(ALG, out.factorization, tol=1e-4).ok
         assert out.factorization.feasibility_error() <= 1e-8
-        # the boundary solution (zero cell) is reached without a restart
-        # and within one block of steps
+        # the boundary solution (zero cell) is reached without a restart, in 9 steps
         assert out.restart_index == 0
-        assert out.iterations == 1
+        assert out.iterations == 9
 
     def test_product_rank_one(self):
         P = Correlation(np.outer([0.4, 0.6], [0.3, 0.7]))
@@ -369,9 +363,7 @@ class TestAlternate:
         assert not out.converged
         assert out.objective > 1e-4
 
-    def test_history_monotone(self, monkeypatch):
-        # one step per block records f after every step
-        monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 1)
+    def test_history_monotone(self):
         out = alternate(ALG, ALG_LAM, 2, settings=SolveSettings(restarts=1))
         h = out.objective_history
         assert len(h) >= 2
@@ -417,6 +409,12 @@ class TestAlternate:
             verify(P, DiagonalPsdFactorization([[[1.0]]], [[[0.5]], [[0.5]]], [1.0]))
         with pytest.raises(CorrelationError):
             Correlation(P)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_residual_tol_rejected(self, tol):
+        # an infinite tolerance would call any start point converged
+        with pytest.raises(FactorizationError, match="residual_tol"):
+            SolveSettings(residual_tol=tol)
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(FactorizationError):
@@ -472,6 +470,12 @@ class TestVerify:
         res = verify(Correlation([[0.25, 0.25], [0.25, 0.25]]), REF_F, tol=1e-6)
         assert not res.ok
         assert res.residual > 0.05
+
+    @pytest.mark.parametrize("tol", [-1e-6, np.nan, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        # an infinite tolerance would pass any cell error
+        with pytest.raises(FactorizationError, match="finite"):
+            verify(ALG, REF_F, tol=tol)
 
 
 class TestLambdaCandidates:

@@ -3,8 +3,8 @@
 A restart gives up once the decrease its Levenberg–Marquardt model
 predicts falls to ``PROGRESS_TOL`` of the objective.  On a path to a zero
 residual that ratio stays of order 1, so feasible targets still converge;
-a search that cannot reach zero stops inside its first block instead of
-running its block budget.
+a search that cannot reach zero stops within its first block of 250 steps
+instead of running its whole budget.
 """
 
 import numpy as np
@@ -44,4 +44,4 @@ def test_infeasible_classical_search_gives_up_in_first_block(seed, rng_seed):
     res = classical_feasible_search(Correlation(seed), HALF_IDENTITY, SolveSettings(
         restarts=1, max_outer_iters=50, rng_seed=rng_seed))
     assert not res.converged
-    assert len(res.residual_history) == 1
+    assert len(res.residual_history) - 1 < 250  # steps taken: fewer than one block
