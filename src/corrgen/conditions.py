@@ -9,15 +9,21 @@ All comparisons carry an additive slack of ``SLACK`` applied in the
 seed's favor: a borderline numerical tie never produces a false
 RULED_OUT.
 
-The battery derives the marginals and the supported cells of a target
-once (:func:`~corrgen.correlation.cell_tables`) and every check reads
-them; the fidelity sum takes all row-pair overlaps in one vectorized
-pass rather than one call per pair.
+The battery derives the marginals, the supported cells and I(P) of a
+target once (:func:`~corrgen.correlation.cell_tables`) and H(λ) once per
+spectrum, and every check reads them; the fidelity sum takes all
+row-pair overlaps in one vectorized pass rather than one call per pair.
+The Rényi check evaluates every finite order of its grid in one array
+pass in log space: a side beyond the float range is compared by its log
+and reads ``inf``, with the slack applied on that scale.  A NaN order,
+an order outside the family, and one at which a log side overflows are
+refused with SpectrumError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -27,7 +33,6 @@ from .correlation import (
     CorrelationError,
     cell_tables,
     mutual_information,
-    shannon_entropy,
 )
 
 SLACK = 1e-10
@@ -80,6 +85,12 @@ class SchmidtSpectrum:
         """Schmidt coefficients √λ, i.e. the diagonal of Λ."""
         return np.sqrt(self.lambdas)
 
+    @cached_property
+    def entropy(self) -> float:
+        """Shannon entropy H(λ) = −Σλ log₂λ in bits, derived once per spectrum."""
+        lam = self.lambdas
+        return float(-(lam * np.log2(lam)).sum())
+
 
 @dataclass(frozen=True)
 class ConditionRecord:
@@ -120,32 +131,64 @@ class ConditionReport:
         }
 
 
+def _log2_sum_exp2(x: np.ndarray) -> np.ndarray:
+    """log₂ Σ 2^x along the rows of a 2-d array, which it overwrites.
+
+    Each row is shifted by its largest term first, so no term overflows.
+    """
+    top = x.max(axis=-1)
+    x -= top[:, None]
+    return top + np.log2(np.exp2(x, out=x).sum(axis=-1))
+
+
 def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS):
     """Sandwiched α-Rényi data-processing conditions over an α grid.
 
-    For α ∈ [1/2, 1) the seed side must not exceed the target side; for
-    α ∈ (1, ∞) the inequality flips; α = ∞ has a closed max form.
-    Zero-probability cells are skipped.
+    For α ∈ [1/2, 1) the seed side (Σλ^{2/α−1})^α must not exceed the
+    target side Σ P(x,y)^α (P(x)P(y))^{1−α}; for α ∈ (1, ∞) the
+    inequality flips; α = ∞ has a closed max form, Σ1/λ against
+    max P(x,y)/P(x)P(y).  Zero-probability cells are skipped.
+
+    All finite orders are evaluated in one array pass in log₂ space:
+    log lhs = α·logsumexp((2/α − 1)·log λ) and
+    log rhs = logsumexp(α·log(P/PₓP_y) + log PₓP_y), each sum shifted by
+    its largest term.  A side beyond the float range is compared by its
+    log, and its record reads ``inf``.  The slack stays in the seed's
+    favor: lhs ≤ rhs + SLACK is tested as
+    log lhs ≤ logaddexp(log rhs, log SLACK), and the α > 1 side mirrors
+    it.  A NaN order, an order outside the family, and an order at which
+    a log side is itself not finite (α near the float maximum) raise
+    SpectrumError, since a NaN side would read as a violated bound.
     """
+    alphas = [float(a) for a in alphas]
+    for alpha in alphas:
+        if math.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
+            raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
     lam = spectrum.lambdas
     t = cell_tables(P)
 
-    records = []
-    # NaN fails every comparison below and would read as a violated bound,
-    # so a NaN order, and a side an extreme order overflows, are refused
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for alpha in map(float, alphas):
-            if math.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
-                raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
-            if math.isinf(alpha):
-                lhs = float(np.sum(1.0 / lam))
-                rhs = float(np.max(t.cells / t.prod))
+    a = np.array([alpha for alpha in alphas if alpha != math.inf])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row 0: log₂ lhs and row 1: log₂ rhs, one column per order
+        logs = np.array([a * _log2_sum_exp2((2.0 / a - 1.0)[:, None] * np.log2(lam)),
+                         _log2_sum_exp2(a[:, None] * t.log_ratio + np.log2(t.prod))])
+        # row 0: log lhs ≤ log(rhs + SLACK); row 1: log rhs ≤ log(lhs + SLACK)
+        holds = logs <= np.logaddexp2(logs[::-1], math.log2(SLACK))
+        finite = iter(zip(*logs.tolist(), *np.exp2(logs).tolist(), *holds.tolist()))
+
+        records = []
+        for alpha in alphas:
+            if alpha == math.inf:
+                lhs = float((1.0 / lam).sum())
+                rhs = float((t.cells / t.prod).max())
+                ok = lhs >= rhs - SLACK
+                in_range = math.isfinite(lhs) and math.isfinite(rhs)
             else:
-                lhs = float(np.sum(lam ** (2.0 / alpha - 1.0)) ** alpha)
-                rhs = float(np.sum(t.cells ** alpha / t.prod ** (alpha - 1.0)))
-            if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                log_lhs, log_rhs, lhs, rhs, lhs_holds, rhs_holds = next(finite)
+                ok = lhs_holds if alpha < 1.0 else rhs_holds
+                in_range = math.isfinite(log_lhs) and math.isfinite(log_rhs)
+            if not in_range:
                 raise SpectrumError(f"the Rényi bound at alpha = {alpha} overflows floating point")
-            ok = lhs <= rhs + SLACK if alpha < 1.0 else lhs >= rhs - SLACK
             records.append(ConditionRecord("renyi", lhs, rhs, ok, alpha=alpha))
     return records
 
@@ -153,7 +196,7 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
 def check_min_schmidt(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """λ_r against the min over supported cells of P(x)P(y)/P(x,y)."""
     t = cell_tables(P)
-    rhs = float(np.min(t.prod / t.cells))
+    rhs = float((t.prod / t.cells).min())
     lhs = float(spectrum.lambdas[-1])
     return ConditionRecord("min_schmidt", lhs, rhs, lhs <= rhs + SLACK)
 
@@ -161,14 +204,14 @@ def check_min_schmidt(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRec
 def check_holevo(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """I(P) against the Shannon entropy of the squared Schmidt spectrum."""
     lhs = mutual_information(P)
-    rhs = shannon_entropy(spectrum.lambdas)
+    rhs = spectrum.entropy
     return ConditionRecord("holevo", lhs, rhs, lhs <= rhs + SLACK)
 
 
 def mutual_information_baseline(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """The weaker doubled-entropy bound I(P) ≤ −2Σλlogλ, for comparison."""
     lhs = mutual_information(P)
-    rhs = 2.0 * shannon_entropy(spectrum.lambdas)
+    rhs = 2.0 * spectrum.entropy
     return ConditionRecord("mutual_information_baseline", lhs, rhs, lhs <= rhs + SLACK)
 
 
@@ -179,16 +222,16 @@ def v2_classical(P: Correlation) -> float:
     skipped.  Zero exactly when P is a product distribution.
     """
     t = cell_tables(P)
-    px, py = t.px, t.py
-    keep = px > 0
-    cond = P.matrix[keep] / px[keep, None]
-    inner = np.sum(px[keep, None] * np.abs(cond - py[None, :]) ** 2, axis=0)
-    return float(np.sum(np.sqrt(inner)))
+    keep = t.px > 0
+    px = t.px[keep, None]
+    # d·d is |d|² to the bit: a product's magnitude ignores the signs
+    d = P.matrix[keep] / px - t.py
+    return float(np.sqrt((px * (d * d)).sum(axis=0)).sum())
 
 
 def check_v2(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """Σλ² against 1 − V′₂²/r with r the seed's Schmidt rank."""
-    lhs = float(np.sum(spectrum.lambdas ** 2))
+    lhs = float((spectrum.lambdas ** 2).sum())
     v2 = v2_classical(P)
     rhs = 1.0 - v2 ** 2 / spectrum.rank
     return ConditionRecord("v2", lhs, rhs, lhs <= rhs + SLACK)
@@ -210,7 +253,7 @@ def check_fidelity_sum(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRe
         pairs = rows[first:first + block, None, :] * rows[None, :, :]
         for f in np.sqrt(pairs).sum(axis=-1).ravel().tolist():
             lhs += f ** 2
-    rhs = float(np.sum(spectrum.lambdas ** 2))
+    rhs = float((spectrum.lambdas ** 2).sum())
     return ConditionRecord("fidelity_sum", lhs, rhs, lhs >= rhs - SLACK)
 
 

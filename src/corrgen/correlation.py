@@ -91,19 +91,21 @@ def marginal_y(P: Correlation) -> np.ndarray:
 
 
 class CellTables(NamedTuple):
-    """The arrays of one target that the condition battery reads (read-only)."""
+    """The quantities of one target that the condition battery reads (arrays read-only)."""
 
-    px: np.ndarray       # P(x), row sums
-    py: np.ndarray       # P(y), column sums
-    cells: np.ndarray    # P(x,y) on the cells with P(x,y) > 0, row-major
-    prod: np.ndarray     # P(x)P(y) on the same cells
+    px: np.ndarray         # P(x), row sums
+    py: np.ndarray         # P(y), column sums
+    cells: np.ndarray      # P(x,y) on the cells with P(x,y) > 0, row-major
+    prod: np.ndarray       # P(x)P(y) on the same cells
+    log_ratio: np.ndarray  # log₂(P(x,y)/P(x)P(y)) on the same cells
+    information: float     # I(P) in bits
 
 
 _last_tables: tuple[Correlation, CellTables] | None = None
 
 
 def cell_tables(P: Correlation) -> CellTables:
-    """Marginals and supported cells of P, derived once per target.
+    """Marginals, supported cells and I(P) of P, derived once per target.
 
     A Correlation never changes, so the tables of the target asked for
     last are kept and handed out again while the same object is asked
@@ -120,40 +122,50 @@ def cell_tables(P: Correlation) -> CellTables:
     px = marginal_x(P)
     py = marginal_y(P)
     mask = P.matrix > 0
-    tables = CellTables(px, py, P.matrix[mask], np.outer(px, py)[mask])
+    cells = P.matrix[mask]
+    prod = np.outer(px, py)[mask]
     # below the normal float range the ratios the checks take turn inf or NaN
-    if np.minimum(tables.cells, tables.prod).min() < np.finfo(float).tiny:
+    if np.minimum(cells, prod).min() < np.finfo(float).tiny:
         raise CorrelationError("a supported cell or its P(x)P(y) is below the normal float range")
-    for a in tables:
+    log_ratio = np.log2(cells / prod)
+    # clamped at 0 to absorb −0.0 from rounding
+    information = max(float((cells * log_ratio).sum()), 0.0)
+    for a in (px, py, cells, prod, log_ratio):
         a.setflags(write=False)
+    tables = CellTables(px, py, cells, prod, log_ratio, information)
     _last_tables = (P, tables)
     return tables
+
+
+def _require_finite(v: np.ndarray, what: str) -> None:
+    # NaN passes every sign and sum test below, as each comparison with it is False
+    if not np.isfinite(v).all():
+        raise CorrelationError(f"{what} must be finite")
 
 
 def shannon_entropy(v) -> float:
     """Entropy −Σ v_i log₂ v_i in bits of a probability vector."""
     v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
+    _require_finite(v, "entropy input")
+    if (v < 0).any():
         raise CorrelationError("entropy input must be nonnegative")
     if abs(v.sum() - 1.0) > 1e-9:
         raise CorrelationError("entropy input must sum to 1")
     pos = v[v > 0]
-    return float(-np.sum(pos * np.log2(pos)))
+    return float(-(pos * np.log2(pos)).sum())
 
 
 def mutual_information(P: Correlation) -> float:
     """Mutual information I(P) in bits between the two labels.
 
-    Zero-probability cells contribute nothing; the result is clamped at 0
-    to absorb −0.0 from rounding.
+    Zero-probability cells contribute nothing; the value is the one
+    :func:`cell_tables` derives once per target.
     """
-    t = cell_tables(P)
-    terms = t.cells * np.log2(t.cells / t.prod)
-    return max(float(terms.sum()), 0.0)
+    return cell_tables(P).information
 
 
 def classical_fidelity(p, q) -> float:
-    """Bhattacharyya overlap Σ √(p_i q_i) of two nonnegative vectors.
+    """Bhattacharyya overlap Σ √(p_i q_i) of two finite nonnegative vectors.
 
     Unnormalized inputs are allowed (the fidelity-sum condition uses raw
     rows of P).
@@ -162,6 +174,8 @@ def classical_fidelity(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise CorrelationError("fidelity arguments must have equal length")
-    if np.any(p < 0) or np.any(q < 0):
+    _require_finite(p, "fidelity arguments")
+    _require_finite(q, "fidelity arguments")
+    if (p < 0).any() or (q < 0).any():
         raise CorrelationError("fidelity arguments must be nonnegative")
-    return float(np.sum(np.sqrt(p * q)))
+    return float(np.sqrt(p * q).sum())

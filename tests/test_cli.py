@@ -127,6 +127,16 @@ class TestCheck:
         assert out == ""
         assert "alpha" in err
 
+    def test_alpha_beyond_float_range_evaluated(self, capsys, half_identity):
+        # at alpha = 1000 the seed side (2·0.5^-0.998)^1000 = 2^1998 is beyond
+        # float range; its log is not, so the order is compared, not refused
+        code, out, _ = run(capsys, "check", "--target", half_identity,
+                           "--schmidt", "0.5,0.5", "--alphas", "1000")
+        data = json.loads(out)
+        assert code == {"NOT_RULED_OUT": 0, "RULED_OUT": 2}[data["verdict"]]
+        (renyi,) = [c for c in data["conditions"] if c["name"] == "renyi"]
+        assert renyi["alpha"] == 1000.0 and renyi["lhs"] == float("inf")
+
     @pytest.mark.parametrize("command", ["check", "pipeline"])
     @pytest.mark.parametrize("alphas", [",", ""], ids=["comma", "empty"])
     def test_empty_alphas_exit_1(self, capsys, half_identity, command, alphas):

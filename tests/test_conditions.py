@@ -19,7 +19,7 @@ from corrgen import (
     verify,
 )
 from corrgen import conditions
-from corrgen.conditions import SpectrumError, mutual_information_baseline
+from corrgen.conditions import SLACK, SpectrumError, mutual_information_baseline
 from corrgen.correlation import CorrelationError
 
 from conftest import random_correlation
@@ -49,6 +49,23 @@ class TestSpectrum:
         np.testing.assert_allclose(SchmidtSpectrum([0.64, 0.36]).sqrt_lambdas(), [0.8, 0.6])
 
 
+# finite Rényi orders: [1/2, 1) ∪ (1, 50]
+ORDERS = st.one_of(st.floats(0.5, 1.0, exclude_max=True), st.floats(1.0, 50.0, exclude_min=True))
+
+
+def _direct_renyi(lam, P, alpha):
+    """Reference for the log-space pass: one finite order in the direct form,
+    (Σλ^{2/α−1})^α against Σ P^α (PₓP_y)^{1−α}, compared on the linear scale."""
+    M = P.matrix
+    mask = M > 0
+    cells, prod = M[mask], np.outer(M.sum(axis=1), M.sum(axis=0))[mask]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lhs = float(np.sum(lam ** (2.0 / alpha - 1.0)) ** alpha)
+        rhs = float(np.sum(cells ** alpha / prod ** (alpha - 1.0)))
+    satisfied = lhs <= rhs + SLACK if alpha < 1.0 else lhs >= rhs - SLACK
+    return lhs, rhs, satisfied
+
+
 class TestRenyi:
     def test_example1_alpha_inf(self):
         (rec,) = check_renyi(BELL, DIAG37, alphas=[float("inf")])
@@ -69,11 +86,39 @@ class TestRenyi:
         assert rec.rhs == pytest.approx(2.0)
         assert not rec.satisfied
 
-    # at alpha = 1e308 both sides overflow, and a NaN side would read as a violation
+    # at alpha = 1e308 even the log of each side overflows, and a NaN side
+    # would read as a violation
     @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.0, -2.0, float("nan"), float("-inf"), 1e308])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(SpectrumError):
             check_renyi(BELL, DIAG37, alphas=[alpha])
+
+    def test_side_beyond_float_range_compared_by_its_log(self):
+        # ½I₂ at alpha = 1000: lhs = 2^1998 and rhs = 2^999
+        (rec,) = check_renyi(BELL, Correlation([[0.5, 0], [0, 0.5]]), alphas=[1000.0])
+        assert rec.lhs == float("inf")
+        assert rec.rhs == pytest.approx(2.0 ** 999, rel=1e-12)
+        assert rec.satisfied
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+           k=st.integers(1, 5), zero_cells=st.booleans(), alphas=st.lists(ORDERS, min_size=1,
+                                                                         max_size=6))
+    def test_log_form_matches_direct_form(self, seed, n, m, k, zero_cells, alphas):
+        rng = np.random.default_rng(seed)
+        M = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+        if zero_cells:
+            M[rng.random((n, m)) < 0.3] = 0.0
+        lam = rng.dirichlet(np.ones(k))
+        assume(M.sum() > 0 and lam.min() > 0)
+        P = Correlation(M)
+        spec = SchmidtSpectrum(lam)
+        for rec, alpha in zip(check_renyi(spec, P, alphas), alphas):
+            lhs, rhs, satisfied = _direct_renyi(spec.lambdas, P, alpha)
+            if np.isfinite(lhs) and np.isfinite(rhs):
+                assert rec.satisfied == satisfied, (alpha, rec, lhs, rhs)
+                assert rec.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+                assert rec.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
 
 class TestMinSchmidt:
@@ -288,6 +333,24 @@ def _povm(rng, count, k, partition):
     return Z.transpose(0, 2, 1) @ Z
 
 
+def _verified_pair(seed, n, m, k, zero, split_x, split_y):
+    """(spectrum, target) of a diagonal-form factorization built from POVMs, verified."""
+    rng = np.random.default_rng(seed)
+    lam_sq = rng.dirichlet(np.ones(k))
+    if zero and k > 1:
+        lam_sq[rng.integers(k)] = 0.0
+        lam_sq /= lam_sq.sum()
+    # C_x = S A_x S with S = Λ^{1/2} sums to Λ = diag(√λ); likewise D_y
+    s = lam_sq ** 0.25
+    C = s[:, None] * _povm(rng, n, k, split_x) * s
+    D = s[:, None] * _povm(rng, m, k, split_y) * s
+    F = DiagonalPsdFactorization(C, D, np.sqrt(lam_sq))
+    # PSD factors give nonnegative cells; clip rounding below zero
+    P = Correlation(np.maximum(F.trace_table(), 0.0))
+    assert verify(P, F, tol=1e-12).ok
+    return SchmidtSpectrum(lam_sq[lam_sq > 0]), P
+
+
 class TestSoundnessProperty:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
@@ -295,19 +358,15 @@ class TestSoundnessProperty:
            split_y=st.booleans())
     def test_never_rules_out_a_verified_factorization(self, seed, n, m, k, zero,
                                                       split_x, split_y):
-        rng = np.random.default_rng(seed)
-        lam_sq = rng.dirichlet(np.ones(k))
-        if zero and k > 1:
-            lam_sq[rng.integers(k)] = 0.0
-            lam_sq /= lam_sq.sum()
-        # C_x = S A_x S with S = Λ^{1/2} sums to Λ = diag(√λ); likewise D_y
-        s = lam_sq ** 0.25
-        C = s[:, None] * _povm(rng, n, k, split_x) * s
-        D = s[:, None] * _povm(rng, m, k, split_y) * s
-        F = DiagonalPsdFactorization(C, D, np.sqrt(lam_sq))
-        # PSD factors give nonnegative cells; clip rounding below zero
-        P = Correlation(np.maximum(F.trace_table(), 0.0))
-        assert verify(P, F, tol=1e-12).ok
-        report = check_all(SchmidtSpectrum(lam_sq[lam_sq > 0]), P)
+        report = check_all(*_verified_pair(seed, n, m, k, zero, split_x, split_y))
         failed = [(r.name, r.alpha, r.lhs, r.rhs) for r in report.records if not r.satisfied]
         assert report.verdict == NOT_RULED_OUT, failed
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+           k=st.integers(1, 5), zero=st.booleans(), split_x=st.booleans(),
+           split_y=st.booleans(), alphas=st.lists(ORDERS, min_size=1, max_size=6))
+    def test_no_renyi_order_rules_out_a_verified_factorization(self, seed, n, m, k, zero,
+                                                               split_x, split_y, alphas):
+        records = check_renyi(*_verified_pair(seed, n, m, k, zero, split_x, split_y), alphas)
+        assert all(r.satisfied for r in records), [r for r in records if not r.satisfied]

@@ -1,4 +1,5 @@
-"""Every public constructor that takes numbers rejects NaN and ±inf with its module's error."""
+"""Every public constructor and scalar functional that takes numbers rejects NaN and ±inf
+with its module's error."""
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -15,16 +16,20 @@ from corrgen import (
     SchmidtSpectrum,
     SpectrumError,
     StochasticTransformPair,
+    classical_fidelity,
+    shannon_entropy,
 )
 
 HALVES = np.stack([0.5 * np.eye(2)] * 2)
-# constructor: (its module's error, valid arguments)
+# constructor or functional: (its module's error, valid arguments)
 CASES = {
     Correlation: (CorrelationError, [np.full((2, 3), 1 / 6)]),
     SchmidtSpectrum: (SpectrumError, [np.array([0.5, 0.3, 0.2])]),
     DiagonalPsdFactorization: (FactorizationError, [HALVES, HALVES, np.ones(2)]),
     StochasticTransformPair: (ClassicalError, [np.eye(2), np.full((3, 2), 1 / 3)]),
     PureStateMatrix: (PurificationError, [np.eye(2) / np.sqrt(2)]),
+    shannon_entropy: (CorrelationError, [np.array([0.5, 0.3, 0.2])]),
+    classical_fidelity: (CorrelationError, [np.array([0.2, 0.8]), np.full(2, 0.5)]),
 }
 
 
@@ -39,3 +44,4 @@ def test_non_finite_entry_raises_module_error(cls, arg, entry, bad):
     target.flat[entry % target.size] = bad
     with pytest.raises(error):
         cls(*args)
+
