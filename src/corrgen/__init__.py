@@ -10,6 +10,7 @@ SUBSET-SUM hardness instances.
 from .correlation import (
     Correlation,
     CorrelationError,
+    CorrgenError,
     classical_fidelity,
     marginal_x,
     marginal_y,

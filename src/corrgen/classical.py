@@ -21,15 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 import math
+import operator
 
 import numpy as np
 
 from .conditions import SchmidtSpectrum
-from .correlation import Correlation
+from .correlation import Correlation, CorrgenError, float_array
 from .factorize import DiagonalPsdFactorization, SolveSettings, levenberg_marquardt_search
 
 
-class ClassicalError(ValueError):
+class ClassicalError(CorrgenError):
     pass
 
 
@@ -54,13 +55,10 @@ class StochasticTransformPair:
     B: np.ndarray
 
     def __init__(self, A, B) -> None:
-        A = np.array(A, dtype=float)
-        B = np.array(B, dtype=float)
         for name, mat in (("A", A), ("B", B)):
-            if mat.ndim != 2:
-                raise ClassicalError(f"{name} must be a matrix")
-            if not np.all(np.isfinite(mat)):
-                raise ClassicalError(f"{name} entries must be finite")
+            mat = float_array(mat, ClassicalError, name)
+            if mat.ndim != 2 or mat.size == 0:
+                raise ClassicalError(f"{name} must be a non-empty matrix")
             if np.min(mat) < -1e-12:
                 raise ClassicalError(f"{name} has negative entries")
             if np.max(np.abs(mat.sum(axis=0) - 1.0)) > 1e-10:
@@ -75,12 +73,21 @@ class StochasticTransformPair:
 
 @dataclass(frozen=True)
 class SubsetSumInstance:
-    """Positive integers a₁…a_r with implicit target T = Σaᵢ/2."""
+    """Positive integers a₁…a_r with implicit target T = Σaᵢ/2.
+
+    A float, string or bool item is refused, not truncated or read as a number.
+    """
 
     items: tuple[int, ...]
 
     def __init__(self, items) -> None:
-        items = tuple(int(a) for a in items)
+        items = tuple(items)
+        if not {bool, np.bool_}.isdisjoint(map(type, items)):  # operator.index reads True as 1
+            raise ClassicalError("items must be positive integers, not booleans")
+        try:
+            items = tuple(map(operator.index, items))
+        except TypeError as exc:
+            raise ClassicalError(f"items must be positive integers: {exc}") from exc
         if not items or any(a < 1 for a in items):
             raise ClassicalError("items must be positive integers")
         object.__setattr__(self, "items", items)

@@ -5,20 +5,21 @@ Exit codes for `check` (and `pipeline`, which embeds it):
 included).  All other commands return 0 on success and 1 on input
 error.  JSON is the canonical output format; the text renderer is
 derived from the JSON payload.  Numeric output is printed with 12
-significant digits.  Identical inputs and seeds give byte-identical
-JSON.
+significant digits, a non-finite float as a string such as "inf", so
+the JSON is strict.  Identical inputs and seeds give byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import classical, conditions, factorize, purify
-from .correlation import Correlation, CorrelationError
+from .correlation import Correlation, CorrgenError
 
 DEFAULT_RNG_SEED = factorize.SolveSettings.rng_seed
 
@@ -27,14 +28,14 @@ EXIT_INPUT_ERROR = 1
 EXIT_RULED_OUT = 2
 
 
-class InputError(Exception):
+class InputError(CorrgenError):
     pass
 
 
 def _round_sig(obj):
-    """Round every float to 12 significant digits, recursively."""
+    """Round every float to 12 significant digits, recursively; a non-finite one becomes a string."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(f"{obj:.12g}") if math.isfinite(obj) else str(obj)
     if isinstance(obj, dict):
         return {k: _round_sig(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -66,7 +67,7 @@ def _render_text(obj, indent: int = 0) -> str:
 def _emit(payload: dict, args) -> None:
     payload = _round_sig(payload)
     if args.format == "json":
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2, allow_nan=False)
     else:
         text = _render_text(payload)
     if args.out:
@@ -76,14 +77,8 @@ def _emit(payload: dict, args) -> None:
         print(text)
 
 
-def _holds_non_number(value) -> bool:
-    """Whether nested lists hold a string or a bool, which numpy would read as a number."""
-    if isinstance(value, list):
-        return any(map(_holds_non_number, value))
-    return isinstance(value, (str, bool))
-
-
-def _load_json_file(path: str) -> dict:
+def _load(path: str, parse=Correlation.from_json_dict):
+    """``parse`` of the JSON in ``path``; a value the library refuses names the file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -93,18 +88,9 @@ def _load_json_file(path: str) -> dict:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if isinstance(data, dict) and isinstance(data.get("factorization"), dict):
         data = data["factorization"]  # the output of `factorize` and `pipeline`
-    if isinstance(data, dict) and any(
-            _holds_non_number(data.get(key)) for key in ("matrix", "lambda", "C", "D")):
-        raise InputError(f"{path}: entries must be numbers, not strings or booleans")
-    return data
-
-
-def _load_correlation(path: str) -> Correlation:
     try:
-        # a total mass that overflows is reported once, as the error below
-        with np.errstate(over="ignore"):
-            return Correlation.from_json_dict(_load_json_file(path))
-    except CorrelationError as exc:
+        return parse(data)
+    except CorrgenError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -140,10 +126,10 @@ def _solve_settings(args) -> factorize.SolveSettings:
 
 
 def cmd_check(args) -> int:
-    target = _load_correlation(args.target)
+    target = _load(args.target)
     alphas = _alphas_from_args(args)
     if args.seed:
-        report = purify.mixed_seed_check(target, _load_correlation(args.seed), alphas)
+        report = purify.mixed_seed_check(target, _load(args.seed), alphas)
     else:
         report = conditions.check_all(_spectrum_from_args(args), target, alphas)
     _emit(report.to_json_dict(), args)
@@ -151,7 +137,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    target = _load_correlation(args.target)
+    target = _load(args.target)
     lam = np.array(_parse_floats(args.lam, "--lambda"))
     if args.lambda_squared:
         if np.any(lam < 0):
@@ -174,8 +160,8 @@ def cmd_factorize(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 <= args.tol < np.inf:
         raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
-    target = _load_correlation(args.target)
-    F = factorize.DiagonalPsdFactorization.from_json_dict(_load_json_file(args.factorization))
+    target = _load(args.target)
+    F = _load(args.factorization, factorize.DiagonalPsdFactorization.from_json_dict)
     result = factorize.verify(target, F, tol=args.tol)
     _emit(result.to_json_dict(), args)
     return EXIT_OK
@@ -186,15 +172,15 @@ def cmd_simulate(args) -> int:
         raise InputError(f"--samples must lie in [0, 2^63 - 1], got {args.samples}")
     if args.seed_rng < 0:  # numpy seeds with nonnegative integers only
         raise InputError(f"--seed-rng must be nonnegative, got {args.seed_rng}")
-    F = factorize.DiagonalPsdFactorization.from_json_dict(_load_json_file(args.factorization))
+    F = _load(args.factorization, factorize.DiagonalPsdFactorization.from_json_dict)
     counts = purify.sample_protocol(F, args.samples, args.seed_rng)
     _emit({"counts": counts.tolist(), "samples": args.samples}, args)
     return EXIT_OK
 
 
 def cmd_classical(args) -> int:
-    seed = _load_correlation(args.seed)
-    target = _load_correlation(args.target)
+    seed = _load(args.seed)
+    target = _load(args.target)
     settings = _solve_settings(args)
     # an exact decision over the oracle budget fails before the search runs
     oracle = (classical.decide_diag_to_half_identity(seed)
@@ -239,7 +225,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_lambda_candidates(args) -> int:
-    target = _load_correlation(args.target)
+    target = _load(args.target)
     cands = factorize.lambda_candidates_from_purifications(target)
     names = ["canonical", "cnot"][: len(cands)]
     payload = {"candidates": [{"construction": nm, "lambda": c.tolist()}
@@ -250,7 +236,7 @@ def cmd_lambda_candidates(args) -> int:
 
 def cmd_pipeline(args) -> int:
     settings = _solve_settings(args)  # a bad setting is refused even where the check rules out
-    target = _load_correlation(args.target)
+    target = _load(args.target)
     spectrum = _spectrum_from_args(args)
     report = conditions.check_all(spectrum, target, _alphas_from_args(args))
     payload = {"check": report.to_json_dict()}
@@ -362,9 +348,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, CorrelationError, conditions.SpectrumError,
-            factorize.FactorizationError, purify.PurificationError,
-            classical.ClassicalError) as exc:
+    except CorrgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -25,13 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import (
     Correlation,
-    CorrelationError,
+    CorrgenError,
     cell_tables,
+    float_array,
     mutual_information,
 )
 
@@ -48,7 +50,7 @@ RULED_OUT = "RULED_OUT"
 NOT_RULED_OUT = "NOT_RULED_OUT"
 
 
-class SpectrumError(ValueError):
+class SpectrumError(CorrgenError):
     """Raised for invalid Schmidt spectra or condition parameters."""
 
 
@@ -64,11 +66,10 @@ class SchmidtSpectrum:
     lambdas: np.ndarray
 
     def __init__(self, lambdas) -> None:
-        lam = np.sort(np.array(lambdas, dtype=float))[::-1].copy()
+        lam = float_array(lambdas, SpectrumError, "squared Schmidt coefficients")
         if lam.ndim != 1 or lam.size == 0:
             raise SpectrumError("spectrum must be a non-empty vector")
-        if not np.all(np.isfinite(lam)):
-            raise SpectrumError("squared Schmidt coefficients must be finite")
+        lam = np.sort(lam)[::-1].copy()
         if np.any(lam <= 0):
             raise SpectrumError("squared Schmidt coefficients must be positive")
         # the largest entry is tested first, so a huge one never reaches the sum to overflow it
@@ -92,8 +93,7 @@ class SchmidtSpectrum:
         return float(-(lam * np.log2(lam)).sum())
 
 
-@dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(NamedTuple):
     name: str
     lhs: float
     rhs: float

@@ -1,9 +1,12 @@
-"""Core probability objects and scalar functionals.
+"""Core probability objects, scalar functionals and the input parser.
 
 A classical correlation is a joint distribution over a pair of labels,
 stored as a nonnegative matrix of unit total mass.  Everything downstream
 (condition checks, factorization searches, channel extraction) consumes
 these objects, so validation is strict and instances are immutable.
+Every value type of the package reads its arrays through
+:func:`float_array`, which refuses strings, booleans, ragged rows and
+non-finite entries with the caller's module error, a :class:`CorrgenError`.
 
 All logarithms are base 2; 0·log 0 = 0 by continuity.
 """
@@ -18,8 +21,40 @@ import numpy as np
 MASS_TOL = 1e-12
 
 
-class CorrelationError(ValueError):
+class CorrgenError(ValueError):
+    """Base class of the error each module raises for an input it refuses."""
+
+
+class CorrelationError(CorrgenError):
     """Raised for inputs that do not describe a valid joint distribution."""
+
+
+def _holds_non_number(value) -> bool:
+    """Whether ``value`` is or nests a string, a bool or a non-numeric ndarray in lists."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "iuf"
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_non_number, value))
+    return isinstance(value, (str, bool, np.bool_))
+
+
+def float_array(value, error: type[CorrgenError], what: str) -> np.ndarray:
+    """A new float array holding ``value``, or ``error`` naming ``what``.
+
+    Refuses a string or bool at any depth of nested lists and tuples, an
+    ndarray whose dtype is not integer or float, a ragged or otherwise
+    non-numeric input, and any entry that is NaN or ±inf.
+    """
+    if _holds_non_number(value):
+        raise error(f"{what} must hold real numbers, not strings or booleans")
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be a rectangular array of numbers: {exc}") from exc
+    # NaN passes every sign and sum test of the callers, as each comparison with it is False
+    if not np.isfinite(a).all():
+        raise error(f"{what} entries must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -39,18 +74,13 @@ class Correlation:
     renormalized: bool = field(default=False, compare=False)
 
     def __init__(self, matrix) -> None:
-        try:
-            m = np.array(matrix, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise CorrelationError(
-                f"correlation must be a rectangular matrix of numbers: {exc}") from exc
+        m = float_array(matrix, CorrelationError, "correlation")
         if m.ndim != 2 or m.size == 0:
             raise CorrelationError("correlation must be a non-empty 2-d matrix")
-        if not np.all(np.isfinite(m)):
-            raise CorrelationError("correlation entries must be finite")
         if np.any(m < 0):
             raise CorrelationError("correlation entries must be nonnegative")
-        mass = m.sum()
+        with np.errstate(over="ignore"):
+            mass = m.sum()
         if not 0 < mass < np.inf:   # finite entries can still sum to inf
             raise CorrelationError("correlation must have positive, finite total mass")
         renorm = abs(mass - 1.0) > MASS_TOL
@@ -137,16 +167,9 @@ def cell_tables(P: Correlation) -> CellTables:
     return tables
 
 
-def _require_finite(v: np.ndarray, what: str) -> None:
-    # NaN passes every sign and sum test below, as each comparison with it is False
-    if not np.isfinite(v).all():
-        raise CorrelationError(f"{what} must be finite")
-
-
 def shannon_entropy(v) -> float:
     """Entropy −Σ v_i log₂ v_i in bits of a probability vector."""
-    v = np.asarray(v, dtype=float)
-    _require_finite(v, "entropy input")
+    v = float_array(v, CorrelationError, "entropy input")
     if (v < 0).any():
         raise CorrelationError("entropy input must be nonnegative")
     if abs(v.sum() - 1.0) > 1e-9:
@@ -170,12 +193,10 @@ def classical_fidelity(p, q) -> float:
     Unnormalized inputs are allowed (the fidelity-sum condition uses raw
     rows of P).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = float_array(p, CorrelationError, "fidelity arguments")
+    q = float_array(q, CorrelationError, "fidelity arguments")
     if p.shape != q.shape:
         raise CorrelationError("fidelity arguments must have equal length")
-    _require_finite(p, "fidelity arguments")
-    _require_finite(q, "fidelity arguments")
     if (p < 0).any() or (q < 0).any():
         raise CorrelationError("fidelity arguments must be nonnegative")
     return float(np.sqrt(p * q).sum())

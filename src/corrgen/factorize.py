@@ -57,6 +57,8 @@ from functools import partial
 
 import numpy as np
 
+from .correlation import CorrgenError, float_array
+
 #: Sufficient-decrease constant of the Armijo line search.
 ARMIJO = 1e-4
 #: Halvings of the step before a line search gives up.
@@ -72,17 +74,12 @@ BLOCK_STEPS = 250
 MAX_JACOBIAN_ENTRIES = 2 ** 24
 
 
-class FactorizationError(ValueError):
+class FactorizationError(CorrgenError):
     """Raised for structurally invalid factorizations or solver inputs."""
 
 
 def _as_sqrt_lambda(lam) -> np.ndarray:
-    try:
-        lam = np.array(lam, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FactorizationError(f"Lambda must be an array of numbers: {exc}") from exc
-    if not np.all(np.isfinite(lam)):
-        raise FactorizationError("Lambda entries must be finite")
+    lam = float_array(lam, FactorizationError, "Lambda")
     if lam.ndim != 1 or lam.size == 0:
         raise FactorizationError("Lambda must be a non-empty vector of sqrt-lambda entries")
     if np.any(lam < 0):
@@ -105,17 +102,12 @@ class DiagonalPsdFactorization:
     lam: np.ndarray        # (k,), entries √λ_i
 
     def __init__(self, C, D, lam) -> None:
-        try:
-            C = np.array(C, dtype=float)
-            D = np.array(D, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise FactorizationError(f"factor stacks must be arrays of numbers: {exc}") from exc
+        C = float_array(C, FactorizationError, "factor stack C")
+        D = float_array(D, FactorizationError, "factor stack D")
         lam = _as_sqrt_lambda(lam)
         k = lam.size
         if C.ndim != 3 or D.ndim != 3 or C.shape[1:] != (k, k) or D.shape[1:] != (k, k):
             raise FactorizationError("factor stacks must have shape (count, k, k)")
-        if not (np.all(np.isfinite(C)) and np.all(np.isfinite(D))):
-            raise FactorizationError("factor entries must be finite")
         for name, a in (("C", C), ("D", D), ("lam", lam)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -155,12 +147,9 @@ class DiagonalPsdFactorization:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiagonalPsdFactorization":
-        if not isinstance(data, dict):
-            raise FactorizationError("factorization JSON must be an object")
-        try:
-            return cls(data["C"], data["D"], data["lambda"])
-        except KeyError as exc:
-            raise FactorizationError(f"factorization JSON missing key {exc}") from exc
+        if not isinstance(data, dict) or not {"C", "D", "lambda"} <= data.keys():
+            raise FactorizationError('factorization JSON must hold "C", "D" and "lambda"')
+        return cls(data["C"], data["D"], data["lambda"])
 
 
 @dataclass(frozen=True)

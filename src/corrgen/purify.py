@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import DEFAULT_ALPHAS, ConditionReport, SchmidtSpectrum, check_all
-from .correlation import Correlation, CorrelationError
+from .correlation import Correlation, CorrgenError, float_array
 from .factorize import DiagonalPsdFactorization, FactorizationError
 
 
-class PurificationError(ValueError):
+class PurificationError(CorrgenError):
     pass
 
 
@@ -32,14 +32,10 @@ class PureStateMatrix:
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes) -> None:
-        m = np.array(amplitudes, dtype=float)
+        m = float_array(amplitudes, PurificationError, "amplitudes")
         if m.ndim != 2 or m.size == 0:
             raise PurificationError("amplitudes must form a non-empty matrix")
-        if not np.all(np.isfinite(m)):
-            raise PurificationError("amplitudes must be finite")
         norm = float(np.sum(m ** 2))
-        if norm <= 0:
-            raise PurificationError("state must have positive norm")
         if abs(norm - 1.0) > 1e-12:
             if abs(norm - 1.0) > 1e-9:
                 raise PurificationError("amplitude matrix is not normalized")
@@ -75,8 +71,8 @@ class PurificationBundle:
     w: np.ndarray
 
     def __init__(self, v, w) -> None:
-        v = np.array(v, dtype=float)
-        w = np.array(w, dtype=float)
+        v = float_array(v, PurificationError, "vector family v")
+        w = float_array(w, PurificationError, "vector family w")
         if v.ndim != 3 or w.ndim != 3 or v.shape[1] != w.shape[1]:
             raise PurificationError("vector families must share the Schmidt index range")
         v.setflags(write=False)

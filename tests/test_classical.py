@@ -155,6 +155,18 @@ class TestOracle:
         with pytest.raises(ClassicalError):
             SubsetSumInstance([1, 0, 2])
 
+    @pytest.mark.parametrize("items", [[2.7, 2.2], [3.0, 3.0], ["3", "3"], [True, True],
+                                       [np.float64(2.0), 2], [np.bool_(True), 1]],
+                             ids=["fraction", "integral-float", "string", "bool",
+                                  "numpy-float", "numpy-bool"])
+    def test_rejects_non_integer_items(self, items):
+        # int() would truncate (2.7, 2.2) to (2, 2), which is satisfiable
+        with pytest.raises(ClassicalError, match="integers"):
+            SubsetSumInstance(items)
+
+    def test_accepts_numpy_integers(self):
+        assert SubsetSumInstance(np.array([3, 1, 2])).items == (3, 1, 2)
+
 
 class TestBuilders:
     def test_quantum_sorted_spectrum(self):

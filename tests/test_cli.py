@@ -28,6 +28,10 @@ def half_identity(tmp_path):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -129,13 +133,14 @@ class TestCheck:
 
     def test_alpha_beyond_float_range_evaluated(self, capsys, half_identity):
         # at alpha = 1000 the seed side (2·0.5^-0.998)^1000 = 2^1998 is beyond
-        # float range; its log is not, so the order is compared, not refused
+        # float range; its log is not, so the order is compared, not refused.
+        # The infinite side is the string "inf": strict JSON has no Infinity.
         code, out, _ = run(capsys, "check", "--target", half_identity,
                            "--schmidt", "0.5,0.5", "--alphas", "1000")
-        data = json.loads(out)
+        data = json.loads(out, parse_constant=_refuse_constant)
         assert code == {"NOT_RULED_OUT": 0, "RULED_OUT": 2}[data["verdict"]]
         (renyi,) = [c for c in data["conditions"] if c["name"] == "renyi"]
-        assert renyi["alpha"] == 1000.0 and renyi["lhs"] == float("inf")
+        assert renyi["alpha"] == 1000.0 and renyi["lhs"] == "inf"
 
     @pytest.mark.parametrize("command", ["check", "pipeline"])
     @pytest.mark.parametrize("alphas", [",", ""], ids=["comma", "empty"])
@@ -555,10 +560,10 @@ FACTORIZATION_COMMANDS = {
 
 
 class TestBadEntries:
-    """Every command that reads a file exits 1 with a message on bad entries."""
+    """Every command that reads a file exits 1 with a message that names the bad file."""
 
     @staticmethod
-    def _run(capsys, tmp_path, argv, bad, names_file):
+    def _run(capsys, tmp_path, argv, bad):
         paths = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json",
                  "factorization": tmp_path / "factorization.json"}
         paths["bad"].write_text(json.dumps(bad))
@@ -570,21 +575,20 @@ class TestBadEntries:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
-        if names_file:
-            # the message is about the bad file, not a later mismatch
-            assert f"{paths['bad']}:" in err
+        # the message is about the bad file, not a later mismatch
+        assert f"{paths['bad']}:" in err
 
     @pytest.mark.parametrize("entries", list(BAD_MATRICES))
     @pytest.mark.parametrize("command", list(CORRELATION_COMMANDS))
     def test_bad_correlation_exit_1(self, capsys, tmp_path, command, entries):
         self._run(capsys, tmp_path, CORRELATION_COMMANDS[command],
-                  {"matrix": BAD_MATRICES[entries]}, True)
+                  {"matrix": BAD_MATRICES[entries]})
 
     @pytest.mark.parametrize("entries", list(BAD_FACTORIZATIONS))
     @pytest.mark.parametrize("command", list(FACTORIZATION_COMMANDS))
     def test_bad_factorization_exit_1(self, capsys, tmp_path, command, entries):
         self._run(capsys, tmp_path, FACTORIZATION_COMMANDS[command],
-                  BAD_FACTORIZATIONS[entries], False)
+                  BAD_FACTORIZATIONS[entries])
 
 
 class TestOutputContract:

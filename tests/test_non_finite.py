@@ -1,5 +1,5 @@
-"""Every public constructor and scalar functional that takes numbers rejects NaN and ±inf
-with its module's error."""
+"""Every public constructor and scalar functional that takes numbers rejects NaN and ±inf,
+strings, booleans and ragged rows with its module's error."""
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -12,6 +12,7 @@ from corrgen import (
     DiagonalPsdFactorization,
     FactorizationError,
     PureStateMatrix,
+    PurificationBundle,
     PurificationError,
     SchmidtSpectrum,
     SpectrumError,
@@ -28,6 +29,7 @@ CASES = {
     DiagonalPsdFactorization: (FactorizationError, [HALVES, HALVES, np.ones(2)]),
     StochasticTransformPair: (ClassicalError, [np.eye(2), np.full((3, 2), 1 / 3)]),
     PureStateMatrix: (PurificationError, [np.eye(2) / np.sqrt(2)]),
+    PurificationBundle: (PurificationError, [np.full((2, 2, 2), 0.5), np.full((3, 2, 1), 0.5)]),
     shannon_entropy: (CorrelationError, [np.array([0.5, 0.3, 0.2])]),
     classical_fidelity: (CorrelationError, [np.array([0.2, 0.8]), np.full(2, 0.5)]),
 }
@@ -45,3 +47,32 @@ def test_non_finite_entry_raises_module_error(cls, arg, entry, bad):
     with pytest.raises(error):
         cls(*args)
 
+
+def _innermost_rows(nested):
+    """The lists of numbers inside ``nested``, in order."""
+    if not isinstance(nested[0], list):
+        return [nested]
+    return [row for sub in nested for row in _innermost_rows(sub)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cls=st.sampled_from(list(CASES)), arg=st.integers(0, 2), entry=st.integers(0, 99),
+       spoil=st.sampled_from(["string", "bool", "ragged"]))
+def test_non_number_entry_raises_module_error(cls, arg, entry, spoil):
+    # numpy reads "0.5" as 0.5 and True as 1.0, and raises its own ValueError on a ragged list
+    error, valid = CASES[cls]
+    args = [a.tolist() for a in valid]
+    i = arg % len(args)
+    rows = _innermost_rows(args[i])
+    flat = [(row, j) for row in rows for j in range(len(row))]
+    row, j = flat[entry % len(flat)]
+    if spoil == "string":
+        row[j] = str(row[j])
+    elif spoil == "bool":
+        row[j] = bool(row[j])
+    elif len(rows) > 1:
+        del row[-1]  # one row shorter than the others
+    else:
+        row[j] = [row[j], row[j]]  # a 1-d input made ragged by a nested entry
+    with pytest.raises(error):
+        cls(*args)
