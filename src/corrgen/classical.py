@@ -10,18 +10,23 @@ search is a heuristic; a failed search is not an infeasibility proof.
 Exact decisions are available precisely where the reduction proofs give
 structure: a diagonal seed against the half-identity target reduces to
 SUBSET-SUM, which the oracle settles in exact integer arithmetic.  A
-built hardness instance is decided from its own integers.  A float diagonal is read as rationals
-with denominators ≤ ``MAX_DENOMINATOR``, each within ``MAX_ULPS`` ulps
-of its entry; if it does not read so, no exact decision is made.
+built classical hardness instance holds its items alone and derives its
+seed and target from them: the target is the shared ``HALF_IDENTITY``,
+and the diagonal seed is built when first read.  Deciding the instance
+never reads the seed, since it is decided from its own integers.  A
+float diagonal is read as rationals with denominators
+≤ ``MAX_DENOMINATOR``, each within ``MAX_ULPS`` ulps of its entry; if it
+does not read so, no exact decision is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 import math
 import operator
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,9 +64,10 @@ class StochasticTransformPair:
             mat = float_array(mat, ClassicalError, name)
             if mat.ndim != 2 or mat.size == 0:
                 raise ClassicalError(f"{name} must be a non-empty matrix")
-            if np.min(mat) < -1e-12:
+            if mat.min() < -1e-12:
                 raise ClassicalError(f"{name} has negative entries")
-            if np.max(np.abs(mat.sum(axis=0) - 1.0)) > 1e-10:
+            # an entry above 2 fails its column sum anyway; testing it first keeps the sum finite
+            if mat.max() > 2.0 or abs(mat.sum(axis=0) - 1.0).max() > 1e-10:
                 raise ClassicalError(f"columns of {name} must sum to 1")
             mat = np.clip(mat, 0.0, None)
             mat.setflags(write=False)
@@ -165,9 +171,16 @@ class QuantumHardnessInstance:
 
 @dataclass(frozen=True)
 class ClassicalHardnessInstance:
-    seed: Correlation
-    target: Correlation
+    """diag(λ) → ½I₂ with λᵢ = aᵢ/Σa, held as the items it is built from."""
+
     subset_sum: SubsetSumInstance
+    target: ClassVar[Correlation] = HALF_IDENTITY
+
+    @cached_property
+    def seed(self) -> Correlation:
+        """The diagonal seed diag(λ₁…λ_r), built on first read and kept."""
+        total = self.subset_sum.total
+        return Correlation(np.diag([a / total for a in self.subset_sum.items]))
 
     @property
     def exact_lambdas(self) -> tuple[Fraction, ...]:
@@ -186,10 +199,8 @@ def build_quantum_hardness_instance(inst: SubsetSumInstance) -> QuantumHardnessI
 
 
 def build_classical_hardness_instance(inst: SubsetSumInstance) -> ClassicalHardnessInstance:
-    """Diagonal seed diag(λ₁…λ_r) and target ½I₂."""
-    total = inst.total
-    seed = Correlation(np.diag([a / total for a in inst.items]))
-    return ClassicalHardnessInstance(seed, HALF_IDENTITY, inst)
+    """Diagonal seed diag(λ₁…λ_r) and target ½I₂, both derived from ``inst`` when read."""
+    return ClassicalHardnessInstance(inst)
 
 
 def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFactorization:
@@ -201,16 +212,18 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
     """
     subset = sorted(set(int(i) for i in subset))
     r = spectrum.rank
-    if any(i < 0 or i >= r for i in subset):
+    if subset and (subset[0] < 0 or subset[-1] >= r):
         raise ClassicalError("subset indices out of range")
-    mass = float(np.sum(spectrum.lambdas[subset])) if subset else 0.0
+    mass = float(spectrum.lambdas[subset].sum())
     if abs(mass - 0.5) > 1e-10:
         raise ClassicalError(f"subset mass must be 1/2, got {mass}")
-    sel = np.zeros(r)
-    sel[subset] = 1.0
+    sel = np.zeros((2, r))  # row 0 marks the subset, row 1 its complement
+    sel[0, subset] = 1.0
+    sel[1] = 1.0 - sel[0]
     sq = spectrum.sqrt_lambdas()
-    C = np.stack([np.diag(sq * sel), np.diag(sq * (1.0 - sel))])
-    return DiagonalPsdFactorization(C, C.copy(), sq)
+    # both diagonal stacks at once: the √λ rows times the identity
+    C = (sq * sel)[:, :, None] * np.eye(r)
+    return DiagonalPsdFactorization(C, C, sq)
 
 
 def kraus_to_stochastic(kraus) -> np.ndarray:

@@ -15,9 +15,9 @@ spectrum, and every check reads them; the fidelity sum takes all
 row-pair overlaps in one vectorized pass rather than one call per pair.
 The Rényi check evaluates every finite order of its grid in one array
 pass in log space: a side beyond the float range is compared by its log
-and reads ``inf``, with the slack applied on that scale.  A NaN order,
-an order outside the family, and one at which a log side overflows are
-refused with SpectrumError.
+and reads ``inf``, with the slack applied on that scale.  A string,
+bool or non-scalar order, a NaN order, an order outside the family, and
+one at which a log side overflows are refused with SpectrumError.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class SchmidtSpectrum:
         if lam.ndim != 1 or lam.size == 0:
             raise SpectrumError("spectrum must be a non-empty vector")
         lam = np.sort(lam)[::-1].copy()
-        if np.any(lam <= 0):
+        if lam[-1] <= 0:  # the smallest entry, after the descending sort
             raise SpectrumError("squared Schmidt coefficients must be positive")
         # the largest entry is tested first, so a huge one never reaches the sum to overflow it
         if lam[0] - 1.0 > 1e-9 or abs(lam.sum() - 1.0) > 1e-9:
@@ -156,14 +156,23 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     log, and its record reads ``inf``.  The slack stays in the seed's
     favor: lhs ≤ rhs + SLACK is tested as
     log lhs ≤ logaddexp(log rhs, log SLACK), and the α > 1 side mirrors
-    it.  A NaN order, an order outside the family, and an order at which
-    a log side is itself not finite (α near the float maximum) raise
-    SpectrumError, since a NaN side would read as a violated bound.
+    it.  A string, bool or non-scalar order, a NaN order, an order
+    outside the family, and an order at which a log side is itself not
+    finite (α near the float maximum) raise SpectrumError, since a NaN
+    side would read as a violated bound.
     """
-    alphas = [float(a) for a in alphas]
+    orders = []
     for alpha in alphas:
+        if isinstance(alpha, (str, bool, np.bool_)):  # float() would read "2" and True
+            raise SpectrumError(f"alpha must be a real number, not {alpha!r}")
+        try:
+            alpha = float(alpha)
+        except TypeError as exc:
+            raise SpectrumError(f"alpha must be a real number: {exc}") from exc
         if math.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
             raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
+        orders.append(alpha)
+    alphas = orders
     lam = spectrum.lambdas
     t = cell_tables(P)
 

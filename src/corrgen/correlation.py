@@ -77,7 +77,7 @@ class Correlation:
         m = float_array(matrix, CorrelationError, "correlation")
         if m.ndim != 2 or m.size == 0:
             raise CorrelationError("correlation must be a non-empty 2-d matrix")
-        if np.any(m < 0):
+        if m.min() < 0:
             raise CorrelationError("correlation entries must be nonnegative")
         with np.errstate(over="ignore"):
             mass = m.sum()
@@ -172,7 +172,8 @@ def shannon_entropy(v) -> float:
     v = float_array(v, CorrelationError, "entropy input")
     if (v < 0).any():
         raise CorrelationError("entropy input must be nonnegative")
-    if abs(v.sum() - 1.0) > 1e-9:
+    # the largest entry is tested first, so a huge one never reaches the sum to overflow it
+    if v.max(initial=0.0) - 1.0 > 1e-9 or abs(v.sum() - 1.0) > 1e-9:
         raise CorrelationError("entropy input must sum to 1")
     pos = v[v > 0]
     return float(-(pos * np.log2(pos)).sum())
@@ -191,7 +192,10 @@ def classical_fidelity(p, q) -> float:
     """Bhattacharyya overlap Σ √(p_i q_i) of two finite nonnegative vectors.
 
     Unnormalized inputs are allowed (the fidelity-sum condition uses raw
-    rows of P).
+    rows of P).  Each term is √(p_i·q_i), rounded as the fidelity-sum
+    condition rounds it, except where p_i·q_i leaves the normal float
+    range: there it is √p_i·√q_i, and only a sum beyond the float range
+    reads ``inf``.
     """
     p = float_array(p, CorrelationError, "fidelity arguments")
     q = float_array(q, CorrelationError, "fidelity arguments")
@@ -199,4 +203,7 @@ def classical_fidelity(p, q) -> float:
         raise CorrelationError("fidelity arguments must have equal length")
     if (p < 0).any() or (q < 0).any():
         raise CorrelationError("fidelity arguments must be nonnegative")
-    return float(np.sqrt(p * q).sum())
+    with np.errstate(over="ignore"):
+        pq = p * q
+        normal = (pq >= np.finfo(float).tiny) & (pq < np.inf)
+        return float(np.where(normal, np.sqrt(pq), np.sqrt(p) * np.sqrt(q)).sum())

@@ -82,7 +82,7 @@ def _as_sqrt_lambda(lam) -> np.ndarray:
     lam = float_array(lam, FactorizationError, "Lambda")
     if lam.ndim != 1 or lam.size == 0:
         raise FactorizationError("Lambda must be a non-empty vector of sqrt-lambda entries")
-    if np.any(lam < 0):
+    if lam.min() < 0:
         raise FactorizationError("Lambda entries must be nonnegative")
     return lam
 
@@ -126,13 +126,13 @@ class DiagonalPsdFactorization:
 
     def max_negative_eigenvalue(self) -> float:
         ev = np.linalg.eigvalsh(_sym(np.concatenate((self.C, self.D))))
-        return -float(np.min(ev[:, 0], initial=0.0))
+        return -float(ev[:, 0].min(initial=0.0))
 
     def feasibility_error(self) -> float:
         """Max deviation of the factor sums from Λ plus PSD violation."""
         lam_diag = np.diag(self.lam)
-        dev_c = np.max(np.abs(self.C.sum(axis=0) - lam_diag))
-        dev_d = np.max(np.abs(self.D.sum(axis=0) - lam_diag))
+        dev_c = abs(self.C.sum(axis=0) - lam_diag).max()
+        dev_d = abs(self.D.sum(axis=0) - lam_diag).max()
         return float(max(dev_c, dev_d, self.max_negative_eigenvalue()))
 
     def validate(self) -> None:
@@ -371,7 +371,7 @@ def verify(P, F: DiagonalPsdFactorization, tol: float = 1e-6) -> VerifyResult:
     P = P.matrix
     if P.shape != (F.C.shape[0], F.D.shape[0]):
         raise FactorizationError("factorization shape does not match the correlation")
-    residual = float(np.max(np.abs(P - F.trace_table())))
+    residual = float(abs(P - F.trace_table()).max())
     feasibility = F.feasibility_error()
     return VerifyResult(residual, feasibility, residual <= tol and feasibility <= tol)
 

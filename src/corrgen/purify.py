@@ -35,6 +35,9 @@ class PureStateMatrix:
         m = float_array(amplitudes, PurificationError, "amplitudes")
         if m.ndim != 2 or m.size == 0:
             raise PurificationError("amplitudes must form a non-empty matrix")
+        # an entry above 1 + 1e-9 fails the norm anyway; testing it first keeps its square finite
+        if abs(m).max() > 1.0 + 1e-9:
+            raise PurificationError("amplitude matrix is not normalized")
         norm = float(np.sum(m ** 2))
         if abs(norm - 1.0) > 1e-12:
             if abs(norm - 1.0) > 1e-9:

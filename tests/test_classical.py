@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -203,6 +204,70 @@ class TestBuilders:
             c = build_classical_hardness_instance(inst)
             assert (decide_classical_hardness_instance(c).satisfiable
                     == subset_sum_oracle(inst).satisfiable)
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes()
+
+
+class TestReductionBits:
+    """The reduction chain of criterion 09 and its built instances."""
+
+    SAMPLE = 400
+
+    @staticmethod
+    def _sample():
+        sweep = [items for r in range(1, 11)
+                 for items in combinations_with_replacement(range(1, 10), r)]
+        rng = np.random.default_rng(0)
+        return [sweep[i] for i in rng.choice(len(sweep), TestReductionBits.SAMPLE, replace=False)]
+
+    def test_chain_matches_eager_references(self):
+        """A pin: the seed, spectrum, witness and verify values of a seeded
+        sample of the sweep keep the bits of eager reference constructions
+        (an ``np.diag`` seed, two ``np.diag`` witness blocks stacked and
+        ``np.max(np.abs(...))`` in verify)."""
+        satisfiable = 0
+        for items in self._sample():
+            inst = SubsetSumInstance(items)
+            total = sum(items)
+            seed = Correlation(np.diag([a / total for a in items])).matrix
+            assert _bits(build_classical_hardness_instance(inst).seed.matrix) == _bits(seed)
+
+            q = build_quantum_hardness_instance(inst)
+            lam = np.sort([a / total for a in items])[::-1]
+            assert _bits(q.spectrum.lambdas) == _bits(lam)
+
+            oracle = subset_sum_oracle(inst)
+            if not oracle.satisfiable:
+                continue
+            satisfiable += 1
+            subset = [p for p, i in enumerate(q.item_order) if i in oracle.witness]
+            sel = np.zeros(len(items))
+            sel[subset] = 1.0
+            sq = np.sqrt(lam)
+            C = np.stack([np.diag(sq * sel), np.diag(sq * (1.0 - sel))])
+            F = schmidt_basis_protocol(q.spectrum, subset)
+            assert _bits(F.C) == _bits(C) and _bits(F.D) == _bits(C)
+            assert _bits(F.lam) == _bits(sq)
+
+            residual = float(np.max(np.abs(HALF_ID.matrix - np.einsum("xab,yba->xy", C, C))))
+            half = 0.5 * np.concatenate((C, C))
+            eig = np.linalg.eigvalsh(half + np.swapaxes(half, 1, 2))
+            feasibility = float(max(np.max(np.abs(C.sum(axis=0) - np.diag(sq))),
+                                    -float(np.min(eig[:, 0], initial=0.0))))
+            res = verify(q.target, F, tol=1e-9)
+            assert res.residual == residual and res.feasibility == feasibility
+        assert satisfiable > self.SAMPLE // 4
+
+    def test_seed_read_once_and_equality_by_items(self):
+        # equality and hash read the items alone, never a float array
+        c = build_classical_hardness_instance(SubsetSumInstance([2, 3, 5]))
+        assert c.seed is c.seed
+        twin = build_classical_hardness_instance(SubsetSumInstance([2, 3, 5]))
+        assert twin == c and hash(twin) == hash(c)
+        assert twin.target is c.target is build_quantum_hardness_instance(c.subset_sum).target
 
 
 class TestSchmidtBasisProtocol:

@@ -1,5 +1,8 @@
 """Every public constructor and scalar functional that takes numbers rejects NaN and ±inf,
-strings, booleans and ragged rows with its module's error."""
+strings, booleans and ragged rows with its module's error, and no huge or tiny finite
+entry overflows or underflows inside its checks."""
+
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -76,3 +79,25 @@ def test_non_number_entry_raises_module_error(cls, arg, entry, spoil):
         row[j] = [row[j], row[j]]  # a 1-d input made ragged by a nested entry
     with pytest.raises(error):
         cls(*args)
+
+
+# each squares, multiplies or sums its entries, which overflows (or, for the
+# tiny fidelity, underflows to 0) for these; the largest entry is tested
+# first, so there is no RuntimeWarning on the way to the error
+@pytest.mark.parametrize("func, args, expected", [
+    (PureStateMatrix, [[[1e200, 0], [0, 0]]], PurificationError),
+    (StochasticTransformPair, [[[1e308], [1e308]], [[1.0]]], ClassicalError),
+    (shannon_entropy, [[1e308, 1e308]], CorrelationError),
+    (classical_fidelity, [[1e200], [1e200]], 1e200),
+    (classical_fidelity, [[1e308, 1e308], [1e308, 1e308]], float("inf")),
+    (classical_fidelity, [[1e-200], [1e-200]], 1e-200),
+], ids=["pure-state", "stochastic-pair", "entropy", "fidelity", "fidelity-beyond-range",
+        "fidelity-tiny"])
+def test_extreme_finite_entries_stay_in_range(func, args, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, float):
+            assert func(*args) == expected
+        else:
+            with pytest.raises(expected):
+                func(*args)
