@@ -10,9 +10,9 @@ search is a heuristic; a failed search is not an infeasibility proof.
 Exact decisions are available precisely where the reduction proofs give
 structure: a diagonal seed against the half-identity target reduces to
 SUBSET-SUM, which the oracle settles in exact integer arithmetic.  A
-built classical hardness instance holds its items alone and derives its
-seed and target from them: the target is the shared ``HALF_IDENTITY``,
-and the diagonal seed is built when first read.  Deciding the instance
+built hardness instance holds its items alone and derives its seed and
+target from them: the target is the shared ``HALF_IDENTITY``, and the
+seed spectrum or diagonal is built when first read.  Deciding the instance
 never reads the seed, since it is decided from its own integers.  A
 float diagonal is read as rationals with denominators
 ≤ ``MAX_DENOMINATOR``, each within ``MAX_ULPS`` ulps of its entry; if it
@@ -52,7 +52,7 @@ MAX_DENOMINATOR = 2 ** 20
 MAX_ULPS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticTransformPair:
     """Column-stochastic matrices (A, B) witnessing P₂ ≈ A P₁ Bᵀ."""
 
@@ -157,10 +157,23 @@ HALF_IDENTITY = Correlation([[0.5, 0.0], [0.0, 0.5]])
 
 @dataclass(frozen=True)
 class QuantumHardnessInstance:
-    spectrum: SchmidtSpectrum
-    target: Correlation
-    item_order: tuple[int, ...]           # spectrum position -> original item index
+    """Spectrum λᵢ = aᵢ/Σa (sorted descending) → ½I₂, held as the items it is built from."""
+
     subset_sum: SubsetSumInstance
+    target: ClassVar[Correlation] = HALF_IDENTITY
+
+    @cached_property
+    def item_order(self) -> tuple[int, ...]:
+        """Spectrum position -> original item index, the items sorted descending."""
+        items = self.subset_sum.items
+        return tuple(sorted(range(len(items)), key=lambda i: items[i], reverse=True))
+
+    @cached_property
+    def spectrum(self) -> SchmidtSpectrum:
+        """The seed spectrum, built on first read and kept."""
+        items, total = self.subset_sum.items, self.subset_sum.total
+        # int / int is correctly rounded, so each λᵢ is the float nearest aᵢ/Σa
+        return SchmidtSpectrum(np.array([items[i] / total for i in self.item_order]))
 
     @property
     def exact_lambdas(self) -> tuple[Fraction, ...]:
@@ -190,12 +203,8 @@ class ClassicalHardnessInstance:
 
 
 def build_quantum_hardness_instance(inst: SubsetSumInstance) -> QuantumHardnessInstance:
-    """Seed spectrum λᵢ = aᵢ/Σa (sorted descending) and target ½I₂."""
-    total = inst.total
-    order = sorted(range(len(inst.items)), key=lambda i: inst.items[i], reverse=True)
-    # int / int is correctly rounded, so each λᵢ is the float nearest aᵢ/Σa
-    lam = np.array([inst.items[i] / total for i in order])
-    return QuantumHardnessInstance(SchmidtSpectrum(lam), HALF_IDENTITY, tuple(order), inst)
+    """Spectrum λᵢ = aᵢ/Σa (sorted descending) and target ½I₂, derived from ``inst`` when read."""
+    return QuantumHardnessInstance(inst)
 
 
 def build_classical_hardness_instance(inst: SubsetSumInstance) -> ClassicalHardnessInstance:

@@ -1,5 +1,7 @@
 """Command-line surface: JSON I/O, report rendering, exit-code contract.
 
+Each ``cmd_*`` returns its payload and exit code; :func:`main` alone
+writes the payload and maps every library or file error to exit 1.
 Exit codes for `check` (and `pipeline`, which embeds it):
 0 = NOT_RULED_OUT, 2 = RULED_OUT, 1 = input error (usage errors
 included).  All other commands return 0 on success and 1 on input
@@ -20,8 +22,6 @@ import numpy as np
 
 from . import classical, conditions, factorize, purify
 from .correlation import Correlation, CorrgenError
-
-DEFAULT_RNG_SEED = factorize.SolveSettings.rng_seed
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -70,11 +70,14 @@ def _emit(payload: dict, args) -> None:
         text = json.dumps(payload, indent=2, allow_nan=False)
     else:
         text = _render_text(payload)
-    if args.out:
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _load(path: str, parse=Correlation.from_json_dict):
@@ -84,7 +87,7 @@ def _load(path: str, parse=Correlation.from_json_dict):
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if isinstance(data, dict) and isinstance(data.get("factorization"), dict):
         data = data["factorization"]  # the output of `factorize` and `pipeline`
@@ -101,12 +104,6 @@ def _parse_floats(text: str, name: str) -> list[float]:
         raise InputError(f"cannot parse {name} list {text!r}") from exc
 
 
-def _spectrum_from_args(args) -> conditions.SchmidtSpectrum:
-    if args.schmidt:
-        return conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
-    raise InputError("provide --schmidt or --seed")
-
-
 def _alphas_from_args(args):
     if args.alphas is None:
         return conditions.DEFAULT_ALPHAS
@@ -117,26 +114,25 @@ def _alphas_from_args(args):
 
 
 def _solve_settings(args) -> factorize.SolveSettings:
-    kwargs = {"rng_seed": args.seed_rng}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.tol is not None:
-        kwargs["residual_tol"] = args.tol
-    return factorize.SolveSettings(**kwargs)
+    return factorize.SolveSettings(restarts=args.restarts, residual_tol=args.tol,
+                                   rng_seed=args.seed_rng)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     target = _load(args.target)
     alphas = _alphas_from_args(args)
     if args.seed:
         report = purify.mixed_seed_check(target, _load(args.seed), alphas)
+    elif args.schmidt:
+        spectrum = conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
+        report = conditions.check_all(spectrum, target, alphas)
     else:
-        report = conditions.check_all(_spectrum_from_args(args), target, alphas)
-    _emit(report.to_json_dict(), args)
-    return EXIT_RULED_OUT if report.verdict == conditions.RULED_OUT else EXIT_OK
+        raise InputError("provide --schmidt or --seed")
+    code = EXIT_RULED_OUT if report.verdict == conditions.RULED_OUT else EXIT_OK
+    return report.to_json_dict(), code
 
 
-def cmd_factorize(args) -> int:
+def cmd_factorize(args) -> tuple[dict, int]:
     target = _load(args.target)
     lam = np.array(_parse_floats(args.lam, "--lambda"))
     if args.lambda_squared:
@@ -153,32 +149,28 @@ def cmd_factorize(args) -> int:
     }
     if not outcome.converged:
         payload["note"] = "no factorization found (heuristic search; not an infeasibility proof)"
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     if not 0 <= args.tol < np.inf:
         raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
     target = _load(args.target)
     F = _load(args.factorization, factorize.DiagonalPsdFactorization.from_json_dict)
-    result = factorize.verify(target, F, tol=args.tol)
-    _emit(result.to_json_dict(), args)
-    return EXIT_OK
+    return factorize.verify(target, F, tol=args.tol).to_json_dict(), EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, int]:
     if not 0 <= args.samples < 2 ** 63:  # numpy's sampler takes a C long
         raise InputError(f"--samples must lie in [0, 2^63 - 1], got {args.samples}")
     if args.seed_rng < 0:  # numpy seeds with nonnegative integers only
         raise InputError(f"--seed-rng must be nonnegative, got {args.seed_rng}")
     F = _load(args.factorization, factorize.DiagonalPsdFactorization.from_json_dict)
     counts = purify.sample_protocol(F, args.samples, args.seed_rng)
-    _emit({"counts": counts.tolist(), "samples": args.samples}, args)
-    return EXIT_OK
+    return {"counts": counts.tolist(), "samples": args.samples}, EXIT_OK
 
 
-def cmd_classical(args) -> int:
+def cmd_classical(args) -> tuple[dict, int]:
     seed = _load(args.seed)
     target = _load(args.target)
     settings = _solve_settings(args)
@@ -199,11 +191,10 @@ def cmd_classical(args) -> int:
             "witness": list(oracle.witness),
         }
         payload["note"] = "exact decision available for diagonal seed vs half-identity target"
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[dict, int]:
     try:
         items = [int(t) for t in args.items.split(",") if t.strip()]
     except ValueError as exc:
@@ -215,35 +206,30 @@ def cmd_reduce(args) -> int:
     else:
         built = classical.build_classical_hardness_instance(inst)
         seed = {"seed": built.seed.to_json_dict()}
-    _emit({
+    return {
         "items": list(inst.items),
         **seed,
         "target": built.target.to_json_dict(),
         "exact_lambdas": [str(f) for f in built.exact_lambdas],
-    }, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_lambda_candidates(args) -> int:
+def cmd_lambda_candidates(args) -> tuple[dict, int]:
     target = _load(args.target)
     cands = factorize.lambda_candidates_from_purifications(target)
-    names = ["canonical", "cnot"][: len(cands)]
-    payload = {"candidates": [{"construction": nm, "lambda": c.tolist()}
-                              for nm, c in zip(names, cands)]}
-    _emit(payload, args)
-    return EXIT_OK
+    return {"candidates": [{"construction": nm, "lambda": c.tolist()}
+                           for nm, c in zip(["canonical", "cnot"], cands)]}, EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> tuple[dict, int]:
     settings = _solve_settings(args)  # a bad setting is refused even where the check rules out
     target = _load(args.target)
-    spectrum = _spectrum_from_args(args)
+    spectrum = conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
     report = conditions.check_all(spectrum, target, _alphas_from_args(args))
     payload = {"check": report.to_json_dict()}
     if report.verdict == conditions.RULED_OUT:
         payload["result"] = "ruled out by necessary conditions"
-        _emit(payload, args)
-        return EXIT_RULED_OUT
+        return payload, EXIT_RULED_OUT
     lam = spectrum.sqrt_lambdas()
     outcome = factorize.alternate(target, lam, lam.size, settings)
     if outcome.converged:
@@ -253,19 +239,7 @@ def cmd_pipeline(args) -> int:
     else:
         payload["result"] = "no factorization found (heuristic search; not an infeasibility proof)"
         payload["objective"] = outcome.objective
-    _emit(payload, args)
-    return EXIT_OK
-
-
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None)
-
-
-def _add_solver(p):
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--seed-rng", dest="seed_rng", type=int, default=DEFAULT_RNG_SEED)
-    p.add_argument("--tol", type=float, default=None)
+    return payload, EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -282,63 +256,67 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide, bound and search for one-shot local-operation "
                     "protocols generating a target classical correlation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = factorize.SolveSettings()
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "text"), default="json")
+    output.add_argument("--out", default=None)
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--restarts", type=int, default=defaults.restarts)
+    solver.add_argument("--seed-rng", dest="seed_rng", type=int, default=defaults.rng_seed)
+    solver.add_argument("--tol", type=float, default=defaults.residual_tol)
 
-    p = sub.add_parser("check", help="run all necessary conditions for a seed/target pair")
+    p = sub.add_parser("check", parents=[output],
+                       help="run all necessary conditions for a seed/target pair")
     p.add_argument("--target", required=True)
     p.add_argument("--seed", default=None, help="classical-classical seed correlation JSON")
     p.add_argument("--schmidt", default=None, help="squared Schmidt coefficients, comma separated")
     p.add_argument("--alphas", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("factorize", help="search a diagonal-form PSD factorization")
+    p = sub.add_parser("factorize", parents=[output, solver],
+                       help="search a diagonal-form PSD factorization")
     p.add_argument("--target", required=True)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="diagonal of Lambda (sqrt-lambda entries), comma separated")
     p.add_argument("--lambda-squared", action="store_true",
                    help="interpret --lambda entries as squared Schmidt coefficients")
-    _add_solver(p)
-    _add_common(p)
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("verify", help="verify a candidate factorization against a target")
+    p = sub.add_parser("verify", parents=[output],
+                       help="verify a candidate factorization against a target")
     p.add_argument("--target", required=True)
     p.add_argument("--factorization", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="sample label pairs from a verified factorization")
+    p = sub.add_parser("simulate", parents=[output],
+                       help="sample label pairs from a verified factorization")
     p.add_argument("--factorization", required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed-rng", dest="seed_rng", type=int, default=DEFAULT_RNG_SEED)
-    _add_common(p)
+    p.add_argument("--seed-rng", dest="seed_rng", type=int, default=defaults.rng_seed)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("classical", help="search stochastic (A, B) with target = A seed B^T")
+    p = sub.add_parser("classical", parents=[output, solver],
+                       help="search stochastic (A, B) with target = A seed B^T")
     p.add_argument("--seed", required=True)
     p.add_argument("--target", required=True)
-    _add_solver(p)
-    _add_common(p)
     p.set_defaults(func=cmd_classical)
 
-    p = sub.add_parser("reduce", help="build a SUBSET-SUM hardness instance")
+    p = sub.add_parser("reduce", parents=[output], help="build a SUBSET-SUM hardness instance")
     p.add_argument("--items", required=True, help="positive integers, comma separated")
     p.add_argument("--side", choices=("quantum", "classical"), default="quantum")
-    _add_common(p)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("lambda-candidates", help="Lambda candidates from named purifications")
+    p = sub.add_parser("lambda-candidates", parents=[output],
+                       help="Lambda candidates from named purifications")
     p.add_argument("--target", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_lambda_candidates)
 
-    p = sub.add_parser("pipeline", help="condition check, then factorization search")
+    p = sub.add_parser("pipeline", parents=[output, solver],
+                       help="condition check, then factorization search")
     p.add_argument("--target", required=True)
     p.add_argument("--schmidt", required=True)
     p.add_argument("--alphas", default=None)
-    _add_solver(p)
-    _add_common(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -347,10 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(payload, args)
     except CorrgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ class SpectrumError(CorrgenError):
     """Raised for invalid Schmidt spectra or condition parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
     """Squared Schmidt coefficients λ of a pure bipartite seed.
 
@@ -156,14 +156,14 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     log, and its record reads ``inf``.  The slack stays in the seed's
     favor: lhs ≤ rhs + SLACK is tested as
     log lhs ≤ logaddexp(log rhs, log SLACK), and the α > 1 side mirrors
-    it.  A string, bool or non-scalar order, a NaN order, an order
+    it.  A string, bytes, bool or non-scalar order, a NaN order, an order
     outside the family, and an order at which a log side is itself not
     finite (α near the float maximum) raise SpectrumError, since a NaN
     side would read as a violated bound.
     """
     orders = []
     for alpha in alphas:
-        if isinstance(alpha, (str, bool, np.bool_)):  # float() would read "2" and True
+        if isinstance(alpha, (str, bytes, bool, np.bool_)):  # float() reads "2", b"2" and True
             raise SpectrumError(f"alpha must be a real number, not {alpha!r}")
         try:
             alpha = float(alpha)

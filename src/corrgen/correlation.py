@@ -5,15 +5,17 @@ stored as a nonnegative matrix of unit total mass.  Everything downstream
 (condition checks, factorization searches, channel extraction) consumes
 these objects, so validation is strict and instances are immutable.
 Every value type of the package reads its arrays through
-:func:`float_array`, which refuses strings, booleans, ragged rows and
-non-finite entries with the caller's module error, a :class:`CorrgenError`.
+:func:`float_array`, which refuses strings, bytes, booleans, ragged or
+too deeply nested rows and non-finite entries with the caller's module
+error, a :class:`CorrgenError`.  A value type that holds arrays is equal
+only to itself, and hashes by identity.
 
 All logarithms are base 2; 0·log 0 = 0 by continuity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,22 +32,27 @@ class CorrelationError(CorrgenError):
 
 
 def _holds_non_number(value) -> bool:
-    """Whether ``value`` is or nests a string, a bool or a non-numeric ndarray in lists."""
+    """Whether ``value`` is or nests a string, bytes, a bool or a non-numeric ndarray in lists."""
     if isinstance(value, np.ndarray):
         return value.dtype.kind not in "iuf"
     if isinstance(value, (list, tuple)):
         return any(map(_holds_non_number, value))
-    return isinstance(value, (str, bool, np.bool_))
+    return isinstance(value, (str, bytes, bool, np.bool_))
 
 
 def float_array(value, error: type[CorrgenError], what: str) -> np.ndarray:
     """A new float array holding ``value``, or ``error`` naming ``what``.
 
-    Refuses a string or bool at any depth of nested lists and tuples, an
-    ndarray whose dtype is not integer or float, a ragged or otherwise
-    non-numeric input, and any entry that is NaN or ±inf.
+    Refuses a string, bytes or bool at any depth of nested lists and
+    tuples, lists nested beyond the recursion limit, an ndarray whose
+    dtype is not integer or float, a ragged or otherwise non-numeric
+    input, and any entry that is NaN or ±inf.
     """
-    if _holds_non_number(value):
+    try:
+        non_number = _holds_non_number(value)
+    except RecursionError as exc:
+        raise error(f"{what} is nested too deeply") from exc
+    if non_number:
         raise error(f"{what} must hold real numbers, not strings or booleans")
     try:
         a = np.array(value, dtype=float)
@@ -57,7 +64,7 @@ def float_array(value, error: type[CorrgenError], what: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Correlation:
     """Joint distribution of a label pair as an n×m nonnegative matrix.
 
@@ -71,7 +78,7 @@ class Correlation:
     """
 
     matrix: np.ndarray
-    renormalized: bool = field(default=False, compare=False)
+    renormalized: bool
 
     def __init__(self, matrix) -> None:
         m = float_array(matrix, CorrelationError, "correlation")

@@ -87,7 +87,7 @@ def _as_sqrt_lambda(lam) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalPsdFactorization:
     """PSD factor families {C_x}, {D_y} with common diagonal factor sum Λ.
 
@@ -131,8 +131,9 @@ class DiagonalPsdFactorization:
     def feasibility_error(self) -> float:
         """Max deviation of the factor sums from Λ plus PSD violation."""
         lam_diag = np.diag(self.lam)
-        dev_c = abs(self.C.sum(axis=0) - lam_diag).max()
-        dev_d = abs(self.D.sum(axis=0) - lam_diag).max()
+        with np.errstate(over="ignore"):  # a factor sum beyond the float range deviates by inf
+            dev_c = abs(self.C.sum(axis=0) - lam_diag).max()
+            dev_d = abs(self.D.sum(axis=0) - lam_diag).max()
         return float(max(dev_c, dev_d, self.max_negative_eigenvalue()))
 
     def validate(self) -> None:

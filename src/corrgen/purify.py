@@ -25,7 +25,7 @@ class PurificationError(CorrgenError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureStateMatrix:
     """Bipartite pure state as its amplitude matrix M, |ψ⟩ = Σ M(a,b)|a⟩|b⟩."""
 
@@ -61,7 +61,7 @@ def schmidt_spectrum(state: PureStateMatrix) -> SchmidtSpectrum:
     return SchmidtSpectrum(lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PurificationBundle:
     """Per-label vector families {v_x^i}, {w_y^i} of a purification.
 

@@ -55,12 +55,31 @@ def test_usage_error_exit_1(capsys, argv):
     assert "error" in out.err
 
 
-def test_factorize_help_exit_0(capsys):
+SOLVER_FLAGS = ("--restarts", "--seed-rng", "--tol")
+OWN_FLAGS = {
+    "check": ("--target", "--seed", "--schmidt", "--alphas"),
+    "factorize": ("--target", "--lambda", "--lambda-squared", *SOLVER_FLAGS),
+    "verify": ("--target", "--factorization", "--tol"),
+    "simulate": ("--factorization", "--samples", "--seed-rng"),
+    "classical": ("--seed", "--target", *SOLVER_FLAGS),
+    "reduce": ("--items", "--side"),
+    "lambda-candidates": ("--target",),
+    "pipeline": ("--target", "--schmidt", "--alphas", *SOLVER_FLAGS),
+}
+
+
+@pytest.mark.parametrize("command", list(OWN_FLAGS))
+def test_help_exit_0(capsys, command):
+    """A pin: every subcommand's help lists its own flags, the output flags and,
+    where they apply, the solver flags, wherever the parser declares them."""
     with pytest.raises(SystemExit) as exc:
-        main(["factorize", "--help"])
+        main([command, "--help"])
     out = capsys.readouterr().out
     assert exc.value.code == 0
-    assert "--lambda" in out and "--k" not in out
+    for flag in (*OWN_FLAGS[command], "--format", "--out"):
+        assert flag in out
+    assert ("--restarts" in out) is ("--restarts" in OWN_FLAGS[command])
+    assert "--k" not in out
 
 
 class TestCheck:
@@ -615,6 +634,26 @@ class TestOutputContract:
         assert code == 2
         assert out == ""
         assert json.loads(dest.read_text())["verdict"] == "RULED_OUT"
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("argv", [("check", "--target", "{target}", "--schmidt", "0.5,0.5"),
+                                      ("reduce", "--items", "1,1")], ids=["check", "reduce"])
+    def test_unwritable_out_exit_1(self, capsys, target_diag, tmp_path, argv, where):
+        dest = str(tmp_path / "no" / "x.json") if where == "missing-dir" else str(tmp_path)
+        code, out, err = run(capsys, *(a.format(target=target_diag) for a in argv),
+                             "--out", dest)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and dest in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", [900, 5000])
+    def test_deeply_nested_input_exit_1(self, capsys, tmp_path, depth):
+        # the walk of float_array recurses per level at 900, json.load at 5000
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"matrix": [[0.5, ' + "[" * depth + "0.5" + "]" * depth
+                        + "], [0.0, 0.0]]}")
+        code, out, err = run(capsys, "check", "--target", str(deep), "--schmidt", "0.5,0.5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(deep) in err and "Traceback" not in err
 
     def test_malformed_json_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

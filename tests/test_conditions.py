@@ -87,11 +87,13 @@ class TestRenyi:
         assert not rec.satisfied
 
     # at alpha = 1e308 even the log of each side overflows, and a NaN side
-    # would read as a violation; a string, bool or list order is refused as
-    # float_array refuses one, though float() would read the first two (the
+    # would read as a violation; a string, bytes, bool or list order is refused
+    # as float_array refuses one, though float() would read the first three (the
     # bools pin this: read as orders 1 and 0 they fall outside the family too)
     @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.0, -2.0, float("nan"), float("-inf"), 1e308,
-                                       "2", "0.5", "inf", True, np.True_, np.str_("0.75"), [2.0]])
+                                       "2", "0.5", "inf", True, np.True_, np.str_("0.75"), [2.0],
+                                       pytest.param(b"2", id="bytes"),
+                                       pytest.param(np.bytes_(b"2"), id="numpy-bytes")])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(SpectrumError):
             check_renyi(BELL, DIAG37, alphas=[alpha])

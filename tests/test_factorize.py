@@ -477,6 +477,13 @@ class TestVerify:
         with pytest.raises(FactorizationError, match="finite"):
             verify(ALG, REF_F, tol=tol)
 
+    def test_factor_sum_beyond_float_range(self):
+        # two finite factors of 1e308 sum to inf: an infinite deviation, with no
+        # RuntimeWarning on the way (the CLI fuzz found this through `verify`)
+        F = DiagonalPsdFactorization([[[1e308]], [[1e308]], [[0.0]]], [[[0.0]]] * 4, [0.0])
+        res = verify(Correlation([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1.0]]), F)
+        assert res.feasibility == np.inf and not res.ok
+
 
 class TestLambdaCandidates:
     def test_alg_canonical(self):

@@ -1,6 +1,7 @@
 """Every public constructor and scalar functional that takes numbers rejects NaN and ±inf,
-strings, booleans and ragged rows with its module's error, and no huge or tiny finite
-entry overflows or underflows inside its checks."""
+strings, bytes, booleans, ragged and too deeply nested rows with its module's error, and no
+huge or tiny finite entry overflows or underflows inside its checks.  Every value type that
+holds arrays answers ``==`` and ``hash()`` without raising."""
 
 import warnings
 
@@ -20,6 +21,8 @@ from corrgen import (
     SchmidtSpectrum,
     SpectrumError,
     StochasticTransformPair,
+    SubsetSumInstance,
+    build_quantum_hardness_instance,
     classical_fidelity,
     shannon_entropy,
 )
@@ -58,11 +61,20 @@ def _innermost_rows(nested):
     return [row for sub in nested for row in _innermost_rows(sub)]
 
 
+def _nest(depth):
+    """0.5 wrapped in ``depth`` levels of lists."""
+    value = 0.5
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @settings(max_examples=200, deadline=None)
 @given(cls=st.sampled_from(list(CASES)), arg=st.integers(0, 2), entry=st.integers(0, 99),
-       spoil=st.sampled_from(["string", "bool", "ragged"]))
+       spoil=st.sampled_from(["string", "bytes", "bool", "ragged", "deep"]))
 def test_non_number_entry_raises_module_error(cls, arg, entry, spoil):
-    # numpy reads "0.5" as 0.5 and True as 1.0, and raises its own ValueError on a ragged list
+    # numpy reads "0.5" and b"0.5" as 0.5 and True as 1.0, and raises its own ValueError on a
+    # ragged list; a walk of a list nested beyond the recursion limit raises RecursionError
     error, valid = CASES[cls]
     args = [a.tolist() for a in valid]
     i = arg % len(args)
@@ -71,14 +83,38 @@ def test_non_number_entry_raises_module_error(cls, arg, entry, spoil):
     row, j = flat[entry % len(flat)]
     if spoil == "string":
         row[j] = str(row[j])
+    elif spoil == "bytes":
+        row[j] = str(row[j]).encode()
     elif spoil == "bool":
         row[j] = bool(row[j])
+    elif spoil == "deep":
+        row[j] = _nest(2000)
     elif len(rows) > 1:
         del row[-1]  # one row shorter than the others
     else:
         row[j] = [row[j], row[j]]  # a 1-d input made ragged by a nested entry
     with pytest.raises(error):
         cls(*args)
+
+
+ARRAY_TYPES = [Correlation, SchmidtSpectrum, DiagonalPsdFactorization, StochasticTransformPair,
+               PureStateMatrix, PurificationBundle]
+
+
+@pytest.mark.parametrize("build, equal", [
+    *[(lambda cls=cls: cls(*CASES[cls][1]), False) for cls in ARRAY_TYPES],
+    (lambda: build_quantum_hardness_instance(SubsetSumInstance([3, 1, 2])), True),
+], ids=[cls.__name__ for cls in ARRAY_TYPES] + ["QuantumHardnessInstance"])
+def test_equality_and_hash_answer(build, equal):
+    # an array field made the generated __eq__ raise numpy's ambiguous-truth error, and a
+    # generated __eq__ leaves the type unhashable; a value type holding arrays is equal only
+    # to itself, while a hardness instance holds its items alone and compares by them
+    x, twin = build(), build()
+    assert x == x and hash(x) == hash(x)
+    assert (x == twin) is equal and (x != twin) is not equal
+    if equal:
+        x.spectrum  # a value built on first read takes no part in equality
+        assert x == twin and hash(x) == hash(twin)
 
 
 # each squares, multiplies or sums its entries, which overflows (or, for the
