@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .conditions import SchmidtSpectrum
-from .correlation import Correlation, CorrgenError, float_array
+from .correlation import Correlation, CorrgenError, _holds_non_number, float_array
 from .factorize import DiagonalPsdFactorization, SolveSettings, levenberg_marquardt_search
 
 
@@ -235,13 +235,35 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
     return DiagonalPsdFactorization(C, C, sq)
 
 
+def _kraus_operator(E) -> np.ndarray:
+    """``E`` as a new complex array, or ``ClassicalError``."""
+    # float_array reads real numbers only; a complex ndarray holds no string or bool
+    complex_array = isinstance(E, np.ndarray) and E.dtype.kind == "c"
+    try:
+        non_number = not complex_array and _holds_non_number(E)
+    except RecursionError as exc:
+        raise ClassicalError("Kraus operator is nested too deeply") from exc
+    if non_number:
+        raise ClassicalError("Kraus operators must hold numbers, not strings or booleans")
+    try:
+        a = np.array(E, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ClassicalError(f"Kraus operator must be a rectangular array: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise ClassicalError("Kraus operator entries must be finite")
+    return a
+
+
 def kraus_to_stochastic(kraus) -> np.ndarray:
     """Classical channel induced by a quantum channel in the label basis.
 
     Entry (x', x) is Σᵢ|⟨x'|Eᵢ|x⟩|²; trace preservation of the Kraus set
-    makes the result column-stochastic.
+    makes the result column-stochastic.  Each operator is read as a
+    complex matrix; a string, bytes or bool entry, a ragged or too deeply
+    nested operator and a NaN or infinite entry are refused before any
+    product is taken.
     """
-    mats = [np.asarray(E, dtype=complex) for E in kraus]
+    mats = [_kraus_operator(E) for E in kraus]
     if not mats:
         raise ClassicalError("empty Kraus set")
     comp = sum(E.conj().T @ E for E in mats)

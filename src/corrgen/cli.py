@@ -2,6 +2,11 @@
 
 Each ``cmd_*`` returns its payload and exit code; :func:`main` alone
 writes the payload and maps every library or file error to exit 1.
+Only ``correlation`` and ``conditions`` load with this module.  Each
+command imports in its body the rest of what it runs: `check --schmidt`
+nothing more; `check --seed`, `simulate` and `lambda-candidates`
+``purify`` and ``factorize``; `factorize`, `verify` and `pipeline`
+``factorize``; `classical` and `reduce` ``classical`` and ``factorize``.
 Exit codes for `check` (and `pipeline`, which embeds it):
 0 = NOT_RULED_OUT, 2 = RULED_OUT, 1 = input error (usage errors
 included).  All other commands return 0 on success and 1 on input
@@ -14,13 +19,14 @@ the JSON is strict.  Identical inputs and seeds give byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+from dataclasses import fields
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import classical, conditions, factorize, purify
+from . import conditions
 from .correlation import Correlation, CorrgenError
 
 EXIT_OK = 0
@@ -113,33 +119,42 @@ def _alphas_from_args(args):
     return alphas
 
 
-def _solve_settings(args) -> factorize.SolveSettings:
-    return factorize.SolveSettings(restarts=args.restarts, residual_tol=args.tol,
-                                   rng_seed=args.seed_rng)
+def _solve_settings(args):
+    """The ``SolveSettings`` of the solver flags given; an omitted flag keeps its default.
+
+    The flags' dests are the settings' field names, so the defaults are
+    written only in ``SolveSettings`` and the parser never loads ``factorize``.
+    """
+    from .factorize import SolveSettings
+
+    given = vars(args).keys() & {field.name for field in fields(SolveSettings)}
+    return SolveSettings(**{name: getattr(args, name) for name in given})
 
 
 def cmd_check(args) -> tuple[dict, int]:
     target = _load(args.target)
     alphas = _alphas_from_args(args)
-    if args.seed:
-        report = purify.mixed_seed_check(target, _load(args.seed), alphas)
-    elif args.schmidt:
+    if args.seed is not None:
+        from .purify import mixed_seed_check
+
+        report = mixed_seed_check(target, _load(args.seed), alphas)
+    else:
         spectrum = conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
         report = conditions.check_all(spectrum, target, alphas)
-    else:
-        raise InputError("provide --schmidt or --seed")
     code = EXIT_RULED_OUT if report.verdict == conditions.RULED_OUT else EXIT_OK
     return report.to_json_dict(), code
 
 
 def cmd_factorize(args) -> tuple[dict, int]:
+    from .factorize import alternate
+
     target = _load(args.target)
     lam = np.array(_parse_floats(args.lam, "--lambda"))
     if args.lambda_squared:
         if np.any(lam < 0):
             raise InputError("--lambda-squared entries must be nonnegative")
         lam = np.sqrt(lam)
-    outcome = factorize.alternate(target, lam, lam.size, _solve_settings(args))
+    outcome = alternate(target, lam, lam.size, _solve_settings(args))
     payload = {
         "objective": outcome.objective,
         "iterations": outcome.iterations,
@@ -153,24 +168,32 @@ def cmd_factorize(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    from .factorize import DiagonalPsdFactorization, verify
+
     if not 0 <= args.tol < np.inf:
         raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
     target = _load(args.target)
-    F = _load(args.factorization, factorize.DiagonalPsdFactorization.from_json_dict)
-    return factorize.verify(target, F, tol=args.tol).to_json_dict(), EXIT_OK
+    F = _load(args.factorization, DiagonalPsdFactorization.from_json_dict)
+    return verify(target, F, tol=args.tol).to_json_dict(), EXIT_OK
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
+    from .factorize import DiagonalPsdFactorization, SolveSettings
+    from .purify import sample_protocol
+
+    rng_seed = getattr(args, "rng_seed", SolveSettings.rng_seed)
     if not 0 <= args.samples < 2 ** 63:  # numpy's sampler takes a C long
         raise InputError(f"--samples must lie in [0, 2^63 - 1], got {args.samples}")
-    if args.seed_rng < 0:  # numpy seeds with nonnegative integers only
-        raise InputError(f"--seed-rng must be nonnegative, got {args.seed_rng}")
-    F = _load(args.factorization, factorize.DiagonalPsdFactorization.from_json_dict)
-    counts = purify.sample_protocol(F, args.samples, args.seed_rng)
+    if rng_seed < 0:  # numpy seeds with nonnegative integers only
+        raise InputError(f"--seed-rng must be nonnegative, got {rng_seed}")
+    F = _load(args.factorization, DiagonalPsdFactorization.from_json_dict)
+    counts = sample_protocol(F, args.samples, rng_seed)
     return {"counts": counts.tolist(), "samples": args.samples}, EXIT_OK
 
 
 def cmd_classical(args) -> tuple[dict, int]:
+    from . import classical
+
     seed = _load(args.seed)
     target = _load(args.target)
     settings = _solve_settings(args)
@@ -195,6 +218,8 @@ def cmd_classical(args) -> tuple[dict, int]:
 
 
 def cmd_reduce(args) -> tuple[dict, int]:
+    from . import classical
+
     try:
         items = [int(t) for t in args.items.split(",") if t.strip()]
     except ValueError as exc:
@@ -215,13 +240,17 @@ def cmd_reduce(args) -> tuple[dict, int]:
 
 
 def cmd_lambda_candidates(args) -> tuple[dict, int]:
+    from .factorize import lambda_candidates_from_purifications
+
     target = _load(args.target)
-    cands = factorize.lambda_candidates_from_purifications(target)
+    cands = lambda_candidates_from_purifications(target)
     return {"candidates": [{"construction": nm, "lambda": c.tolist()}
                            for nm, c in zip(["canonical", "cnot"], cands)]}, EXIT_OK
 
 
 def cmd_pipeline(args) -> tuple[dict, int]:
+    from .factorize import alternate
+
     settings = _solve_settings(args)  # a bad setting is refused even where the check rules out
     target = _load(args.target)
     spectrum = conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
@@ -231,7 +260,7 @@ def cmd_pipeline(args) -> tuple[dict, int]:
         payload["result"] = "ruled out by necessary conditions"
         return payload, EXIT_RULED_OUT
     lam = spectrum.sqrt_lambdas()
-    outcome = factorize.alternate(target, lam, lam.size, settings)
+    outcome = alternate(target, lam, lam.size, settings)
     if outcome.converged:
         payload["result"] = "witness factorization found"
         payload["factorization"] = {**outcome.factorization.to_json_dict(),
@@ -256,20 +285,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide, bound and search for one-shot local-operation "
                     "protocols generating a target classical correlation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = factorize.SolveSettings()
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "text"), default="json")
     output.add_argument("--out", default=None)
+    # an omitted solver flag sets no attribute, and SolveSettings supplies its default
+    omitted = argparse.SUPPRESS
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--restarts", type=int, default=defaults.restarts)
-    solver.add_argument("--seed-rng", dest="seed_rng", type=int, default=defaults.rng_seed)
-    solver.add_argument("--tol", type=float, default=defaults.residual_tol)
+    solver.add_argument("--restarts", type=int, default=omitted)
+    solver.add_argument("--seed-rng", dest="rng_seed", metavar="SEED_RNG", type=int,
+                        default=omitted)
+    solver.add_argument("--tol", dest="residual_tol", metavar="TOL", type=float, default=omitted)
 
     p = sub.add_parser("check", parents=[output],
                        help="run all necessary conditions for a seed/target pair")
     p.add_argument("--target", required=True)
-    p.add_argument("--seed", default=None, help="classical-classical seed correlation JSON")
-    p.add_argument("--schmidt", default=None, help="squared Schmidt coefficients, comma separated")
+    seed = p.add_mutually_exclusive_group(required=True)
+    seed.add_argument("--seed", help="classical-classical seed correlation JSON")
+    seed.add_argument("--schmidt", help="squared Schmidt coefficients, comma separated")
     p.add_argument("--alphas", default=None)
     p.set_defaults(func=cmd_check)
 
@@ -293,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample label pairs from a verified factorization")
     p.add_argument("--factorization", required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed-rng", dest="seed_rng", type=int, default=defaults.rng_seed)
+    p.add_argument("--seed-rng", dest="rng_seed", metavar="SEED_RNG", type=int, default=omitted)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("classical", parents=[output, solver],

@@ -31,10 +31,12 @@ costs O(n·m·(n+m)·k²·min(n·m, (n+m)·k²)) and is meant for desk-scale
 targets; a J of more than ``MAX_JACOBIAN_ENTRIES`` entries is refused
 before it is built.  Where θ·‖r‖² falls below ε times the mean diagonal
 of the system solved, μ is raised to that floor, so a residual lost to
-rounding cannot leave the system singular.  A QR retraction of both
-stacks in one batched QR and Armijo backtracking from length 1 complete
-the step.  The one slow-progress rule gives a restart up once
-−⟨grad f, d⟩ ≤ ``PROGRESS_TOL``·f: the slope is one to two times the
+rounding does not leave the system singular; a rank-deficient system can
+stay singular all the same, and then ends the restart as a failed line
+search does.  A QR retraction of both stacks in one batched QR and
+Armijo backtracking from length 1 complete the step.  The one
+slow-progress rule gives a restart up once −⟨grad f, d⟩ ≤
+``PROGRESS_TOL``·f: the slope is one to two times the
 decrease the model ‖r + Jd‖² predicts (Nocedal & Wright, *Numerical
 Optimization*, ch. 4, §10.3), a ratio of order 1 on any path to a zero
 residual.  One function, :func:`levenberg_marquardt_search`, runs the
@@ -265,7 +267,8 @@ def _levenberg_marquardt(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
     The two forms are equal (push-through identity); the smaller of the
     JJᵀ and JᵀJ systems is solved, with μ added in place on its diagonal.
     μ is raised to ε·trace/size of that system if it is below, since a
-    smaller μ is lost to rounding and can leave the system singular.
+    smaller μ is lost to rounding and can leave the system singular.  A
+    rank-deficient system can stay singular, and ``LinAlgError`` is raised.
     """
     wide = J.shape[0] <= J.shape[1]
     A = J @ J.T if wide else J.T @ J
@@ -285,8 +288,9 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
     moved pair back onto the product of the two manifolds in one call.  f
     is recorded at the start point and after every step.  A restart ends
     converged at f ≤ ``residual_tol``; stuck at gradient norm <
-    ``STATIONARITY_TOL``, on the ``PROGRESS_TOL`` rule or with no
-    acceptable step; or after ``max_outer_iters`` × ``BLOCK_STEPS`` steps.  The
+    ``STATIONARITY_TOL``, on the ``PROGRESS_TOL`` rule, with a step
+    system singular to working precision or with no acceptable step; or
+    after ``max_outer_iters`` × ``BLOCK_STEPS`` steps.  The
     lowest final f wins, ties going to the lower restart, and the first
     converged restart ends the search.  Returns the winner's ``(result,
     history, restart, converged)``.
@@ -303,7 +307,10 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
         while not f <= settings.residual_tol and len(history) <= budget:  # NaN f: not converged
             J = jacobian(X, Y, result)
             grad = 2.0 * (r @ J)
-            d = _levenberg_marquardt(J, r, theta * f)
+            try:
+                d = _levenberg_marquardt(J, r, theta * f)
+            except np.linalg.LinAlgError:  # singular despite the damping floor: no step
+                break
             slope = float(grad @ d)
             if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= PROGRESS_TOL * f:
                 break

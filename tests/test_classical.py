@@ -422,6 +422,16 @@ class TestSearch:
         assert len(h) > 1
         assert all(h[i + 1] <= h[i] + 1e-15 for i in range(len(h) - 1))
 
+    def test_singular_step_system_ends_the_restart(self):
+        # the 3x3 Gram of this Jacobian has rank 2, and the damping floor
+        # eps*trace/size does not make it nonsingular: np.linalg.solve raised
+        seed = Correlation([[0, 0, 0, 1], [0, 0, 0, 0.25]])
+        target = Correlation([[0], [0.5625], [1]])
+        res = classical_feasible_search(seed, target,
+                                        SolveSettings(restarts=1, residual_tol=1e-300))
+        assert not res.converged
+        assert np.isfinite(res.residual_history).all()
+
     def test_deterministic(self):
         P = Correlation([[0.2, 0.3], [0.1, 0.4]])
         a = classical_feasible_search(P, HALF_ID, SolveSettings(restarts=2, max_outer_iters=20))

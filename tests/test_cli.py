@@ -108,9 +108,18 @@ class TestCheck:
         assert code == 1
         assert "error" in err
 
-    def test_no_spectrum_exit_1(self, capsys, target_alg):
-        code, _, _ = run(capsys, "check", "--target", target_alg)
-        assert code == 1
+    @pytest.mark.parametrize("given", ["neither", "both"])
+    def test_seed_xor_schmidt_usage_error(self, capsys, tmp_path, half_identity, given):
+        # a --schmidt next to --seed was dropped without a word, and the seed's verdict
+        # (RULED_OUT for this product seed) was the exit code
+        seed = tmp_path / "prod.json"
+        seed.write_text(json.dumps({"matrix": [[0.25, 0.25], [0.25, 0.25]]}))
+        flags = {"neither": (), "both": ("--seed", str(seed), "--schmidt", "0.5,0.5")}[given]
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--target", half_identity, *flags])
+        out = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out.out == "" and "error" in out.err and "Traceback" not in out.err
 
     def test_seed_lost_mass_exit_1(self, capsys, tmp_path, half_identity):
         # 199 Schmidt coefficients of 9e-13 fall under the 1e-12 cut and
@@ -402,6 +411,16 @@ class TestClassicalAndReduce:
         payload = json.loads(out)
         assert payload["exact_decision"]["feasible"]
         assert payload["converged"]
+
+    def test_singular_step_system_exit_0(self, capsys, tmp_path):
+        # np.linalg.solve raised LinAlgError on a rank-deficient step system
+        seed, target = tmp_path / "seed.json", tmp_path / "target.json"
+        seed.write_text(json.dumps({"matrix": [[0, 0, 0, 1], [0, 0, 0, 0.25]]}))
+        target.write_text(json.dumps({"matrix": [[0], [0.5625], [1]]}))
+        code, out, err = run(capsys, "classical", "--seed", str(seed), "--target", str(target),
+                             "--restarts", "1", "--tol=1e-300")
+        assert code == 0 and json.loads(out)["converged"] is False
+        assert "Traceback" not in err
 
     def test_float_diag_seed_exit_1(self, capsys, tmp_path, half_identity):
         # denominators 2q1, 2q2 <= 2^20 for primes q1, q2, so the entries

@@ -24,6 +24,7 @@ from corrgen import (
     SubsetSumInstance,
     build_quantum_hardness_instance,
     classical_fidelity,
+    kraus_to_stochastic,
     shannon_entropy,
 )
 
@@ -115,6 +116,18 @@ def test_equality_and_hash_answer(build, equal):
     if equal:
         x.spectrum  # a value built on first read takes no part in equality
         assert x == twin and hash(x) == hash(twin)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, "1", b"1", True, np.bool_(True),
+                                   _nest(2000)],
+                         ids=["nan", "inf", "-inf", "string", "bytes", "bool", "numpy-bool", "deep"])
+def test_kraus_entry_raises_module_error(entry):
+    # NaN came back as a "column-stochastic" [[nan]], a string, bytes or bool was read as 1,
+    # and inf was refused only after a RuntimeWarning from the products
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ClassicalError):
+            kraus_to_stochastic([[[entry]]])
 
 
 # each squares, multiplies or sums its entries, which overflows (or, for the
