@@ -4,9 +4,10 @@ Each ``cmd_*`` returns its payload and exit code; :func:`main` alone
 writes the payload and maps every library or file error to exit 1.
 Only ``correlation`` and ``conditions`` load with this module.  Each
 command imports in its body the rest of what it runs: `check --schmidt`
-nothing more; `check --seed`, `simulate` and `lambda-candidates`
-``purify`` and ``factorize``; `factorize`, `verify` and `pipeline`
-``factorize``; `classical` and `reduce` ``classical`` and ``factorize``.
+nothing more; `check --seed` ``purify``; `simulate` and
+`lambda-candidates` ``purify`` and ``factorize``; `factorize`, `verify`
+and `pipeline` ``factorize``; `classical` and `reduce` ``classical``
+and ``factorize``.
 Exit codes for `check` (and `pipeline`, which embeds it):
 0 = NOT_RULED_OUT, 2 = RULED_OUT, 1 = input error (usage errors
 included).  All other commands return 0 on success and 1 on input
@@ -249,7 +250,7 @@ def cmd_lambda_candidates(args) -> tuple[dict, int]:
 
 
 def cmd_pipeline(args) -> tuple[dict, int]:
-    from .factorize import alternate
+    from .factorize import alternate, verify
 
     settings = _solve_settings(args)  # a bad setting is refused even where the check rules out
     target = _load(args.target)
@@ -261,13 +262,15 @@ def cmd_pipeline(args) -> tuple[dict, int]:
         return payload, EXIT_RULED_OUT
     lam = spectrum.sqrt_lambdas()
     outcome = alternate(target, lam, lam.size, settings)
+    # how feasible the answer is: `verify` at its default tolerance, next to the objective
+    quality = {"objective": outcome.objective,
+               "verify": verify(target, outcome.factorization).to_json_dict()}
     if outcome.converged:
         payload["result"] = "witness factorization found"
-        payload["factorization"] = {**outcome.factorization.to_json_dict(),
-                                    "objective": outcome.objective}
+        payload["factorization"] = {**outcome.factorization.to_json_dict(), **quality}
     else:
         payload["result"] = "no factorization found (heuristic search; not an infeasibility proof)"
-        payload["objective"] = outcome.objective
+        payload.update(quality)
     return payload, EXIT_OK
 
 

@@ -11,39 +11,58 @@ C_x = S Uₓ Uₓᵀ S: every C_x is PSD and ΣC_x = S XᵀX S = Λ exactly.
 Every feasible family arises this way (write C_x = BₓBₓᵀ; then
 Λ^{-1/2}[B₁ … Bₙ] has orthonormal rows), and a zero entry of Λ simply
 gives a zero row of S.  {D_y} is built the same way from Y (mk×k).
-The solver minimizes f = ‖r‖², r = vec(tr(C_x D_y) − P), jointly over
-the two Stiefel manifolds (Wen & Yin, Math. Prog. 2013; Vandaele,
-Glineur & Gillis, Comput. Optim. Appl. 2018), with multiple
-deterministic restarts.  The zeros of r are not isolated, so each step
-is a Levenberg–Marquardt step d = −Jᵀ(JJᵀ + μI)⁻¹r, where J, the
-Jacobian of the cell table on the product of the two tangent spaces
-(Absil, Mahony & Sepulchre 2008, §8.4), is a dense n·m × (n+m)·k²
-array.  The damping is μ = θ·‖r‖² (Yamashita & Fukushima, Computing
-Suppl. 15, 2001) with θ ≥ 1: θ grows by 1/t after a step the line
-search shortened to length t < 1 and halves, down to 1, after a full
-step (Marquardt's rule, J. SIAM 11, 1963).  Its scale is
-‖r‖², not ‖r‖: the cells of a normalized table shrink like 1/(n·m),
-and μ = ‖r‖ swamps JᵀJ on all but the smallest targets.  The factor θ
-matters where the residual does not vanish: there the undamped step
-overshoots, and without θ every step backtracks several times.  The
-step solves the smaller of the n·m and (n+m)·k² square systems, so it
-costs O(n·m·(n+m)·k²·min(n·m, (n+m)·k²)) and is meant for desk-scale
-targets; a J of more than ``MAX_JACOBIAN_ENTRIES`` entries is refused
-before it is built.  Where θ·‖r‖² falls below ε times the mean diagonal
-of the system solved, μ is raised to that floor, so a residual lost to
-rounding does not leave the system singular; a rank-deficient system can
-stay singular all the same, and then ends the restart as a failed line
-search does.  A QR retraction of both stacks in one batched QR and
-Armijo backtracking from length 1 complete the step.  The one
-slow-progress rule gives a restart up once −⟨grad f, d⟩ ≤
-``PROGRESS_TOL``·f: the slope is one to two times the
-decrease the model ‖r + Jd‖² predicts (Nocedal & Wright, *Numerical
-Optimization*, ch. 4, §10.3), a ratio of order 1 on any path to a zero
-residual.  One function, :func:`levenberg_marquardt_search`, runs the
-restarts and the steps; it takes its start, objective, Jacobian and
-retraction as arguments, and the classical search runs on it too.  It
-records f at the start point and after every step, and a restart takes
-at most ``max_outer_iters`` × ``BLOCK_STEPS`` steps.
+The cell table is T_xy = tr(C_x D_y) = ‖M_xy‖²_F with the k×k block
+M_xy = (X·S)ₓ(Y·S)_yᵀ.  The residual r has one row T_xy − P_xy per
+supported cell (P_xy > 0) and, per zero cell, the k² entries of M_xy,
+which vanish exactly where T_xy does.  The solver minimizes the merit
+f = ‖r‖², which is ‖T − P‖² with T_xy in place of T_xy² on the zero
+cells, jointly over the two Stiefel manifolds (Wen & Yin, Math. Prog.
+2013; Vandaele, Glineur & Gillis, Comput. Optim. Appl. 2018), with
+multiple deterministic restarts.  On a zero cell T_xy − P_xy is a sum
+of squares, so its every root is double and its Jacobian row vanishes
+there; the entries of M_xy are bilinear in the blocks and have simple
+roots.  The zeros of r still form a manifold, not isolated points, so
+each step is a Levenberg–Marquardt step d = −Jᵀ(JJᵀ + μI)⁻¹r, which
+converges quadratically under a local error bound rather than a
+nonsingular J.  J, the Jacobian of r on the product of the two tangent
+spaces (Absil, Mahony & Sepulchre 2008, §8.4), is dense, with one column
+per tangent coordinate ((n+m)·k²) and n·m − z + z·k² rows for z zero
+cells.  Every row has one formula: the Euclidean gradient L·(Y·S)_y·S
+in block x of X and Lᵀ·(X·S)ₓ·S in block y of Y, with L = 2M_xy on a
+supported row and the unit matrix E_ij on the row of entry (i, j) of a
+zero cell, then projected onto the tangent spaces.  The damping is
+μ = θ·‖r‖² (Yamashita & Fukushima, Computing Suppl. 15, 2001) with
+θ ≥ 1: θ grows by 1/t after a step the line search shortened to length
+t < 1 and halves, down to 1, after a full step (Marquardt's rule,
+J. SIAM 11, 1963).  Its scale is ‖r‖², not ‖r‖: the cells of a
+normalized table shrink like 1/(n·m), and μ = ‖r‖ swamps JᵀJ on all but
+the smallest targets.  The factor θ matters where the residual does not
+vanish: there the undamped step overshoots, and without θ every step
+backtracks several times.  The step solves the smaller of the two
+square systems, with sides the number of rows and (n+m)·k², so it is
+meant for desk-scale targets; a J of more than
+``MAX_JACOBIAN_ENTRIES`` entries is refused before it is built.  Where
+θ·‖r‖² falls below ε times the mean diagonal of the system solved, μ is
+raised to that floor, so a residual lost to rounding does not leave the
+system singular; a rank-deficient system can stay singular all the
+same, and then ends the restart as a failed line search does.
+Armijo backtracking from length 1 and a CholeskyQR retraction complete
+the step: each stack Z + t·dZ is multiplied by L⁻ᵀ, where LLᵀ is the
+Cholesky factorization of its Gram matrix, which is the Q of a QR with
+a positive R diagonal.  The direction is short, ‖d‖ ≤ ‖r‖/(2√μ) ≤
+1/(2√θ) ≤ ½, because each singular value σ of J enters it as
+σ/(σ² + μ) ≤ 1/(2√μ); d is tangent, so the Gram is I + t²·dZᵀdZ with
+its eigenvalues in [1, 1.25], and the Cholesky factor exists and is as
+accurate as a Householder QR.  Only the Gaussian start of a restart
+takes a Householder QR.  The one slow-progress rule gives a restart up
+once −⟨grad f, d⟩ ≤ ``PROGRESS_TOL``·f: the slope is one to two times
+the decrease the model ‖r + Jd‖² predicts (Nocedal & Wright,
+*Numerical Optimization*, ch. 4, §10.3), a ratio of order 1 on any path
+to a zero residual.  One function, :func:`levenberg_marquardt_search`,
+runs the restarts and the steps; it takes its start, merit, Jacobian
+and retraction as arguments, and the classical search runs on it too.
+It records f at the start point and after every step, and a restart
+takes at most ``max_outer_iters`` × ``BLOCK_STEPS`` steps.
 Every iterate is feasible to rounding error, so the search only ever
 trades objective, never feasibility.  A failed search means "no
 factorization found", never "infeasible".
@@ -56,6 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,12 +195,9 @@ class SolveSettings:
 class SolveOutcome:
     factorization: DiagonalPsdFactorization
     restart_index: int
-    converged: bool
-    objective_history: tuple[float, ...]   # f at the start and after each step of the winner
-
-    @property
-    def objective(self) -> float:
-        return self.objective_history[-1]
+    converged: bool                        # merit ≤ residual_tol, so every zero-cell trace is too
+    objective_history: tuple[float, ...]   # the merit f at the start and after each step of the winner
+    objective: float                       # ‖T − P‖² of the returned factors
 
     @property
     def iterations(self) -> int:
@@ -199,7 +216,7 @@ class VerifyResult:
 
 
 def _retract(X: np.ndarray, Y: np.ndarray):
-    """QR retraction of both stacks of blocks onto {ΣZₓᵀZₓ = I}, by one batched QR.
+    """QR retraction of any two full-rank stacks of blocks onto {ΣZₓᵀZₓ = I}, by one batched QR.
 
     The two stacks, flattened, are zero-padded to the same height; the
     zero rows leave the Householder reflections of the other rows as they
@@ -214,6 +231,22 @@ def _retract(X: np.ndarray, Y: np.ndarray):
     return q[0, :rows[0]].reshape(X.shape), q[1, :rows[1]].reshape(Y.shape)
 
 
+def _step_retract(X: np.ndarray, Y: np.ndarray):
+    """The map of :func:`_retract` by CholeskyQR, for the trial points of a step.
+
+    Each stack, flattened and transposed to k rows, is zero-padded to the
+    same width; its Gram ZᵀZ = LLᵀ gives Q = Z·L⁻ᵀ, the Q of the QR whose
+    R = Lᵀ has a positive diagonal.  It is accurate where the Gram is well
+    conditioned: on a trial point Z + t·dZ of a step it is I + t²·dZᵀdZ,
+    with eigenvalues in [1, 1.25] (module docstring).
+    """
+    k, rows = X.shape[-1], (X.shape[0] * X.shape[-1], Y.shape[0] * Y.shape[-1])
+    Z = np.zeros((2, k, max(rows)))
+    Z[0, :, :rows[0]], Z[1, :, :rows[1]] = X.reshape(rows[0], k).T, Y.reshape(rows[1], k).T
+    Qt = np.linalg.solve(np.linalg.cholesky(Z @ np.swapaxes(Z, 1, 2)), Z)
+    return Qt[0, :, :rows[0]].T.reshape(X.shape), Qt[1, :, :rows[1]].T.reshape(Y.shape)
+
+
 def _random_stiefel(rng: np.random.Generator, n: int, m: int, k: int):
     """A random point (X, Y) of {ΣZₓᵀZₓ = I}: n and m blocks of size k×k."""
     if min(n, m, k) < 1:
@@ -221,15 +254,48 @@ def _random_stiefel(rng: np.random.Generator, n: int, m: int, k: int):
     return _retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k)))
 
 
-def _evaluate(P: np.ndarray, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
-    """Objective ‖T − P‖², the flat residual vec(T − P) and (C, D, X·S, Y·S).
+class _Rows(NamedTuple):
+    """The rows of the residual: each supported cell, then k² per zero cell.
 
-    C and D are the factor stacks S·UₓUₓᵀ·S built from the scaled blocks.
+    A row's gradient lives in one block of X and one of Y.  The blocks of
+    both stacks are numbered together, X's n first, and the gradients of
+    all rows are computed as one stack of 2·rows: the X parts, then the Y
+    parts.
+    """
+
+    support: np.ndarray   # flat indices of the cells with P > 0, in row-major order
+    target: np.ndarray    # P at those cells
+    zeros: np.ndarray     # flat indices of the zero cells
+    own: np.ndarray       # per gradient part, the block it lives in: x, then n + y
+    other: np.ndarray     # per gradient part, the block it is built from: n + y, then x
+    row: np.ndarray       # per gradient part, its row
+    E: np.ndarray         # the unit matrices E_ij of the zero-cell rows, (z·k², k, k)
+
+
+def _residual_rows(P: np.ndarray, k: int) -> _Rows:
+    n, m = P.shape
+    flat = P.ravel()
+    support, zeros = np.flatnonzero(flat), np.flatnonzero(flat == 0)
+    cells = np.concatenate((support, np.repeat(zeros, k * k)))
+    x, y = cells // m, n + cells % m  # block numbers in the stack [X; Y]
+    E = np.tile(np.eye(k * k).reshape(k * k, k, k), (zeros.size, 1, 1))
+    return _Rows(support, flat[support], zeros, np.concatenate((x, y)), np.concatenate((y, x)),
+                 np.tile(np.arange(cells.size), 2), E)
+
+
+def _evaluate(rows: _Rows, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """Merit f = ‖r‖², the residual r and the blocks (M, X·S, Y·S).
+
+    M stacks M_xy = (X·S)ₓ(Y·S)_yᵀ over the cells in row-major order; a
+    supported cell's row is ‖M_xy‖²_F − P_xy and a zero cell's k² rows are
+    vec M_xy.
     """
     XS, YS = X * s, Y * s
-    C, D = XS.transpose(0, 2, 1) @ XS, YS.transpose(0, 2, 1) @ YS
-    R = np.einsum("xab,yba->xy", C, D) - P
-    return float(np.sum(R ** 2)), R.ravel(), (C, D, XS, YS)
+    M = (XS[:, None] @ np.swapaxes(YS, 1, 2)).reshape(-1, *XS.shape[1:])
+    vecM = M.reshape(len(M), -1)
+    r = np.concatenate((np.sum(vecM * vecM, axis=1)[rows.support] - rows.target,
+                        vecM[rows.zeros].ravel()))
+    return float(r @ r), r, (M, XS, YS)
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
@@ -237,28 +303,29 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return A + np.swapaxes(A, -1, -2)
 
 
-def _jacobian(s: np.ndarray, X: np.ndarray, Y: np.ndarray, result) -> np.ndarray:
-    """Jacobian J of the cell table on the product of the tangent spaces.
+def _jacobian(s: np.ndarray, rows: _Rows, X: np.ndarray, Y: np.ndarray, result) -> np.ndarray:
+    """Jacobian J of the residual on the product of the tangent spaces.
 
-    Row x·m + y is the tangent projection G − Z·sym(ZᵀG) of ∇T_xy,
-    flattened as (X, Y).  ∇T_xy is 2·Xₓ·S D_y S in block x of X and
-    2·Y_y·S Cₓ S in block y of Y, so its projection is −Z·sym(ZₓᵀG) in
-    every block of Z plus G in its own one.  J is dense, n·m × (n+m)·k²,
-    and is written in place: no other array of its size is made.
-    ``result`` is the ``(C, D, X·S, Y·S)`` that :func:`_evaluate` returns.
+    The Euclidean gradient of a row of cell (x, y) is GX = L·(Y·S)_y·S in
+    block x of X and GY = Lᵀ·(X·S)ₓ·S in block y of Y, with L = 2M_xy on a
+    supported row and E_ij on the row of entry (i, j) of a zero cell.  Its
+    tangent projection G − Z·sym(ZᵀG) is −Z·sym(ZₓᵀG) in every block of Z
+    plus G in its own one.  The GX and GY of all rows are one stack, built
+    by one product from the blocks of [X·S; Y·S] that ``rows`` names.  J
+    has a row per residual row and its columns flattened as (X, Y); it is
+    written in place, and no other array of its size is made.  ``result``
+    is the ``(M, X·S, Y·S)`` of :func:`_evaluate`.
     """
-    n, m = X.shape[0], Y.shape[0]
-    C, D, XS, YS = result
-    GX = 2.0 * np.einsum("xab,ybc->xyac", XS, D * s)
-    GY = 2.0 * np.einsum("yab,xbc->xyac", YS, C * s)
-    J = np.empty((n, m, X.size + Y.size))
-    JX = J[..., :X.size].reshape((n, m) + X.shape)
-    JY = J[..., X.size:].reshape((n, m) + Y.shape)
-    np.matmul(-X, _sym(np.einsum("xab,xyac->xybc", X, GX))[:, :, None], out=JX)
-    np.matmul(-Y, _sym(np.einsum("yab,xyac->xybc", Y, GY))[:, :, None], out=JY)
-    np.einsum("xyxab->xyab", JX)[...] += GX  # the diagonal views, block x and block y
-    np.einsum("xyyab->xyab", JY)[...] += GY
-    return J.reshape(n * m, -1)
+    M, XS, YS = result
+    L = np.concatenate((2.0 * M[rows.support], rows.E))
+    G = np.concatenate((L, np.swapaxes(L, 1, 2))) @ (np.concatenate((XS, YS)) * s)[rows.other]
+    Z = np.concatenate((X, Y))
+    A = _sym(np.swapaxes(Z[rows.own], 1, 2) @ G)
+    J = np.empty((len(L),) + Z.shape)
+    np.matmul(-X, A[:len(L), None], out=J[:, :len(X)])
+    np.matmul(-Y, A[len(L):, None], out=J[:, len(X):])
+    J[rows.row, rows.own] += G
+    return J.reshape(len(L), -1)
 
 
 def _levenberg_marquardt(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
@@ -340,9 +407,10 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None) -> SolveOut
     ``P`` is a :class:`~corrgen.correlation.Correlation`, so the target was
     checked when it was built, and ``lam`` is the 1-D vector of √λ entries,
     the diagonal of Λ.  Runs :func:`levenberg_marquardt_search`, with its
-    restarts and its give-up rule, on f = ‖vec(T − P)‖² from random points
-    of the Stiefel manifolds, with the QR retraction of both stacks in one
-    batched QR.
+    restarts and its give-up rule, on the merit f described in the module
+    docstring, from random points of the Stiefel manifolds, with the
+    CholeskyQR retraction of the steps.  ``converged`` means f ≤
+    ``residual_tol``, and ``objective`` is ‖T − P‖² of the returned factors.
     An infeasible Λ is not an error — it simply yields a high residual and
     ``converged=False`` — but a Λ so large that the search overflows
     floating point, and a target whose J would exceed
@@ -356,15 +424,17 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None) -> SolveOut
         raise FactorizationError("k must equal the number of Lambda entries")
     n, m = P.shape
     s = np.sqrt(lam)
+    rows = _residual_rows(P, k)
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            (C, D, _, _), history, restart, converged = levenberg_marquardt_search(
-                partial(_random_stiefel, n=n, m=m, k=k), partial(_evaluate, P, s),
-                partial(_jacobian, s), _retract, settings)
+            (_, XS, YS), history, restart, converged = levenberg_marquardt_search(
+                partial(_random_stiefel, n=n, m=m, k=k), partial(_evaluate, rows, s),
+                partial(_jacobian, s, rows), _step_retract, settings)
     except FloatingPointError as exc:
         raise FactorizationError(f"the search with this Lambda overflows: {exc}") from exc
-    return SolveOutcome(DiagonalPsdFactorization(C, D, lam), restart, converged, history)
+    F = DiagonalPsdFactorization(np.swapaxes(XS, 1, 2) @ XS, np.swapaxes(YS, 1, 2) @ YS, lam)
+    return SolveOutcome(F, restart, converged, history, float(np.sum((P - F.trace_table()) ** 2)))
 
 
 def verify(P, F: DiagonalPsdFactorization, tol: float = 1e-6) -> VerifyResult:

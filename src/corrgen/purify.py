@@ -13,12 +13,15 @@ Real arithmetic throughout, matching the factorization module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .conditions import DEFAULT_ALPHAS, ConditionReport, SchmidtSpectrum, check_all
 from .correlation import Correlation, CorrgenError, float_array
-from .factorize import DiagonalPsdFactorization, FactorizationError
+
+if TYPE_CHECKING:  # the solver module loads only where a factorization is built
+    from .factorize import DiagonalPsdFactorization
 
 
 class PurificationError(CorrgenError):
@@ -138,6 +141,8 @@ def factorization_to_purification(F: DiagonalPsdFactorization) -> PurificationBu
 
 def purification_to_factorization(bundle: PurificationBundle) -> DiagonalPsdFactorization:
     """Gram-matrix construction: C_x(j,i) = ⟨v_x^j|v_x^i⟩, D_y from w."""
+    from .factorize import DiagonalPsdFactorization
+
     bundle.validate()
     C = np.einsum("xja,xia->xji", bundle.v, bundle.v)
     D = np.einsum("yja,yia->yij", bundle.w, bundle.w)
@@ -168,6 +173,8 @@ def cnot_purification(P: Correlation) -> PureStateMatrix:
 
 def sample_protocol(F: DiagonalPsdFactorization, n_samples: int, rng_seed: int) -> np.ndarray:
     """Empirical n×m counts of i.i.d. cells ∝ tr(C_x D_y), drawn once ``F.validate()`` passes."""
+    from .factorize import FactorizationError
+
     F.validate()
     probs = np.maximum(F.trace_table(), 0.0)
     if not probs.sum() > 0:

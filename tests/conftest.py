@@ -36,6 +36,28 @@ def random_verified_factorization(rng, n, m, k):
     return F, P
 
 
+def zero_cell_family(count=18, seed=3):
+    """Feasible targets with zero cells, each with its sqrt-Lambda entries.
+
+    The Schmidt-basis outcome diag(λ) of r entries, relabelled by random
+    local maps f: [r] → [n] and g: [r] → [m] with r, n, m in 2–4, is reached
+    by measuring both halves in the Schmidt basis; Λ is √λ in descending
+    order.  A target with an empty row or column, or without a zero cell,
+    is skipped.
+    """
+    rng = np.random.default_rng(seed)
+    family = []
+    while len(family) < count:
+        r, n, m = (int(v) for v in rng.integers(2, 5, size=3))
+        lam = rng.dirichlet(np.ones(r))
+        f, g = rng.integers(n, size=r), rng.integers(m, size=r)
+        P = np.zeros((n, m))
+        np.add.at(P, (f, g), lam)
+        if P.sum(axis=1).min() > 0 and P.sum(axis=0).min() > 0 and P.min() == 0:
+            family.append((Correlation(P), np.sqrt(np.sort(lam)[::-1])))
+    return family
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -228,17 +228,17 @@ class TestFactorizeVerifySimulate:
         assert sum(map(sum, counts)) == 1000
 
     def test_factorize_output_verifies(self, capsys, target_alg, tmp_path):
-        # verify reads the factors nested under "factorization" in factorize's stdout;
-        # the worked 2x2 converges with a cell error above verify's default tol
-        code, out, _ = run(capsys, "factorize", "--target", target_alg,
-                           "--lambda", f"{1/np.sqrt(5)},{2/np.sqrt(5)}")
-        assert code == 0
+        # verify reads the factors nested under "factorization" in factorize's --out
+        # file; a converged witness of the worked 2x2 passes verify's default tol
         fact_path = tmp_path / "factorize.json"
-        fact_path.write_text(out)
+        code, out, _ = run(capsys, "factorize", "--target", target_alg,
+                           "--lambda", f"{1/np.sqrt(5)},{2/np.sqrt(5)}", "--out", str(fact_path))
+        assert (code, out) == (0, "")
         code, out, err = run(capsys, "verify", "--target", target_alg,
                              "--factorization", str(fact_path))
         assert code == 0, err
-        assert "residual" in json.loads(out)
+        assert '"ok": true' in out
+        assert json.loads(out)["residual"] <= 1e-6
 
     def test_pipeline_output_simulates(self, capsys, target_alg, tmp_path):
         code, out, _ = run(capsys, "pipeline", "--target", target_alg, "--schmidt", "0.8,0.2")
@@ -534,7 +534,8 @@ class TestLambdaCandidatesAndPipeline:
         assert code == 0
         payload = json.loads(out)
         assert payload["result"] == "witness factorization found"
-        assert "factorization" in payload
+        # the witness's own verify result sits next to its objective
+        assert payload["factorization"]["verify"]["ok"] is True
 
     def test_pipeline_unresolved(self, capsys, tmp_path):
         # passes every necessary condition yet the search finds nothing
@@ -546,6 +547,8 @@ class TestLambdaCandidatesAndPipeline:
         assert code == 0
         payload = json.loads(out)
         assert "no factorization found" in payload["result"]
+        assert payload["objective"] > 1e-4
+        assert payload["verify"]["ok"] is False and payload["verify"]["residual"] > 1e-6
 
 
 NAN, INF = float("nan"), float("inf")
@@ -943,8 +946,8 @@ CHECK_ZERO_ROW = """\
 
 FACTORIZE_WORKED_2X2 = """\
 {
-  "objective": 7.03095158997e-11,
-  "iterations": 9,
+  "objective": 1.41886496123e-14,
+  "iterations": 5,
   "restart_index": 0,
   "converged": true,
   "factorization": {
@@ -955,44 +958,44 @@ FACTORIZE_WORKED_2X2 = """\
     "C": [
       [
         [
-          0.160400816952,
-          -0.256432300062
+          0.173168325776,
+          -0.254126373937
         ],
         [
-          -0.256432300062,
-          0.665157334723
+          -0.254126373937,
+          0.658771914061
         ]
       ],
       [
         [
-          0.286812778548,
-          0.256432300062
+          0.274045269724,
+          0.254126373937
         ],
         [
-          0.256432300062,
-          0.229269856277
+          0.254126373937,
+          0.235655276939
         ]
       ]
     ],
     "D": [
       [
         [
-          0.236409053996,
-          0.237366116257
+          0.223101296239,
+          0.241678624317
         ],
         [
-          0.237366116257,
-          0.627152716052
+          0.241678624317,
+          0.633805361478
         ]
       ],
       [
         [
-          0.210804541504,
-          -0.237366116257
+          0.224112299261,
+          -0.241678624317
         ],
         [
-          -0.237366116257,
-          0.267274474948
+          -0.241678624317,
+          0.260621829522
         ]
       ]
     ]
@@ -1085,48 +1088,53 @@ PIPELINE_WORKED_2X2 = """\
     "C": [
       [
         [
-          0.6590780194,
-          -0.254241732715
+          0.652190086098,
+          -0.251386649564
         ],
         [
-          -0.254241732715,
-          0.172562708787
+          -0.251386649564,
+          0.18633181356
         ]
       ],
       [
         [
-          0.235349171599,
-          0.254241732715
+          0.242237104902,
+          0.251386649564
         ],
         [
-          0.254241732715,
-          0.274650886713
+          0.251386649564,
+          0.26088178194
         ]
       ]
     ],
     "D": [
       [
         [
-          0.631450138051,
-          0.240201081342
+          0.639911969829,
+          0.245251808347
         ],
         [
-          0.240201081342,
-          0.227815899651
+          0.245251808347,
+          0.210888046008
         ]
       ],
       [
         [
-          0.262977052949,
-          -0.240201081342
+          0.254515221171,
+          -0.245251808347
         ],
         [
-          -0.240201081342,
-          0.219397695849
+          -0.245251808347,
+          0.236325549492
         ]
       ]
     ],
-    "objective": 7.28143389071e-10
+    "objective": 6.06725489872e-19,
+    "verify": {
+      "residual": 6.35568375706e-10,
+      "feasibility": 1.66533453694e-16,
+      "ok": true
+    }
   }
 }
 """

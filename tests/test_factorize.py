@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corrgen import (
     Correlation,
@@ -19,13 +19,18 @@ from corrgen.factorize import (
     _jacobian,
     _levenberg_marquardt,
     _random_stiefel,
+    _residual_rows,
     _retract,
+    _step_retract,
 )
 
-from conftest import random_verified_factorization
+from conftest import random_verified_factorization, zero_cell_family
 
 ALG = Correlation(np.array([[1, 1], [1, 0]]) / 3)
 ALG_LAM = np.array([1 / np.sqrt(5), 2 / np.sqrt(5)])
+# passes every necessary condition, has two zero cells, and no restart converges
+GIVEUP_P = np.array([[4, 1, 1], [1, 1, 0], [1, 0, 1]]) / 10
+GIVEUP_LAM = np.sqrt([0.6, 0.4])
 # Reference hand-checked solution for ALG with factor sum diag(1/sqrt5, 2/sqrt5).
 REF_C = np.array([
     [[0.26801401, 0.22523125], [0.22523125, 0.61132503]],
@@ -107,7 +112,7 @@ def _tangent(Z, V):
 
 def _factors(s, X, Y):
     """The factor stacks (C, D) of the point (X, Y)."""
-    return _evaluate(np.zeros((X.shape[0], Y.shape[0])), s, X, Y)[2][:2]
+    return tuple(np.swapaxes(Z * s, 1, 2) @ (Z * s) for Z in (X, Y))
 
 
 class TestInitAndProjection:
@@ -180,17 +185,40 @@ class TestInitAndProjection:
             np.testing.assert_allclose(np.einsum("xab,xac->bc", got, got), np.eye(k),
                                        rtol=0, atol=1e-14)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m=st.integers(1, 8),
+           k=st.integers(1, 4), length=st.floats(0.0, 0.5))
+    def test_step_retraction_matches_qr_retraction(self, seed, n, m, k, length):
+        # a tangent step of norm at most 1/2 from a point of the manifolds, as
+        # the Levenberg-Marquardt direction is: CholeskyQR is the QR map there
+        rng = np.random.default_rng(seed)
+        X, Y = _retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k)))
+        dX, dY = _tangent(X, rng.standard_normal(X.shape)), _tangent(Y, rng.standard_normal(Y.shape))
+        norm = np.sqrt(np.sum(dX ** 2) + np.sum(dY ** 2))
+        assume(norm > 1e-8)  # both tangent spaces are {0} at n = m = k = 1
+        trial = (X + length / norm * dX, Y + length / norm * dY)
+        for got, reference in zip(_step_retract(*trial), _retract(*trial)):
+            np.testing.assert_allclose(got, reference, rtol=0, atol=1e-14)
+            gram = np.einsum("xab,xac->bc", got, got)
+            assert np.linalg.norm(gram - np.eye(k), 2) <= 1e-14
 
-# the last shape has more cells than tangent coordinates, so its step
-# solves the (n+m)·k² system instead of the n·m one
-SHAPES = [(2, 3, 2), (3, 2, 3), (2, 2, 1), (3, 4, 1)]
+
+# the last shape has more residual rows than tangent coordinates, so its
+# step solves the (n+m)·k² system instead of the rows one; each shape runs
+# without and with two zero cells, which have k² rows each
+SHAPES = [pytest.param(n, m, k, zeros, id=f"{n}-{m}-{k}" + ("-zeros" if zeros else ""))
+          for n, m, k in [(2, 3, 2), (3, 2, 3), (2, 2, 1), (3, 4, 1)] for zeros in (0, 2)]
 
 
-def _random_point(rng, n, m, k):
-    """A random target, sqrt-Lambda entries and point (X, Y) of the manifolds."""
-    P = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+def _random_point(rng, n, m, k, zeros):
+    """A random target with ``zeros`` zero cells, its residual rows, sqrt-Lambda
+    entries and a point (X, Y) of the manifolds."""
+    P = rng.dirichlet(np.ones(n * m))
+    P[rng.choice(n * m, zeros, replace=False)] = 0.0
+    P = P.reshape(n, m) / P.sum()
     s = np.sqrt(rng.dirichlet(np.ones(k)))
-    return (P, s, *_retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k))))
+    X, Y = _retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k)))
+    return _residual_rows(P, k), s, X, Y
 
 
 def _split(v, X, Y):
@@ -205,71 +233,74 @@ class TestParametrization:
         assert out.converged
         np.testing.assert_allclose(out.factorization.C, [np.diag([0.6, 0.8])], atol=1e-15)
 
-    @pytest.mark.parametrize("n, m, k", SHAPES)
-    def test_gradient_matches_finite_differences(self, rng, n, m, k):
-        P, s, X, Y = _random_point(rng, n, m, k)
-        _, r, result = _evaluate(P, s, X, Y)
-        gX, gY = _split(2.0 * (r @ _jacobian(s, X, Y, result)), X, Y)
+    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
+    def test_gradient_matches_finite_differences(self, rng, n, m, k, zeros):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+        _, r, result = _evaluate(rows, s, X, Y)
+        gX, gY = _split(2.0 * (r @ _jacobian(s, rows, X, Y, result)), X, Y)
         # the Riemannian gradient is a tangent vector: sym(ZᵀG) = 0
         for Z, g in ((X, gX), (Y, gY)):
             np.testing.assert_allclose(_tangent(Z, g), g, atol=1e-15)
         vX = _tangent(X, rng.standard_normal(X.shape))
         vY = _tangent(Y, rng.standard_normal(Y.shape))
         h = 1e-5
-        f_plus = _evaluate(P, s, *_retract(X + h * vX, Y + h * vY))[0]
-        f_minus = _evaluate(P, s, *_retract(X - h * vX, Y - h * vY))[0]
+        f_plus = _evaluate(rows, s, *_retract(X + h * vX, Y + h * vY))[0]
+        f_minus = _evaluate(rows, s, *_retract(X - h * vX, Y - h * vY))[0]
         directional = float(np.sum(gX * vX) + np.sum(gY * vY))
         assert (f_plus - f_minus) / (2 * h) == pytest.approx(directional, rel=1e-6, abs=1e-12)
 
-    @pytest.mark.parametrize("n, m, k", SHAPES)
-    def test_jacobian_matches_finite_differences(self, rng, n, m, k):
-        P, s, X, Y = _random_point(rng, n, m, k)
-        J = _jacobian(s, X, Y, _evaluate(P, s, X, Y)[2])
-        assert J.shape == (n * m, (n + m) * k * k)
+    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
+    def test_jacobian_matches_finite_differences(self, rng, n, m, k, zeros):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+        J = _jacobian(s, rows, X, Y, _evaluate(rows, s, X, Y)[2])
+        assert J.shape == (n * m - zeros + zeros * k * k, (n + m) * k * k)
         h = 1e-5
         for _ in range(3):
             vX = _tangent(X, rng.standard_normal(X.shape))
             vY = _tangent(Y, rng.standard_normal(Y.shape))
-            r_plus = _evaluate(P, s, *_retract(X + h * vX, Y + h * vY))[1]
-            r_minus = _evaluate(P, s, *_retract(X - h * vX, Y - h * vY))[1]
+            r_plus = _evaluate(rows, s, *_retract(X + h * vX, Y + h * vY))[1]
+            r_minus = _evaluate(rows, s, *_retract(X - h * vX, Y - h * vY))[1]
             np.testing.assert_allclose(J @ np.concatenate([vX.ravel(), vY.ravel()]),
                                        (r_plus - r_minus) / (2 * h),
                                        rtol=1e-6, atol=1e-9)
 
-    @pytest.mark.parametrize("n, m, k", SHAPES)
-    def test_direction_is_tangent(self, rng, n, m, k):
-        P, s, X, Y = _random_point(rng, n, m, k)
-        _, r, result = _evaluate(P, s, X, Y)
-        dX, dY = _split(_levenberg_marquardt(_jacobian(s, X, Y, result), r, r @ r), X, Y)
+    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
+    def test_direction_is_tangent(self, rng, n, m, k, zeros):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+        _, r, result = _evaluate(rows, s, X, Y)
+        d = _levenberg_marquardt(_jacobian(s, rows, X, Y, result), r, r @ r)
+        # the bound that keeps the Gram of a CholeskyQR trial point in [1, 1.25]
+        assert np.linalg.norm(d) <= 0.5
+        dX, dY = _split(d, X, Y)
         for Z, dZ in ((X, dX), (Y, dY)):
             ZtdZ = np.einsum("xab,xac->bc", Z, dZ)
             np.testing.assert_allclose(ZtdZ + ZtdZ.T, 0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("n, m, k", SHAPES)
-    def test_direction_solves_either_system(self, rng, n, m, k):
-        P, s, X, Y = _random_point(rng, n, m, k)
-        _, r, result = _evaluate(P, s, X, Y)
-        J = _jacobian(s, X, Y, result)
+    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
+    def test_direction_solves_either_system(self, rng, n, m, k, zeros):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+        _, r, result = _evaluate(rows, s, X, Y)
+        J = _jacobian(s, rows, X, Y, result)
         mu = r @ r
         np.testing.assert_allclose(
             _levenberg_marquardt(J, r, mu),
-            -np.linalg.solve(J @ J.T + mu * np.eye(n * m), r) @ J, rtol=1e-9, atol=1e-13)
+            -np.linalg.solve(J @ J.T + mu * np.eye(J.shape[0]), r) @ J, rtol=1e-9, atol=1e-13)
         np.testing.assert_allclose(
             _levenberg_marquardt(J, r, mu),
             -np.linalg.solve(J.T @ J + mu * np.eye(J.shape[1]), r @ J), rtol=1e-9, atol=1e-13)
 
-    @pytest.mark.parametrize("n, m, k", SHAPES)
-    def test_direction_descends(self, rng, n, m, k):
-        P, s, X, Y = _random_point(rng, n, m, k)
-        f, r, result = _evaluate(P, s, X, Y)
-        J = _jacobian(s, X, Y, result)
+    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
+    def test_direction_descends(self, rng, n, m, k, zeros):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+        f, r, result = _evaluate(rows, s, X, Y)
+        J = _jacobian(s, rows, X, Y, result)
         grad = 2.0 * (r @ J)
         assert grad @ grad > 1e-12   # not a stationary point
         d = _levenberg_marquardt(J, r, f)
         assert grad @ d < 0
         dX, dY = _split(d, X, Y)
         t = 1e-6
-        assert _evaluate(P, s, *_retract(X + t * dX, Y + t * dY))[0] < f
+        assert _evaluate(rows, s, *_retract(X + t * dX, Y + t * dY))[0] < f
 
     @pytest.mark.parametrize("J", [np.ones((2, 3)), np.ones((3, 2))], ids=["JJt", "JtJ"])
     def test_damping_floor(self, J):
@@ -293,13 +324,16 @@ class TestParametrization:
             restarts=1, max_outer_iters=120, rng_seed=seed))
         F = out.factorization
         assert F.feasibility_error() <= 1e-12
-        # the history is f at the start point, then f after each step
+        # the history is the merit at the start point, then after each step;
+        # P has no zero cell, so the merit is ‖T − P‖² up to rounding
         h = out.objective_history
         assert len(h) == out.iterations + 1
         X, Y = _random_stiefel(np.random.default_rng(seed), n, m, k)
-        assert h[0] == _evaluate(Correlation(P).matrix, np.sqrt(lam), X, Y)[0]
+        assert h[0] == _evaluate(_residual_rows(Correlation(P).matrix, k), np.sqrt(lam), X, Y)[0]
         assert all(b <= a for a, b in zip(h, h[1:]))
-        assert out.objective == h[-1] == np.sum((P - F.trace_table()) ** 2)
+        assert out.objective == np.sum((P - F.trace_table()) ** 2)
+        # the two norms of T − P differ by the rounding of T, cell by cell
+        assert np.sqrt(h[-1]) == pytest.approx(np.sqrt(out.objective), rel=0, abs=1e-15)
 
 
 def _assert_same_search(multi, single, restart):
@@ -316,20 +350,20 @@ class TestAlternate:
     @pytest.mark.parametrize("seed", [0, 2])
     def test_restarts_keep_best_single_run(self, seed):
         # Bell -> diag(0.3, 0.7) never converges, so all three restarts run:
-        # restart r is the single run at rng_seed + r, and the lowest
-        # objective wins, ties going to the lower r
+        # restart r is the single run at rng_seed + r, and the lowest final
+        # merit wins, ties going to the lower r
         P, lam = Correlation(np.diag([0.3, 0.7])), [np.sqrt(0.5)] * 2
         runs = [alternate(P, lam, 2, SolveSettings(restarts=1, rng_seed=seed + r,
                                                    max_outer_iters=20))
                 for r in range(3)]
         best = alternate(P, lam, 2, SolveSettings(restarts=3, rng_seed=seed,
                                                   max_outer_iters=20))
-        r = min(range(3), key=lambda i: runs[i].objective)
+        r = min(range(3), key=lambda i: runs[i].objective_history[-1])
         _assert_same_search(best, runs[r], r)
 
     def test_restarts_stop_at_first_converged(self, monkeypatch):
         # on this budget restart 0 misses the worked 2x2 and later ones hit it
-        monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 5)
+        monkeypatch.setattr("corrgen.factorize.BLOCK_STEPS", 3)
         budget = dict(max_outer_iters=2)
         runs = [alternate(ALG, ALG_LAM, 2, SolveSettings(restarts=1, rng_seed=3 + r, **budget))
                 for r in range(4)]
@@ -342,11 +376,11 @@ class TestAlternate:
         out = alternate(ALG, ALG_LAM, 2)
         assert out.converged
         assert out.objective <= 1e-8
-        assert verify(ALG, out.factorization, tol=1e-4).ok
+        assert verify(ALG, out.factorization).ok  # every cell within 1e-6
         assert out.factorization.feasibility_error() <= 1e-8
-        # the boundary solution (zero cell) is reached without a restart, in 9 steps
+        # the boundary solution (zero cell) is reached without a restart, in 5 steps
         assert out.restart_index == 0
-        assert out.iterations == 9
+        assert out.iterations == 5
 
     def test_product_rank_one(self):
         P = Correlation(np.outer([0.4, 0.6], [0.3, 0.7]))
@@ -380,11 +414,12 @@ class TestAlternate:
         out = alternate(Correlation(ALG.matrix.T), ALG_LAM, 2)
         assert out.converged
 
-    def test_one_qr_per_evaluated_point(self, monkeypatch):
-        # a restart's start and each trial point are retracted by one QR
-        # call and evaluated once, on a target where every restart gives up
-        counts = {"qr": 0, "evaluate": 0}
-        qr, evaluate = np.linalg.qr, factorize._evaluate
+    def test_one_factorization_per_evaluated_point(self, monkeypatch):
+        # a restart's start is retracted by one QR call and each trial point
+        # by one Cholesky call, and each is evaluated once, on a target
+        # where every restart gives up
+        counts = {"qr": 0, "cholesky": 0, "evaluate": 0}
+        qr, cholesky, evaluate = np.linalg.qr, np.linalg.cholesky, factorize._evaluate
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -393,11 +428,13 @@ class TestAlternate:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "qr", counting("qr", qr))
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", cholesky))
         monkeypatch.setattr(factorize, "_evaluate", counting("evaluate", evaluate))
-        P = Correlation(np.array([[4, 1, 1], [1, 1, 0], [1, 0, 1]]) / 10)
-        out = alternate(P, np.sqrt([0.6, 0.4]), 2, SolveSettings(restarts=2, max_outer_iters=30))
+        P = Correlation(GIVEUP_P)
+        out = alternate(P, GIVEUP_LAM, 2, SolveSettings(restarts=2, max_outer_iters=30))
         assert not out.converged
-        assert counts["qr"] == counts["evaluate"] > 2
+        assert counts["qr"] == 2
+        assert counts["qr"] + counts["cholesky"] == counts["evaluate"] > 2
 
     @pytest.mark.parametrize("table", [[[np.nan, 0.5]], [[-0.5, 1.5]]], ids=["nan", "negative"])
     def test_bare_table_rejected(self, table):
@@ -435,6 +472,35 @@ class TestAlternate:
         out = alternate(Correlation(np.full((32, 32), 1 / 32 ** 2)), [0.6, 0.8], 2,
                         settings=SolveSettings(restarts=1))
         assert out.converged
+
+    @pytest.mark.parametrize("target", ["worked-2x2", "giveup", "bell-diag"])
+    def test_objective_is_table_error(self, target):
+        # the merit the search minimizes counts a zero cell's T, not T²; the
+        # reported objective is ‖T − P‖² of the factors returned all the same
+        P, lam = {"worked-2x2": (ALG, ALG_LAM),
+                  "giveup": (Correlation(GIVEUP_P), GIVEUP_LAM),
+                  "bell-diag": (Correlation([[0.3, 0.0], [0.0, 0.7]]), [np.sqrt(0.5)] * 2)}[target]
+        out = alternate(P, lam, 2, SolveSettings(restarts=2, max_outer_iters=30))
+        T = out.factorization.trace_table()
+        assert out.objective == np.sum((P.matrix - T) ** 2)
+        zero = P.matrix == 0
+        merit = np.sum((P.matrix - T)[~zero] ** 2) + np.sum(T[zero])
+        # a zero cell's trace, read from the factors, carries the rounding of
+        # products of order 1, about 1e-17, where the search sums squares of M
+        assert out.objective_history[-1] == pytest.approx(merit, rel=1e-12, abs=1e-15)
+
+    def test_zero_cell_family_converges_superlinearly(self):
+        # every zero cell is a simple root of its k² residual rows, so the last
+        # step of each converged search is superlinear; e = √merit
+        for index, (P, lam) in enumerate(zero_cell_family()):
+            out = alternate(P, lam, lam.size, SolveSettings(restarts=30))
+            assert out.converged, index
+            h = out.objective_history
+            assert all(b <= a for a, b in zip(h, h[1:])), index
+            T = out.factorization.trace_table()
+            assert T[P.matrix == 0].max() <= SolveSettings.residual_tol, index
+            e = np.sqrt(h[-3:])
+            assert np.log(e[2] / e[1]) / np.log(e[1] / e[0]) >= 1.25, index
 
     def test_random_verified_targets(self, rng):
         for _ in range(3):

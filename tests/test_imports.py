@@ -46,10 +46,13 @@ def test_import_loads_no_submodule(tmp_path):
 @pytest.mark.parametrize("argv, code, modules", [
     (["check", "--target", "{target}", "--schmidt", "0.5,0.5"], 0,
      ["corrgen.cli", "corrgen.conditions", "corrgen.correlation"]),
+    # the seed's canonical purification needs purify, never the solver
+    (["check", "--target", "{target}", "--seed", "{target}"], 0,
+     ["corrgen.cli", "corrgen.conditions", "corrgen.correlation", "corrgen.purify"]),
     (["reduce", "--items", "3,1,2"], 0,
      ["corrgen.classical", "corrgen.cli", "corrgen.conditions", "corrgen.correlation",
       "corrgen.factorize"]),
-], ids=["check", "reduce"])
+], ids=["check", "check-seed", "reduce"])
 def test_command_loads_only_what_it_runs(tmp_path, argv, code, modules):
     target = tmp_path / "half_id.json"
     target.write_text(json.dumps({"matrix": [[0.5, 0.0], [0.0, 0.5]]}))
