@@ -13,39 +13,49 @@ Every feasible family arises this way (write C_x = BₓBₓᵀ; then
 gives a zero row of S.  {D_y} is built the same way from Y (mk×k).
 The cell table is T_xy = tr(C_x D_y) = ‖M_xy‖²_F with the k×k block
 M_xy = (X·S)ₓ(Y·S)_yᵀ.  The residual r has one row T_xy − P_xy per
-supported cell (P_xy > 0) and, per zero cell, the k² entries of M_xy,
-which vanish exactly where T_xy does.  The solver minimizes the merit
-f = ‖r‖², which is ‖T − P‖² with T_xy in place of T_xy² on the zero
-cells, jointly over the two Stiefel manifolds (Wen & Yin, Math. Prog.
-2013; Vandaele, Glineur & Gillis, Comput. Optim. Appl. 2018), with
-multiple deterministic restarts.  On a zero cell T_xy − P_xy is a sum
-of squares, so its every root is double and its Jacobian row vanishes
-there; the entries of M_xy are bilinear in the blocks and have simple
-roots.  The zeros of r still form a manifold, not isolated points, so
-each step is a Levenberg–Marquardt step d = −Jᵀ(JJᵀ + μI)⁻¹r, which
-converges quadratically under a local error bound rather than a
-nonsingular J.  J, the Jacobian of r on the product of the two tangent
-spaces (Absil, Mahony & Sepulchre 2008, §8.4), is dense, with one column
-per tangent coordinate ((n+m)·k²) and n·m − z + z·k² rows for z zero
-cells.  Every row has one formula: the Euclidean gradient L·(Y·S)_y·S
-in block x of X and Lᵀ·(X·S)ₓ·S in block y of Y, with L = 2M_xy on a
-supported row and the unit matrix E_ij on the row of entry (i, j) of a
-zero cell, then projected onto the tangent spaces.  The damping is
-μ = θ·‖r‖² (Yamashita & Fukushima, Computing Suppl. 15, 2001) with
-θ ≥ 1: θ grows by 1/t after a step the line search shortened to length
-t < 1 and halves, down to 1, after a full step (Marquardt's rule,
-J. SIAM 11, 1963).  Its scale is ‖r‖², not ‖r‖: the cells of a
+cell, except that on a small target (below) each zero cell has the k²
+entries of M_xy in place of its row; they vanish exactly where T_xy
+does.  The solver minimizes the merit f = ‖r‖², which is ‖T − P‖² with
+T_xy in place of T_xy² on the zero cells that have k² rows, jointly
+over the two Stiefel manifolds (Wen & Yin, Math. Prog. 2013; Vandaele,
+Glineur & Gillis, Comput. Optim. Appl. 2018), with multiple
+deterministic restarts.  On a zero cell T_xy − P_xy is a sum of
+squares, so its every root is double and its Jacobian row vanishes
+there, and the search converges only linearly in those cells; the
+entries of M_xy are bilinear in the blocks and have simple roots.  Each
+zero cell adds k² − 1 rows, though, and the merit they make, which
+charges T_xy rather than T_xy², traps more restarts at points where
+every zero cell is met and some other cell is not.  Measured on
+zero-cell targets up to 16×16, the k² rows save time where J stays no
+taller than wide and within ``SIMPLE_ROOT_ENTRIES`` entries
+(:func:`_simple_roots`), and cost several times the time beyond, so only
+there are they used.  The zeros of r form a manifold, not isolated
+points, so each step is a Levenberg–Marquardt step
+d = −Jᵀ(JJᵀ + μI)⁻¹r, which converges quadratically under a local error
+bound rather than a nonsingular J.  J, the Jacobian of r on the product
+of the two tangent spaces (Absil, Mahony & Sepulchre 2008, §8.4), is
+dense, with one column per tangent coordinate ((n+m)·k²) and a row per
+row of r.  Every row has one formula: the Euclidean gradient
+L·(Y·S)_y·S in block x of X and Lᵀ·(X·S)ₓ·S in block y of Y, with
+L = 2M_xy on the row T_xy − P_xy and the unit matrix E_ij on the row of
+entry (i, j) of M_xy, then projected onto the tangent spaces.  The
+damping is μ = θ·‖r‖² (Yamashita & Fukushima, Computing Suppl. 15,
+2001) with θ ≥ 1: θ grows by 1/t after a step the line search shortened
+to length t < 1 and halves, down to 1, after a full step (Marquardt's
+rule, J. SIAM 11, 1963).  Its scale is ‖r‖², not ‖r‖: the cells of a
 normalized table shrink like 1/(n·m), and μ = ‖r‖ swamps JᵀJ on all but
 the smallest targets.  The factor θ matters where the residual does not
 vanish: there the undamped step overshoots, and without θ every step
 backtracks several times.  The step solves the smaller of the two
 square systems, with sides the number of rows and (n+m)·k², so it is
 meant for desk-scale targets; a J of more than
-``MAX_JACOBIAN_ENTRIES`` entries is refused before it is built.  Where
-θ·‖r‖² falls below ε times the mean diagonal of the system solved, μ is
-raised to that floor, so a residual lost to rounding does not leave the
-system singular; a rank-deficient system can stay singular all the
-same, and then ends the restart as a failed line search does.
+``MAX_JACOBIAN_ENTRIES`` entries, n·m × (n+m)·k² wherever zero cells
+have one row each (for instance 100×100 with k = 4), is refused before
+it is built.  Where θ·‖r‖² falls below ε times the mean diagonal of the
+system solved, μ is raised to that floor, so a residual lost to
+rounding does not leave the system singular; a rank-deficient system
+can stay singular all the same, and then ends the restart as a failed
+line search does.
 Armijo backtracking from length 1 and a CholeskyQR retraction complete
 the step: each stack Z + t·dZ is multiplied by L⁻ᵀ, where LLᵀ is the
 Cholesky factorization of its Gram matrix, which is the Q of a QR with
@@ -94,6 +104,8 @@ BLOCK_STEPS = 250
 
 #: Largest Jacobian, in entries, that the search builds (128 MB of floats).
 MAX_JACOBIAN_ENTRIES = 2 ** 24
+#: Largest Jacobian, in entries, with k² rows per zero cell (see :func:`_simple_roots`).
+SIMPLE_ROOT_ENTRIES = 2 ** 14
 
 
 class FactorizationError(CorrgenError):
@@ -195,7 +207,7 @@ class SolveSettings:
 class SolveOutcome:
     factorization: DiagonalPsdFactorization
     restart_index: int
-    converged: bool                        # merit ≤ residual_tol, so every zero-cell trace is too
+    converged: bool                        # merit ≤ residual_tol; a zero cell with k² rows has T ≤ it too
     objective_history: tuple[float, ...]   # the merit f at the start and after each step of the winner
     objective: float                       # ‖T − P‖² of the returned factors
 
@@ -254,46 +266,74 @@ def _random_stiefel(rng: np.random.Generator, n: int, m: int, k: int):
     return _retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k)))
 
 
+def _simple_roots(n: int, m: int, k: int, zeros: int) -> bool:
+    """Whether the ``zeros`` zero cells of an n×m target get k² rows each.
+
+    They do where J stays no taller than wide and within
+    ``SIMPLE_ROOT_ENTRIES`` entries: there a step costs little more and
+    the search takes fewer steps.  On larger targets the extra rows cost
+    more per step than they save, and the merit they make traps more
+    restarts (module docstring).  The bounds are measured at default
+    settings: on 165 zero-cell targets up to 8×8 with k ≤ 4 the searches
+    took 3.3 s with this choice, 7.3 s with one row per cell throughout
+    and 7.7 s with k² rows throughout, and the diagonal targets at k = n
+    from 4×4 up, where k² rows took 7 to 53 times as long up to 6×6, keep
+    one row per cell.
+    """
+    rows, cols = n * m + zeros * (k * k - 1), (n + m) * k * k
+    return rows <= cols and rows * cols <= SIMPLE_ROOT_ENTRIES
+
+
 class _Rows(NamedTuple):
-    """The rows of the residual: each supported cell, then k² per zero cell.
+    """The rows of the residual: one per cell of ``cells``, then k² per cell of ``zeros``.
 
     A row's gradient lives in one block of X and one of Y.  The blocks of
     both stacks are numbered together, X's n first, and the gradients of
-    all rows are computed as one stack of 2·rows: the X parts, then the Y
-    parts.
+    all rows are computed as one stack of 2·rows parts: the X parts, then
+    the Y parts.  The row of entry (i, j) of a zero cell has L = E_ij, so
+    each of its parts is zero but for one row, a copy of one row of a
+    block of [X·S; Y·S]·S; ``put`` and ``take`` index both as rows of the
+    stacks flattened to k columns.
     """
 
-    support: np.ndarray   # flat indices of the cells with P > 0, in row-major order
+    cells: np.ndarray     # flat indices of the cells with a row T_xy − P_xy, in row-major order
     target: np.ndarray    # P at those cells
-    zeros: np.ndarray     # flat indices of the zero cells
+    zeros: np.ndarray     # flat indices of the zero cells with k² rows vec M_xy
     own: np.ndarray       # per gradient part, the block it lives in: x, then n + y
-    other: np.ndarray     # per gradient part, the block it is built from: n + y, then x
     row: np.ndarray       # per gradient part, its row
-    E: np.ndarray         # the unit matrices E_ij of the zero-cell rows, (z·k², k, k)
+    other: np.ndarray     # per part of a row T − P, X then Y, the block it is built from: n + y, then x
+    put: np.ndarray       # per zero-cell part, X then Y, its row that is not zero: row i, then row j
+    take: np.ndarray      # per zero-cell part, the row it copies: row j of block n + y, then row i of x
 
 
-def _residual_rows(P: np.ndarray, k: int) -> _Rows:
+def _residual_rows(P: np.ndarray, k: int, simple_roots: bool) -> _Rows:
+    """The rows of the residual for target P and k; zero cells get k² rows if ``simple_roots``."""
     n, m = P.shape
     flat = P.ravel()
-    support, zeros = np.flatnonzero(flat), np.flatnonzero(flat == 0)
-    cells = np.concatenate((support, np.repeat(zeros, k * k)))
-    x, y = cells // m, n + cells % m  # block numbers in the stack [X; Y]
-    E = np.tile(np.eye(k * k).reshape(k * k, k, k), (zeros.size, 1, 1))
-    return _Rows(support, flat[support], zeros, np.concatenate((x, y)), np.concatenate((y, x)),
-                 np.tile(np.arange(cells.size), 2), E)
+    zero = (flat == 0) & simple_roots
+    cells, zeros = np.flatnonzero(~zero), np.flatnonzero(zero)
+    blocks = np.concatenate((cells, np.repeat(zeros, k * k)))
+    x, y = blocks // m, n + blocks % m  # block numbers in the stack [X; Y]
+    count, c = blocks.size, cells.size
+    i, j = np.tile(np.divmod(np.arange(k * k), k), zeros.size)
+    part = np.arange(c, count) * k  # first flat row of each zero-cell X part; Y parts count·k on
+    return _Rows(cells, flat[cells], zeros, np.concatenate((x, y)), np.tile(np.arange(count), 2),
+                 np.concatenate((y[:c], x[:c])),
+                 np.concatenate((part + i, count * k + part + j)),
+                 np.concatenate((y[c:] * k + j, x[c:] * k + i)))
 
 
 def _evaluate(rows: _Rows, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
     """Merit f = ‖r‖², the residual r and the blocks (M, X·S, Y·S).
 
     M stacks M_xy = (X·S)ₓ(Y·S)_yᵀ over the cells in row-major order; a
-    supported cell's row is ‖M_xy‖²_F − P_xy and a zero cell's k² rows are
-    vec M_xy.
+    cell of ``rows.cells`` has the row ‖M_xy‖²_F − P_xy and a cell of
+    ``rows.zeros`` the k² rows vec M_xy.
     """
     XS, YS = X * s, Y * s
     M = (XS[:, None] @ np.swapaxes(YS, 1, 2)).reshape(-1, *XS.shape[1:])
     vecM = M.reshape(len(M), -1)
-    r = np.concatenate((np.sum(vecM * vecM, axis=1)[rows.support] - rows.target,
+    r = np.concatenate((np.sum(vecM * vecM, axis=1)[rows.cells] - rows.target,
                         vecM[rows.zeros].ravel()))
     return float(r @ r), r, (M, XS, YS)
 
@@ -307,25 +347,30 @@ def _jacobian(s: np.ndarray, rows: _Rows, X: np.ndarray, Y: np.ndarray, result) 
     """Jacobian J of the residual on the product of the tangent spaces.
 
     The Euclidean gradient of a row of cell (x, y) is GX = L·(Y·S)_y·S in
-    block x of X and GY = Lᵀ·(X·S)ₓ·S in block y of Y, with L = 2M_xy on a
-    supported row and E_ij on the row of entry (i, j) of a zero cell.  Its
-    tangent projection G − Z·sym(ZᵀG) is −Z·sym(ZₓᵀG) in every block of Z
-    plus G in its own one.  The GX and GY of all rows are one stack, built
-    by one product from the blocks of [X·S; Y·S] that ``rows`` names.  J
+    block x of X and GY = Lᵀ·(X·S)ₓ·S in block y of Y, with L = 2M_xy on
+    the row T_xy − P_xy and E_ij on the row of entry (i, j) of M_xy, whose
+    GX is row j of (Y·S)_y·S put in row i and GY row i of (X·S)ₓ·S put in
+    row j.  Its tangent projection G − Z·sym(ZᵀG) is −Z·sym(ZₓᵀG) in every
+    block of Z plus G in its own one.  The GX and GY of all rows are one
+    stack, built from the blocks of [X·S; Y·S]·S that ``rows`` names.  J
     has a row per residual row and its columns flattened as (X, Y); it is
     written in place, and no other array of its size is made.  ``result``
     is the ``(M, X·S, Y·S)`` of :func:`_evaluate`.
     """
     M, XS, YS = result
-    L = np.concatenate((2.0 * M[rows.support], rows.E))
-    G = np.concatenate((L, np.swapaxes(L, 1, 2))) @ (np.concatenate((XS, YS)) * s)[rows.other]
+    W = np.concatenate((XS, YS)) * s
+    k, count, L = W.shape[-1], len(rows.row) // 2, 2.0 * M[rows.cells]
+    D = np.concatenate((L, np.swapaxes(L, 1, 2))) @ W[rows.other]
+    G = np.zeros((2 * count, k, k))
+    G[:len(L)], G[count:count + len(L)] = D[:len(L)], D[len(L):]
+    G.reshape(-1, k)[rows.put] = W.reshape(-1, k)[rows.take]
     Z = np.concatenate((X, Y))
     A = _sym(np.swapaxes(Z[rows.own], 1, 2) @ G)
-    J = np.empty((len(L),) + Z.shape)
-    np.matmul(-X, A[:len(L), None], out=J[:, :len(X)])
-    np.matmul(-Y, A[len(L):, None], out=J[:, len(X):])
+    J = np.empty((count,) + Z.shape)
+    np.matmul(-X, A[:count, None], out=J[:, :len(X)])
+    np.matmul(-Y, A[count:, None], out=J[:, len(X):])
     J[rows.row, rows.own] += G
-    return J.reshape(len(L), -1)
+    return J.reshape(count, -1)
 
 
 def _levenberg_marquardt(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
@@ -415,7 +460,9 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None) -> SolveOut
     ``converged=False`` — but a Λ so large that the search overflows
     floating point, and a target whose J would exceed
     ``MAX_JACOBIAN_ENTRIES`` entries (for instance 100×100 with k = 4),
-    raise :class:`FactorizationError`.
+    raise :class:`FactorizationError`.  The budget check comes after one
+    evaluation of the start point, whose largest array is the n·m×k×k
+    stack M.
     """
     settings = settings or SolveSettings()
     P = P.matrix
@@ -424,7 +471,7 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None) -> SolveOut
         raise FactorizationError("k must equal the number of Lambda entries")
     n, m = P.shape
     s = np.sqrt(lam)
-    rows = _residual_rows(P, k)
+    rows = _residual_rows(P, k, _simple_roots(n, m, k, int(np.sum(P == 0))))
 
     try:
         with np.errstate(over="raise", invalid="raise"):

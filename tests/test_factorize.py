@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,6 +23,7 @@ from corrgen.factorize import (
     _random_stiefel,
     _residual_rows,
     _retract,
+    _simple_roots,
     _step_retract,
 )
 
@@ -205,12 +208,15 @@ class TestInitAndProjection:
 
 # the last shape has more residual rows than tangent coordinates, so its
 # step solves the (n+m)·k² system instead of the rows one; each shape runs
-# without and with two zero cells, which have k² rows each
-SHAPES = [pytest.param(n, m, k, zeros, id=f"{n}-{m}-{k}" + ("-zeros" if zeros else ""))
-          for n, m, k in [(2, 3, 2), (3, 2, 3), (2, 2, 1), (3, 4, 1)] for zeros in (0, 2)]
+# without zero cells and with two, which have k² rows each or, "-plain",
+# one row T_xy each
+SHAPES = [pytest.param(n, m, k, zeros, simple,
+                       id=f"{n}-{m}-{k}" + ("-zeros" if zeros else "") + ("" if simple else "-plain"))
+          for n, m, k in [(2, 3, 2), (3, 2, 3), (2, 2, 1), (3, 4, 1)]
+          for zeros, simple in [(0, True), (2, True), (2, False)]]
 
 
-def _random_point(rng, n, m, k, zeros):
+def _random_point(rng, n, m, k, zeros, simple):
     """A random target with ``zeros`` zero cells, its residual rows, sqrt-Lambda
     entries and a point (X, Y) of the manifolds."""
     P = rng.dirichlet(np.ones(n * m))
@@ -218,7 +224,7 @@ def _random_point(rng, n, m, k, zeros):
     P = P.reshape(n, m) / P.sum()
     s = np.sqrt(rng.dirichlet(np.ones(k)))
     X, Y = _retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k)))
-    return _residual_rows(P, k), s, X, Y
+    return _residual_rows(P, k, simple), s, X, Y
 
 
 def _split(v, X, Y):
@@ -233,9 +239,9 @@ class TestParametrization:
         assert out.converged
         np.testing.assert_allclose(out.factorization.C, [np.diag([0.6, 0.8])], atol=1e-15)
 
-    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
-    def test_gradient_matches_finite_differences(self, rng, n, m, k, zeros):
-        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+    @pytest.mark.parametrize("n, m, k, zeros, simple", SHAPES)
+    def test_gradient_matches_finite_differences(self, rng, n, m, k, zeros, simple):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros, simple)
         _, r, result = _evaluate(rows, s, X, Y)
         gX, gY = _split(2.0 * (r @ _jacobian(s, rows, X, Y, result)), X, Y)
         # the Riemannian gradient is a tangent vector: sym(ZᵀG) = 0
@@ -249,11 +255,11 @@ class TestParametrization:
         directional = float(np.sum(gX * vX) + np.sum(gY * vY))
         assert (f_plus - f_minus) / (2 * h) == pytest.approx(directional, rel=1e-6, abs=1e-12)
 
-    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
-    def test_jacobian_matches_finite_differences(self, rng, n, m, k, zeros):
-        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+    @pytest.mark.parametrize("n, m, k, zeros, simple", SHAPES)
+    def test_jacobian_matches_finite_differences(self, rng, n, m, k, zeros, simple):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros, simple)
         J = _jacobian(s, rows, X, Y, _evaluate(rows, s, X, Y)[2])
-        assert J.shape == (n * m - zeros + zeros * k * k, (n + m) * k * k)
+        assert J.shape == (n * m + simple * zeros * (k * k - 1), (n + m) * k * k)
         h = 1e-5
         for _ in range(3):
             vX = _tangent(X, rng.standard_normal(X.shape))
@@ -264,9 +270,9 @@ class TestParametrization:
                                        (r_plus - r_minus) / (2 * h),
                                        rtol=1e-6, atol=1e-9)
 
-    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
-    def test_direction_is_tangent(self, rng, n, m, k, zeros):
-        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+    @pytest.mark.parametrize("n, m, k, zeros, simple", SHAPES)
+    def test_direction_is_tangent(self, rng, n, m, k, zeros, simple):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros, simple)
         _, r, result = _evaluate(rows, s, X, Y)
         d = _levenberg_marquardt(_jacobian(s, rows, X, Y, result), r, r @ r)
         # the bound that keeps the Gram of a CholeskyQR trial point in [1, 1.25]
@@ -276,9 +282,9 @@ class TestParametrization:
             ZtdZ = np.einsum("xab,xac->bc", Z, dZ)
             np.testing.assert_allclose(ZtdZ + ZtdZ.T, 0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
-    def test_direction_solves_either_system(self, rng, n, m, k, zeros):
-        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+    @pytest.mark.parametrize("n, m, k, zeros, simple", SHAPES)
+    def test_direction_solves_either_system(self, rng, n, m, k, zeros, simple):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros, simple)
         _, r, result = _evaluate(rows, s, X, Y)
         J = _jacobian(s, rows, X, Y, result)
         mu = r @ r
@@ -289,9 +295,9 @@ class TestParametrization:
             _levenberg_marquardt(J, r, mu),
             -np.linalg.solve(J.T @ J + mu * np.eye(J.shape[1]), r @ J), rtol=1e-9, atol=1e-13)
 
-    @pytest.mark.parametrize("n, m, k, zeros", SHAPES)
-    def test_direction_descends(self, rng, n, m, k, zeros):
-        rows, s, X, Y = _random_point(rng, n, m, k, zeros)
+    @pytest.mark.parametrize("n, m, k, zeros, simple", SHAPES)
+    def test_direction_descends(self, rng, n, m, k, zeros, simple):
+        rows, s, X, Y = _random_point(rng, n, m, k, zeros, simple)
         f, r, result = _evaluate(rows, s, X, Y)
         J = _jacobian(s, rows, X, Y, result)
         grad = 2.0 * (r @ J)
@@ -329,7 +335,8 @@ class TestParametrization:
         h = out.objective_history
         assert len(h) == out.iterations + 1
         X, Y = _random_stiefel(np.random.default_rng(seed), n, m, k)
-        assert h[0] == _evaluate(_residual_rows(Correlation(P).matrix, k), np.sqrt(lam), X, Y)[0]
+        assert h[0] == _evaluate(_residual_rows(Correlation(P).matrix, k, True), np.sqrt(lam),
+                                X, Y)[0]
         assert all(b <= a for a, b in zip(h, h[1:]))
         assert out.objective == np.sum((P - F.trace_table()) ** 2)
         # the two norms of T − P differ by the rounding of T, cell by cell
@@ -490,17 +497,72 @@ class TestAlternate:
         assert out.objective_history[-1] == pytest.approx(merit, rel=1e-12, abs=1e-15)
 
     def test_zero_cell_family_converges_superlinearly(self):
-        # every zero cell is a simple root of its k² residual rows, so the last
-        # step of each converged search is superlinear; e = √merit
+        # where zero cells get k² residual rows, each is a simple root of
+        # them, so the last step of each converged search is superlinear;
+        # e = √merit.  Target 16 (4×3, k = 4, eight zero cells) would need
+        # a J of 132 × 112 and keeps one row per cell.
+        simple = []
         for index, (P, lam) in enumerate(zero_cell_family()):
             out = alternate(P, lam, lam.size, SolveSettings(restarts=30))
             assert out.converged, index
             h = out.objective_history
             assert all(b <= a for a, b in zip(h, h[1:])), index
+            n, m = P.matrix.shape
+            if not _simple_roots(n, m, lam.size, int(np.sum(P.matrix == 0))):
+                continue
+            simple.append(index)
             T = out.factorization.trace_table()
             assert T[P.matrix == 0].max() <= SolveSettings.residual_tol, index
             e = np.sqrt(h[-3:])
             assert np.log(e[2] / e[1]) / np.log(e[1] / e[0]) >= 1.25, index
+        assert simple == [i for i in range(18) if i != 16]
+
+    @pytest.mark.xfail(strict=True, reason="the exact-partition zero-cell target converges at "
+                       "PR 18 defaults but not with k² rows per zero cell; see FOUND in CHANGES.md")
+    def test_exact_partition_target_converges_at_default_settings(self):
+        # P = [[0, 0.5004], [0.4996, 0]] with λ = (0.4996, 0.3907, 0.0814,
+        # 0.0283): its 10 default restarts stop at merit 1.43e-6 or about
+        # 1.5e-3; restart 2 converged with one row per cell
+        P, lam = zero_cell_family()[17]
+        assert alternate(P, lam, lam.size).converged
+
+    @pytest.mark.parametrize("n, m, k, zeros, simple, J", [
+        (2, 2, 2, 2, True, (10, 16)), (3, 3, 3, 6, False, (57, 54)),
+        (2, 2, 4, 2, True, (34, 64)), (4, 3, 4, 8, False, (132, 112)),
+        (2, 8, 4, 4, True, (76, 160)), (2, 8, 4, 8, False, (136, 160)),
+        (10, 10, 10, 90, False, (9010, 2000))])
+    def test_zero_cell_rows_where_small(self, n, m, k, zeros, simple, J):
+        # k² rows per zero cell where their J stays no taller than wide and
+        # within 2^14 entries: the 2×8 target at k = 4 gets them with four
+        # zero cells, not with eight
+        assert (n * m + zeros * (k * k - 1), (n + m) * k * k) == J
+        assert _simple_roots(n, m, k, zeros) is simple
+
+    def test_zero_heavy_target_keeps_its_search(self, monkeypatch):
+        # the 10×10 diagonal at k = 10 has one row per cell, J 100 × 2,000,
+        # as with one row per cell throughout; k² rows per zero cell would
+        # give 9,010 × 2,000, over the budget
+        monkeypatch.setattr(factorize, "BLOCK_STEPS", 2)
+        lam = np.arange(1.0, 11.0) / 55
+        out = alternate(Correlation(np.diag(lam)), np.sqrt(lam), 10,
+                        SolveSettings(restarts=1, max_outer_iters=1))
+        assert out.iterations == 2
+        assert out.objective_history[-1] < out.objective_history[0]
+        assert 9010 * 2000 > MAX_JACOBIAN_ENTRIES
+
+    def test_zero_heavy_target_over_budget_allocates_little(self):
+        # the 30×30 diagonal at k = 30 needs a J of 900 × 54,000 entries,
+        # 389 MB; it is refused after one evaluation of the start point,
+        # whose largest array is M, 900 k×k blocks (6.5 MB)
+        lam = np.arange(1.0, 31.0) / 465
+        tracemalloc.start()
+        try:
+            with pytest.raises(FactorizationError, match="budget"):
+                alternate(Correlation(np.diag(lam)), np.sqrt(lam), 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_random_verified_targets(self, rng):
         for _ in range(3):
