@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .conditions import SchmidtSpectrum
-from .correlation import Correlation, CorrgenError, _holds_non_number, float_array
+from .correlation import Correlation, CorrgenError, float_array
 from .factorize import DiagonalPsdFactorization, SolveSettings, levenberg_marquardt_search
 
 
@@ -43,7 +43,6 @@ class InstanceTooLarge(ClassicalError):
     pass
 
 
-MAX_ORACLE_ITEMS = 50
 #: Largest prefix table, in bits (r rows of total + 1 sums), the oracle builds.
 MAX_ORACLE_BITS = 2 ** 30
 #: Two rationals with denominators ≤ 2²⁰ differ by at least 2⁻⁴⁰ ≈ 9e-13,
@@ -114,14 +113,12 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
 
     Reachable sums are tracked as bits of a Python integer; the witness
     is reconstructed by peeling items off the prefix tables.  An odd
-    total is immediately unsatisfiable, whatever its size.  Instances
-    with more than ``MAX_ORACLE_ITEMS`` items, or an even total whose
-    table needs more than ``MAX_ORACLE_BITS`` bits, raise
-    :class:`InstanceTooLarge` before anything is allocated.
+    total is immediately unsatisfiable, whatever its size.  An even total
+    whose table needs more than ``MAX_ORACLE_BITS`` bits raises
+    :class:`InstanceTooLarge` before anything is allocated; that budget
+    bounds the time and memory of the table for any number of items.
     """
     r = len(inst.items)
-    if r > MAX_ORACLE_ITEMS:
-        raise InstanceTooLarge(f"oracle is desk-scale only (r <= {MAX_ORACLE_ITEMS})")
     total = inst.total
     if total % 2 == 1:
         return OracleResult(False, ())
@@ -235,41 +232,21 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
     return DiagonalPsdFactorization(C, C, sq)
 
 
-def _kraus_operator(E) -> np.ndarray:
-    """``E`` as a new complex array, or ``ClassicalError``."""
-    # float_array reads real numbers only; a complex ndarray holds no string or bool
-    complex_array = isinstance(E, np.ndarray) and E.dtype.kind == "c"
-    try:
-        non_number = not complex_array and _holds_non_number(E)
-    except RecursionError as exc:
-        raise ClassicalError("Kraus operator is nested too deeply") from exc
-    if non_number:
-        raise ClassicalError("Kraus operators must hold numbers, not strings or booleans")
-    try:
-        a = np.array(E, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ClassicalError(f"Kraus operator must be a rectangular array: {exc}") from exc
-    if not np.isfinite(a).all():
-        raise ClassicalError("Kraus operator entries must be finite")
-    return a
-
-
 def kraus_to_stochastic(kraus) -> np.ndarray:
     """Classical channel induced by a quantum channel in the label basis.
 
     Entry (x', x) is Σᵢ|⟨x'|Eᵢ|x⟩|²; trace preservation of the Kraus set
-    makes the result column-stochastic.  Each operator is read as a
-    complex matrix; a string, bytes or bool entry, a ragged or too deeply
-    nested operator and a NaN or infinite entry are refused before any
-    product is taken.
+    makes the result column-stochastic.  The set is read as one stack of
+    complex matrices by :func:`~corrgen.correlation.float_array`, so a
+    non-number, non-finite, ragged or unequal operator is refused before
+    any product is taken.
     """
-    mats = [_kraus_operator(E) for E in kraus]
-    if not mats:
-        raise ClassicalError("empty Kraus set")
-    comp = sum(E.conj().T @ E for E in mats)
-    if np.max(np.abs(comp - np.eye(mats[0].shape[1]))) > 1e-8:
+    E = float_array(list(kraus), ClassicalError, "Kraus set", complex)
+    if E.ndim != 3 or E.size == 0:
+        raise ClassicalError("a Kraus set must be a non-empty list of matrices of one shape")
+    if np.max(np.abs(np.einsum("iab,iac->bc", E.conj(), E) - np.eye(E.shape[2]))) > 1e-8:
         raise ClassicalError("Kraus set is not trace preserving")
-    return np.sum([np.abs(E) ** 2 for E in mats], axis=0)
+    return np.sum(np.abs(E) ** 2, axis=0)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ RULED_OUT.
 
 The battery derives the marginals, the supported cells and I(P) of a
 target once (:func:`~corrgen.correlation.cell_tables`) and H(λ) once per
-spectrum, and every check reads them; the fidelity sum takes all
-row-pair overlaps in one vectorized pass rather than one call per pair.
+spectrum, and every check reads them; the fidelity sum is the squared
+norm of one Gram matrix of √P rather than one overlap per row pair.
 The Rényi check evaluates every finite order of its grid in one array
 pass in log space: a side beyond the float range is compared by its log
 and reads ``inf``, with the slack applied on that scale.  A string,
@@ -38,9 +38,6 @@ from .correlation import (
 )
 
 SLACK = 1e-10
-
-#: Entries of the largest row-pair product the fidelity sum builds at once.
-FIDELITY_BLOCK_ENTRIES = 2 ** 20
 
 #: Default α grid: both monotone regimes of the Rényi family plus the
 #: closed-form α=∞ case.
@@ -249,19 +246,13 @@ def check_v2(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
 def check_fidelity_sum(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """Pairwise row-fidelity sum ΣᵢΣⱼF(Pᵢ,Pⱼ)² against Σλ².
 
-    Every overlap F(Pᵢ,Pⱼ) = Σ_y √(Pᵢ(y)Pⱼ(y)) comes from one array
-    expression, in blocks of rows that keep the n×n×m product bounded.
-    The squares are added one by one in row-major order; ``sum`` would
-    round differently on Python ≥ 3.12, which compensates float sums.
+    F(Pᵢ,Pⱼ) = Σ_y √Pᵢ(y)·√Pⱼ(y) is entry (i, j) of the Gram √P·√Pᵀ, so the
+    sum is its squared Frobenius norm, as it is of √Pᵀ·√P; the Gram of P's
+    shorter side is taken, so it never holds more entries than P.
     """
-    rows = P.matrix
-    n, m = rows.shape
-    block = max(1, FIDELITY_BLOCK_ENTRIES // (n * m))
-    lhs = 0.0
-    for first in range(0, n, block):
-        pairs = rows[first:first + block, None, :] * rows[None, :, :]
-        for f in np.sqrt(pairs).sum(axis=-1).ravel().tolist():
-            lhs += f ** 2
+    R = np.sqrt(P.matrix)
+    G = R @ R.T if R.shape[0] <= R.shape[1] else R.T @ R
+    lhs = float(np.sum(G * G))
     rhs = float((spectrum.lambdas ** 2).sum())
     return ConditionRecord("fidelity_sum", lhs, rhs, lhs >= rhs - SLACK)
 

@@ -4,11 +4,11 @@ A classical correlation is a joint distribution over a pair of labels,
 stored as a nonnegative matrix of unit total mass.  Everything downstream
 (condition checks, factorization searches, channel extraction) consumes
 these objects, so validation is strict and instances are immutable.
-Every value type of the package reads its arrays through
-:func:`float_array`, which refuses strings, bytes, booleans, ragged or
-too deeply nested rows and non-finite entries with the caller's module
-error, a :class:`CorrgenError`.  A value type that holds arrays is equal
-only to itself, and hashes by identity.
+Every value type of the package, and every Kraus set, reads its
+arrays through :func:`float_array`, which refuses strings, bytes,
+booleans, ragged or too deeply nested rows and non-finite entries with
+the caller's module error, a :class:`CorrgenError`.  A value type that
+holds arrays is equal only to itself, and hashes by identity.
 
 All logarithms are base 2; 0·log 0 = 0 by continuity.
 """
@@ -16,6 +16,7 @@ All logarithms are base 2; 0·log 0 = 0 by continuity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -31,31 +32,32 @@ class CorrelationError(CorrgenError):
     """Raised for inputs that do not describe a valid joint distribution."""
 
 
-def _holds_non_number(value) -> bool:
-    """Whether ``value`` is or nests a string, bytes, a bool or a non-numeric ndarray in lists."""
+def _holds_non_number(kinds: str, value) -> bool:
+    """Whether ``value`` is or nests a string, bytes, a bool or an ndarray of a dtype kind not in ``kinds``."""
     if isinstance(value, np.ndarray):
-        return value.dtype.kind not in "iuf"
+        return value.dtype.kind not in kinds
     if isinstance(value, (list, tuple)):
-        return any(map(_holds_non_number, value))
+        return any(map(partial(_holds_non_number, kinds), value))
     return isinstance(value, (str, bytes, bool, np.bool_))
 
 
-def float_array(value, error: type[CorrgenError], what: str) -> np.ndarray:
-    """A new float array holding ``value``, or ``error`` naming ``what``.
+def float_array(value, error: type[CorrgenError], what: str, dtype=float) -> np.ndarray:
+    """A new array of ``dtype``, float or complex, holding ``value``, or ``error`` naming ``what``.
 
     Refuses a string, bytes or bool at any depth of nested lists and
     tuples, lists nested beyond the recursion limit, an ndarray whose
-    dtype is not integer or float, a ragged or otherwise non-numeric
-    input, and any entry that is NaN or ±inf.
+    dtype is not integer, float or (for a complex ``dtype``) complex, a
+    ragged or otherwise non-numeric input, and any entry that is NaN or ±inf.
     """
+    real = dtype is float
     try:
-        non_number = _holds_non_number(value)
+        non_number = _holds_non_number("iuf" if real else "iufc", value)
     except RecursionError as exc:
         raise error(f"{what} is nested too deeply") from exc
     if non_number:
-        raise error(f"{what} must hold real numbers, not strings or booleans")
+        raise error(f"{what} must hold {'real ' if real else ''}numbers, not strings or booleans")
     try:
-        a = np.array(value, dtype=float)
+        a = np.array(value, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} must be a rectangular array of numbers: {exc}") from exc
     # NaN passes every sign and sum test of the callers, as each comparison with it is False
@@ -196,13 +198,12 @@ def mutual_information(P: Correlation) -> float:
 
 
 def classical_fidelity(p, q) -> float:
-    """Bhattacharyya overlap Σ √(p_i q_i) of two finite nonnegative vectors.
+    """Bhattacharyya overlap Σ √p_i·√q_i of two finite nonnegative vectors.
 
     Unnormalized inputs are allowed (the fidelity-sum condition uses raw
-    rows of P).  Each term is √(p_i·q_i), rounded as the fidelity-sum
-    condition rounds it, except where p_i·q_i leaves the normal float
-    range: there it is √p_i·√q_i, and only a sum beyond the float range
-    reads ``inf``.
+    rows of P).  The roots are taken before the product, so each term lies
+    between p_i and q_i and stays in range where p_i·q_i would leave it;
+    only a sum beyond the float range reads ``inf``.
     """
     p = float_array(p, CorrelationError, "fidelity arguments")
     q = float_array(q, CorrelationError, "fidelity arguments")
@@ -211,6 +212,4 @@ def classical_fidelity(p, q) -> float:
     if (p < 0).any() or (q < 0).any():
         raise CorrelationError("fidelity arguments must be nonnegative")
     with np.errstate(over="ignore"):
-        pq = p * q
-        normal = (pq >= np.finfo(float).tiny) & (pq < np.inf)
-        return float(np.where(normal, np.sqrt(pq), np.sqrt(p) * np.sqrt(q)).sum())
+        return float((np.sqrt(p) * np.sqrt(q)).sum())

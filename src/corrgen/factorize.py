@@ -290,10 +290,9 @@ class _Rows(NamedTuple):
     A row's gradient lives in one block of X and one of Y.  The blocks of
     both stacks are numbered together, X's n first, and the gradients of
     all rows are computed as one stack of 2·rows parts: the X parts, then
-    the Y parts.  The row of entry (i, j) of a zero cell has L = E_ij, so
-    each of its parts is zero but for one row, a copy of one row of a
-    block of [X·S; Y·S]·S; ``put`` and ``take`` index both as rows of the
-    stacks flattened to k columns.
+    the Y parts.  A zero cell's row of entry (i, j) has L = E_ij from ``units``,
+    whose z·k⁴ floats stay within 2¹³: :func:`_simple_roots` gives z zero
+    cells rows only where J, at least z·k² × 2k², has at most 2¹⁴ entries.
     """
 
     cells: np.ndarray     # flat indices of the cells with a row T_xy − P_xy, in row-major order
@@ -301,9 +300,7 @@ class _Rows(NamedTuple):
     zeros: np.ndarray     # flat indices of the zero cells with k² rows vec M_xy
     own: np.ndarray       # per gradient part, the block it lives in: x, then n + y
     row: np.ndarray       # per gradient part, its row
-    other: np.ndarray     # per part of a row T − P, X then Y, the block it is built from: n + y, then x
-    put: np.ndarray       # per zero-cell part, X then Y, its row that is not zero: row i, then row j
-    take: np.ndarray      # per zero-cell part, the row it copies: row j of block n + y, then row i of x
+    units: np.ndarray     # the L of each zero-cell row: E_ij, (i, j) row-major per zero cell
 
 
 def _residual_rows(P: np.ndarray, k: int, simple_roots: bool) -> _Rows:
@@ -313,14 +310,9 @@ def _residual_rows(P: np.ndarray, k: int, simple_roots: bool) -> _Rows:
     zero = (flat == 0) & simple_roots
     cells, zeros = np.flatnonzero(~zero), np.flatnonzero(zero)
     blocks = np.concatenate((cells, np.repeat(zeros, k * k)))
-    x, y = blocks // m, n + blocks % m  # block numbers in the stack [X; Y]
-    count, c = blocks.size, cells.size
-    i, j = np.tile(np.divmod(np.arange(k * k), k), zeros.size)
-    part = np.arange(c, count) * k  # first flat row of each zero-cell X part; Y parts count·k on
-    return _Rows(cells, flat[cells], zeros, np.concatenate((x, y)), np.tile(np.arange(count), 2),
-                 np.concatenate((y[:c], x[:c])),
-                 np.concatenate((part + i, count * k + part + j)),
-                 np.concatenate((y[c:] * k + j, x[c:] * k + i)))
+    return _Rows(cells, flat[cells], zeros, np.concatenate((blocks // m, n + blocks % m)),
+                 np.tile(np.arange(blocks.size), 2),
+                 np.tile(np.eye(k * k).reshape(-1, k, k), (zeros.size, 1, 1)))
 
 
 def _evaluate(rows: _Rows, s: np.ndarray, X: np.ndarray, Y: np.ndarray):
@@ -346,24 +338,22 @@ def _sym(A: np.ndarray) -> np.ndarray:
 def _jacobian(s: np.ndarray, rows: _Rows, X: np.ndarray, Y: np.ndarray, result) -> np.ndarray:
     """Jacobian J of the residual on the product of the tangent spaces.
 
-    The Euclidean gradient of a row of cell (x, y) is GX = L·(Y·S)_y·S in
-    block x of X and GY = Lᵀ·(X·S)ₓ·S in block y of Y, with L = 2M_xy on
-    the row T_xy − P_xy and E_ij on the row of entry (i, j) of M_xy, whose
-    GX is row j of (Y·S)_y·S put in row i and GY row i of (X·S)ₓ·S put in
-    row j.  Its tangent projection G − Z·sym(ZᵀG) is −Z·sym(ZₓᵀG) in every
-    block of Z plus G in its own one.  The GX and GY of all rows are one
-    stack, built from the blocks of [X·S; Y·S]·S that ``rows`` names.  J
-    has a row per residual row and its columns flattened as (X, Y); it is
-    written in place, and no other array of its size is made.  ``result``
-    is the ``(M, X·S, Y·S)`` of :func:`_evaluate`.
+    Every row is built from its L: the Euclidean gradient of a row of cell
+    (x, y) is GX = L·(Y·S)_y·S in block x of X and GY = Lᵀ·(X·S)ₓ·S in
+    block y of Y, with L = 2M_xy on the row T_xy − P_xy and the unit
+    matrix E_ij of ``rows.units`` on the row of entry (i, j) of M_xy.  Its
+    tangent projection G − Z·sym(ZᵀG) is −Z·sym(ZₓᵀG) in every block of Z
+    plus G in its own one.  The GX and GY of all rows are one stack, each
+    built from the block of [X·S; Y·S]·S of the other side.  J has a row
+    per residual row and its columns flattened as (X, Y); it is written in
+    place, and no other array of its size is made.  ``result`` is the
+    ``(M, X·S, Y·S)`` of :func:`_evaluate`.
     """
     M, XS, YS = result
     W = np.concatenate((XS, YS)) * s
-    k, count, L = W.shape[-1], len(rows.row) // 2, 2.0 * M[rows.cells]
-    D = np.concatenate((L, np.swapaxes(L, 1, 2))) @ W[rows.other]
-    G = np.zeros((2 * count, k, k))
-    G[:len(L)], G[count:count + len(L)] = D[:len(L)], D[len(L):]
-    G.reshape(-1, k)[rows.put] = W.reshape(-1, k)[rows.take]
+    count = len(rows.row) // 2
+    L = np.concatenate((2.0 * M[rows.cells], rows.units))
+    G = np.concatenate((L, np.swapaxes(L, 1, 2))) @ W[rows.own.reshape(2, -1)[::-1].ravel()]
     Z = np.concatenate((X, Y))
     A = _sym(np.swapaxes(Z[rows.own], 1, 2) @ G)
     J = np.empty((count,) + Z.shape)

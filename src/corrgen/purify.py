@@ -172,9 +172,18 @@ def cnot_purification(P: Correlation) -> PureStateMatrix:
 
 
 def sample_protocol(F: DiagonalPsdFactorization, n_samples: int, rng_seed: int) -> np.ndarray:
-    """Empirical n×m counts of i.i.d. cells ∝ tr(C_x D_y), drawn once ``F.validate()`` passes."""
+    """Empirical n×m counts of i.i.d. cells ∝ tr(C_x D_y), drawn once ``F.validate()`` passes.
+
+    A count outside the integers in [0, 2⁶³), which numpy's sampler takes,
+    or a seed outside the nonnegative integers raises FactorizationError.
+    """
     from .factorize import FactorizationError
 
+    # numpy reads a float count as an integer, and a bool is one
+    if not (all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                for v in (n_samples, rng_seed)) and 0 <= n_samples < 2 ** 63 and rng_seed >= 0):
+        raise FactorizationError("the sample count must be an integer in [0, 2^63) and the sampling"
+                                 f" seed a nonnegative integer, got {n_samples!r} and {rng_seed!r}")
     F.validate()
     probs = np.maximum(F.trace_table(), 0.0)
     if not probs.sum() > 0:

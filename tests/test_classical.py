@@ -87,6 +87,13 @@ class TestKraus:
         with pytest.raises(ClassicalError):
             kraus_to_stochastic([])
 
+    @pytest.mark.parametrize("kraus", [[[1.0]], [np.eye(2), np.eye(3)], [np.zeros((2, 0))]],
+                             ids=["vector", "unequal", "no-columns"])
+    def test_rejects_malformed_set(self, kraus):
+        # a vector raised IndexError and unequal operators numpy's broadcast error
+        with pytest.raises(ClassicalError):
+            kraus_to_stochastic(kraus)
+
     def test_random_channel_columns(self, rng):
         # random isometry-completed channel: columns always sum to 1
         g = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
@@ -138,9 +145,12 @@ class TestOracle:
                 for r in range(7) for c in combinations(items, r))
             assert subset_sum_oracle(SubsetSumInstance(items)).satisfiable == brute
 
-    def test_size_cap(self):
-        with pytest.raises(InstanceTooLarge):
-            subset_sum_oracle(SubsetSumInstance([1] * 51))
+    def test_sixty_items_decided(self):
+        # the bit budget alone bounds the table: 60 items summing to 120 are
+        # decided, and the witness takes half of them
+        res = subset_sum_oracle(SubsetSumInstance([1, 3] * 30))
+        assert res.satisfiable
+        assert sum([1, 3][i % 2] for i in res.witness) == 60
 
     def test_bit_budget(self):
         # a table of 2 x (2^30 + 1) bits is just over the budget

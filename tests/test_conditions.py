@@ -18,7 +18,6 @@ from corrgen import (
     v2_classical,
     verify,
 )
-from corrgen import conditions
 from corrgen.conditions import SLACK, SpectrumError, mutual_information_baseline
 from corrgen.correlation import CorrelationError
 
@@ -202,17 +201,15 @@ class TestFidelitySum:
         assert rec.rhs == pytest.approx(0.5)
         assert rec.satisfied
 
-    @pytest.mark.parametrize("entries", [1, 40], ids=["one-row-blocks", "uneven-blocks"])
-    def test_row_blocks_match_pairwise_loop(self, rng, monkeypatch, entries):
-        # a 5x4 target in blocks of 1 row, or of 2, 2 and 1 rows: the path a
-        # target too large for one block takes
-        monkeypatch.setattr(conditions, "FIDELITY_BLOCK_ENTRIES", entries)
-        P = random_correlation(rng, 5, 4)
+    @pytest.mark.parametrize("n, m", [(40, 3), (3, 40)], ids=["tall", "wide"])
+    def test_gram_matches_pairwise_loop(self, rng, n, m):
+        # a tall target takes the Gram of its columns, a wide one that of its rows
+        P = random_correlation(rng, n, m)
         expected = 0.0
         for a in P.matrix:
             for b in P.matrix:
                 expected += classical_fidelity(a, b) ** 2
-        assert check_fidelity_sum(BELL, P).lhs == expected
+        assert check_fidelity_sum(BELL, P).lhs == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 class TestCheckAll:

@@ -537,6 +537,12 @@ class TestAlternate:
         # zero cells, not with eight
         assert (n * m + zeros * (k * k - 1), (n + m) * k * k) == J
         assert _simple_roots(n, m, k, zeros) is simple
+        # their unit matrices E_ij, z·k⁴ floats, stay within 2^13, and a
+        # target with one row per cell has none
+        P = np.ones(n * m)
+        P[:zeros] = 0.0
+        units = _residual_rows(P.reshape(n, m), k, simple).units
+        assert units.size == simple * zeros * k ** 4 <= 2 ** 13
 
     def test_zero_heavy_target_keeps_its_search(self, monkeypatch):
         # the 10×10 diagonal at k = 10 has one row per cell, J 100 × 2,000,

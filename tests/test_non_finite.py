@@ -118,6 +118,25 @@ def test_equality_and_hash_answer(build, equal):
         assert x == twin and hash(x) == hash(twin)
 
 
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_complex_array_raises_module_error(cls):
+    # the array parser reads complex numbers for Kraus sets only
+    error, valid = CASES[cls]
+    for i in range(len(valid)):
+        args = [a.astype(complex) if j == i else a for j, a in enumerate(valid)]
+        with pytest.raises(error, match="must hold real numbers"):
+            cls(*args)
+
+
+def test_kraus_reads_complex_numbers():
+    # a complex Kraus operator is read, and a refused one is not asked for real numbers
+    S = np.diag([1, 1j])
+    for E in (S, S.tolist()):
+        np.testing.assert_array_equal(kraus_to_stochastic([E]), np.eye(2))
+    with pytest.raises(ClassicalError, match="must hold numbers"):
+        kraus_to_stochastic([[[1j, "0"], [0, 1]]])
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, "1", b"1", True, np.bool_(True),
                                    _nest(2000)],
                          ids=["nan", "inf", "-inf", "string", "bytes", "bool", "numpy-bool", "deep"])

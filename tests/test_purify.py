@@ -169,6 +169,17 @@ class TestSampling:
         F, _ = fact
         assert sample_protocol(F, 0, 3).sum() == 0
 
+    @pytest.mark.parametrize("n_samples, rng_seed", [
+        (-1, 0), (2 ** 63, 0), (10.5, 0), (True, 0), (5, -1), (5, 2.0), (5, True)],
+        ids=["negative-count", "count-2^63", "float-count", "bool-count", "negative-seed",
+             "float-seed", "bool-seed"])
+    def test_rejects_bad_count_or_seed(self, fact, n_samples, rng_seed):
+        # numpy raised its own ValueError for -1 samples or seed -1 and
+        # OverflowError for 2^63 samples, and drew 10.5 samples as 10
+        F, _ = fact
+        with pytest.raises(FactorizationError, match="sample count|sampling seed"):
+            sample_protocol(F, n_samples, rng_seed)
+
     def test_rejects_negative_cells(self):
         C = np.array([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]]])
         D = np.array([[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.0], [0.0, 1.0]]])
