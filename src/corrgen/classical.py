@@ -152,6 +152,16 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
 HALF_IDENTITY = Correlation([[0.5, 0.0], [0.0, 0.5]])
 
 
+def _lambdas(inst: SubsetSumInstance, order, ratio=operator.truediv) -> list:
+    """λᵢ = aᵢ/Σa for the item indices in ``order``: the seed weights of both reductions.
+
+    With ``operator.truediv`` each λᵢ is the float nearest aᵢ/Σa, since
+    int / int is correctly rounded; with ``Fraction`` it is exact.
+    """
+    items, total = inst.items, inst.total
+    return [ratio(items[i], total) for i in order]
+
+
 @dataclass(frozen=True)
 class QuantumHardnessInstance:
     """Spectrum λᵢ = aᵢ/Σa (sorted descending) → ½I₂, held as the items it is built from."""
@@ -168,15 +178,12 @@ class QuantumHardnessInstance:
     @cached_property
     def spectrum(self) -> SchmidtSpectrum:
         """The seed spectrum, built on first read and kept."""
-        items, total = self.subset_sum.items, self.subset_sum.total
-        # int / int is correctly rounded, so each λᵢ is the float nearest aᵢ/Σa
-        return SchmidtSpectrum(np.array([items[i] / total for i in self.item_order]))
+        return SchmidtSpectrum(np.array(_lambdas(self.subset_sum, self.item_order)))
 
     @property
     def exact_lambdas(self) -> tuple[Fraction, ...]:
         """λᵢ = aᵢ/Σa as exact rationals, aligned with the sorted spectrum."""
-        items, total = self.subset_sum.items, self.subset_sum.total
-        return tuple(Fraction(items[i], total) for i in self.item_order)
+        return tuple(_lambdas(self.subset_sum, self.item_order, Fraction))
 
 
 @dataclass(frozen=True)
@@ -189,14 +196,12 @@ class ClassicalHardnessInstance:
     @cached_property
     def seed(self) -> Correlation:
         """The diagonal seed diag(λ₁…λ_r), built on first read and kept."""
-        total = self.subset_sum.total
-        return Correlation(np.diag([a / total for a in self.subset_sum.items]))
+        return Correlation(np.diag(_lambdas(self.subset_sum, range(len(self.subset_sum.items)))))
 
     @property
     def exact_lambdas(self) -> tuple[Fraction, ...]:
         """λᵢ = aᵢ/Σa as exact rationals, aligned with the seed diagonal."""
-        total = self.subset_sum.total
-        return tuple(Fraction(a, total) for a in self.subset_sum.items)
+        return tuple(_lambdas(self.subset_sum, range(len(self.subset_sum.items)), Fraction))
 
 
 def build_quantum_hardness_instance(inst: SubsetSumInstance) -> QuantumHardnessInstance:

@@ -5,19 +5,22 @@ functional of the seed's squared Schmidt coefficients.  The checks are
 necessary only, so the aggregate verdict vocabulary is RULED_OUT /
 NOT_RULED_OUT — a passing report never certifies generability.
 
-All comparisons carry an additive slack of ``SLACK`` applied in the
-seed's favor: a borderline numerical tie never produces a false
-RULED_OUT.
+One rule, :func:`_judge`, turns a check's two sides into its record: it
+tests lhs ≤ rhs or lhs ≥ rhs with an additive slack of ``SLACK`` in the
+seed's favor.  The slack is absolute, so it absorbs ties between sides
+near 1 but not the rounding of large sides: there a tie can still read
+as a violated bound, and so as a false RULED_OUT.
 
 The battery derives the marginals, the supported cells and I(P) of a
-target once (:func:`~corrgen.correlation.cell_tables`) and H(λ) once per
-spectrum, and every check reads them; the fidelity sum is the squared
-norm of one Gram matrix of √P rather than one overlap per row pair.
-The Rényi check evaluates every finite order of its grid in one array
-pass in log space: a side beyond the float range is compared by its log
-and reads ``inf``, with the slack applied on that scale.  A string,
-bool or non-scalar order, a NaN order, an order outside the family, and
-one at which a log side overflows are refused with SpectrumError.
+target once (:func:`~corrgen.correlation.cell_tables`, which caches the
+tables of the last target asked for) and H(λ) once per spectrum, and
+every check reads them; the fidelity sum is the squared norm of one
+Gram matrix of √P rather than one overlap per row pair.  The Rényi
+check evaluates every finite order of its grid in one array pass in log
+space, with its own rule on that scale: a side beyond the float range
+is compared by its log and reads ``inf``.  A string, bool or non-scalar
+order, a NaN order, an order outside the family, and one at which a log
+side overflows are refused with SpectrumError.
 """
 
 from __future__ import annotations
@@ -128,6 +131,13 @@ class ConditionReport:
         }
 
 
+def _judge(name: str, lhs: float, rhs: float, at_most: bool,
+           alpha: float | None = None) -> ConditionRecord:
+    """The record of lhs ≤ rhs (``at_most``) or lhs ≥ rhs, with ``SLACK`` in the seed's favor."""
+    satisfied = lhs <= rhs + SLACK if at_most else lhs >= rhs - SLACK
+    return ConditionRecord(name, lhs, rhs, satisfied, alpha)
+
+
 def _log2_sum_exp2(x: np.ndarray) -> np.ndarray:
     """log₂ Σ 2^x along the rows of a 2-d array, which it overwrites.
 
@@ -185,40 +195,36 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
         records = []
         for alpha in alphas:
             if alpha == math.inf:
-                lhs = float((1.0 / lam).sum())
-                rhs = float((t.cells / t.prod).max())
-                ok = lhs >= rhs - SLACK
-                in_range = math.isfinite(lhs) and math.isfinite(rhs)
+                record = _judge("renyi", float((1.0 / lam).sum()), float((t.cells / t.prod).max()),
+                                at_most=False, alpha=alpha)
+                in_range = math.isfinite(record.lhs) and math.isfinite(record.rhs)
             else:
                 log_lhs, log_rhs, lhs, rhs, lhs_holds, rhs_holds = next(finite)
-                ok = lhs_holds if alpha < 1.0 else rhs_holds
+                record = ConditionRecord("renyi", lhs, rhs,
+                                         lhs_holds if alpha < 1.0 else rhs_holds, alpha)
                 in_range = math.isfinite(log_lhs) and math.isfinite(log_rhs)
             if not in_range:
                 raise SpectrumError(f"the Rényi bound at alpha = {alpha} overflows floating point")
-            records.append(ConditionRecord("renyi", lhs, rhs, ok, alpha=alpha))
+            records.append(record)
     return records
 
 
 def check_min_schmidt(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """λ_r against the min over supported cells of P(x)P(y)/P(x,y)."""
     t = cell_tables(P)
-    rhs = float((t.prod / t.cells).min())
-    lhs = float(spectrum.lambdas[-1])
-    return ConditionRecord("min_schmidt", lhs, rhs, lhs <= rhs + SLACK)
+    return _judge("min_schmidt", float(spectrum.lambdas[-1]), float((t.prod / t.cells).min()),
+                  at_most=True)
 
 
 def check_holevo(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """I(P) against the Shannon entropy of the squared Schmidt spectrum."""
-    lhs = mutual_information(P)
-    rhs = spectrum.entropy
-    return ConditionRecord("holevo", lhs, rhs, lhs <= rhs + SLACK)
+    return _judge("holevo", mutual_information(P), spectrum.entropy, at_most=True)
 
 
 def mutual_information_baseline(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """The weaker doubled-entropy bound I(P) ≤ −2Σλlogλ, for comparison."""
-    lhs = mutual_information(P)
-    rhs = 2.0 * spectrum.entropy
-    return ConditionRecord("mutual_information_baseline", lhs, rhs, lhs <= rhs + SLACK)
+    return _judge("mutual_information_baseline", mutual_information(P), 2.0 * spectrum.entropy,
+                  at_most=True)
 
 
 def v2_classical(P: Correlation) -> float:
@@ -237,10 +243,8 @@ def v2_classical(P: Correlation) -> float:
 
 def check_v2(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """Σλ² against 1 − V′₂²/r with r the seed's Schmidt rank."""
-    lhs = float((spectrum.lambdas ** 2).sum())
-    v2 = v2_classical(P)
-    rhs = 1.0 - v2 ** 2 / spectrum.rank
-    return ConditionRecord("v2", lhs, rhs, lhs <= rhs + SLACK)
+    return _judge("v2", float((spectrum.lambdas ** 2).sum()),
+                  1.0 - v2_classical(P) ** 2 / spectrum.rank, at_most=True)
 
 
 def check_fidelity_sum(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
@@ -252,9 +256,8 @@ def check_fidelity_sum(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRe
     """
     R = np.sqrt(P.matrix)
     G = R @ R.T if R.shape[0] <= R.shape[1] else R.T @ R
-    lhs = float(np.sum(G * G))
-    rhs = float((spectrum.lambdas ** 2).sum())
-    return ConditionRecord("fidelity_sum", lhs, rhs, lhs >= rhs - SLACK)
+    return _judge("fidelity_sum", float(np.sum(G * G)), float((spectrum.lambdas ** 2).sum()),
+                  at_most=False)
 
 
 def check_all(spectrum: SchmidtSpectrum, P: Correlation,
@@ -265,13 +268,10 @@ def check_all(spectrum: SchmidtSpectrum, P: Correlation,
     the Σλ² bounds use the seed's Schmidt rank for r, which is
     conservative when the seed rank exceeds the PSD-rank of P.
     """
-    records = [
-        check_min_schmidt(spectrum, P),
-        check_holevo(spectrum, P),
-        mutual_information_baseline(spectrum, P),
-        check_v2(spectrum, P),
-        check_fidelity_sum(spectrum, P),
-    ]
+    # built per call, so each name is read from the module when the battery runs
+    checks = (check_min_schmidt, check_holevo, mutual_information_baseline, check_v2,
+              check_fidelity_sum)
+    records = [check(spectrum, P) for check in checks]
     records.extend(check_renyi(spectrum, P, alphas))
     notes = (
         "Conditions are necessary only; a passing report does not certify generability.",

@@ -8,7 +8,9 @@ Every value type of the package, and every Kraus set, reads its
 arrays through :func:`float_array`, which refuses strings, bytes,
 booleans, ragged or too deeply nested rows and non-finite entries with
 the caller's module error, a :class:`CorrgenError`.  A value type that
-holds arrays is equal only to itself, and hashes by identity.
+holds arrays is equal only to itself, and hashes by identity, so
+:func:`cell_tables` can cache the battery's tables of the last target
+by the object alone.
 
 All logarithms are base 2; 0·log 0 = 0 by continuity.
 """
@@ -16,7 +18,7 @@ All logarithms are base 2; 0·log 0 = 0 by continuity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -140,24 +142,17 @@ class CellTables(NamedTuple):
     information: float     # I(P) in bits
 
 
-_last_tables: tuple[Correlation, CellTables] | None = None
-
-
+@lru_cache(maxsize=1)
 def cell_tables(P: Correlation) -> CellTables:
     """Marginals, supported cells and I(P) of P, derived once per target.
 
-    A Correlation never changes, so the tables of the target asked for
-    last are kept and handed out again while the same object is asked
-    for: a battery of checks on one target derives them once.  Only that
-    one target is kept, so memory does not grow with the targets alive,
-    as it would with tables stored on every instance.  The pair is read
-    once and replaced whole, so a caller on another thread at worst
-    derives the tables again.
+    A Correlation never changes and hashes by identity, so the tables of
+    the target asked for last are cached and handed out again while the
+    same object is asked for: a battery of checks on one target derives
+    them once.  Only that one target is kept, so memory does not grow
+    with the targets alive, as it would with tables stored on every
+    instance.
     """
-    global _last_tables
-    last = _last_tables
-    if last is not None and last[0] is P:
-        return last[1]
     px = marginal_x(P)
     py = marginal_y(P)
     mask = P.matrix > 0
@@ -171,9 +166,7 @@ def cell_tables(P: Correlation) -> CellTables:
     information = max(float((cells * log_ratio).sum()), 0.0)
     for a in (px, py, cells, prod, log_ratio):
         a.setflags(write=False)
-    tables = CellTables(px, py, cells, prod, log_ratio, information)
-    _last_tables = (P, tables)
-    return tables
+    return CellTables(px, py, cells, prod, log_ratio, information)
 
 
 def shannon_entropy(v) -> float:

@@ -2,8 +2,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from corrgen import Correlation, DiagonalPsdFactorization
+
+# tier1: every run of the same code draws the same examples and replays
+# none from a local example database, so a verdict names the code alone.
+# explore: fresh random draws on each run (pytest --hypothesis-profile=explore).
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 def random_correlation(rng, n, m):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -285,8 +287,9 @@ class TestImplications:
 
 
 class TestCheckAllAgreesWithStandaloneChecks:
-    """check_all shares one set of cell tables between its checks; each
-    standalone check below gets a fresh Correlation, so it derives its own."""
+    """check_all's checks share the tables that cell_tables caches for the
+    last target; each standalone check below gets a fresh Correlation, so it
+    derives its own."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
@@ -312,16 +315,23 @@ class TestCheckAllAgreesWithStandaloneChecks:
         expected = [check_min_schmidt(spec, fresh()), check_holevo(spec, fresh()),
                     mutual_information_baseline(spec, fresh()), check_v2(spec, fresh()),
                     check_fidelity_sum(spec, fresh()), *check_renyi(spec, fresh())]
-        check_all(spec, EX5)   # the tables kept last belong to another target
+        check_all(spec, EX5)   # the cached tables belong to another target
         records = check_all(spec, P).records
         # dataclass equality: == on every float, bool and name
         assert list(records) == expected
 
-        reference = 0.0
-        for a in P.matrix:
-            for b in P.matrix:
-                reference += classical_fidelity(a, b) ** 2
-        assert records[4].lhs == pytest.approx(reference, rel=1e-15, abs=0)
+        # ‖G‖²_F in exact arithmetic on the float entries of √P.  In floats,
+        # each Gram entry is a dot product of l = max(n, m) nonnegative terms
+        # (relative error γ_l), squared (γ_2l, then one more rounding) and
+        # summed with the other s = min(n, m)² squares (s − 1 more), so the
+        # lhs is within γ_j·‖G‖²_F of this, j = 2l + s, γ_j = j·u/(1 − j·u)
+        # with u = 2⁻⁵³ (Higham, Accuracy and Stability of Numerical
+        # Algorithms, ch. 3); 5.3e-15 for 6×6
+        R = [[Fraction(v) for v in row] for row in np.sqrt(P.matrix).tolist()]
+        exact = sum(sum(x * y for x, y in zip(a, b)) ** 2 for a in R for b in R)
+        j = 2 * max(n, m) + min(n, m) ** 2
+        gamma = Fraction(j, 2 ** 53 - j)
+        assert abs(Fraction(records[4].lhs) - exact) <= gamma * exact
 
 
 def _povm(rng, count, k, partition):
@@ -354,6 +364,15 @@ def _verified_pair(seed, n, m, k, zero, split_x, split_y):
 
 
 class TestSoundnessProperty:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the absolute SLACK does not cover "
+                       "the rounding of the alpha = inf sides near 1e18")
+    def test_schmidt_basis_outcome_with_a_tiny_coefficient_is_not_ruled_out(self):
+        # measuring both halves in the Schmidt basis generates diag(λ) from λ;
+        # the α = ∞ record compares Σ1/λ = 9.999999999999999e17 with
+        # max P/PₓP_y = 1e18, one ulp (128) apart
+        lam = [1.0, 1e-18]
+        assert check_all(SchmidtSpectrum(lam), Correlation(np.diag(lam))).verdict == NOT_RULED_OUT
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
            k=st.integers(1, 4), zero=st.booleans(), split_x=st.booleans(),
