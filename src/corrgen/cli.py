@@ -285,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "text"), default="json")
     output.add_argument("--out", default=None)
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--target", required=True)
     # an omitted solver flag sets no attribute, and SolveSettings supplies its default
     omitted = argparse.SUPPRESS
     solver = argparse.ArgumentParser(add_help=False)
@@ -293,27 +295,24 @@ def build_parser() -> argparse.ArgumentParser:
                         default=omitted)
     solver.add_argument("--tol", dest="residual_tol", metavar="TOL", type=float, default=omitted)
 
-    p = sub.add_parser("check", parents=[output],
+    p = sub.add_parser("check", parents=[output, target],
                        help="run all necessary conditions for a seed/target pair")
-    p.add_argument("--target", required=True)
     seed = p.add_mutually_exclusive_group(required=True)
     seed.add_argument("--seed", help="classical-classical seed correlation JSON")
     seed.add_argument("--schmidt", help="squared Schmidt coefficients, comma separated")
     p.add_argument("--alphas", default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("factorize", parents=[output, solver],
+    p = sub.add_parser("factorize", parents=[output, target, solver],
                        help="search a diagonal-form PSD factorization")
-    p.add_argument("--target", required=True)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="diagonal of Lambda (sqrt-lambda entries), comma separated")
     p.add_argument("--lambda-squared", action="store_true",
                    help="interpret --lambda entries as squared Schmidt coefficients")
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("verify", parents=[output],
+    p = sub.add_parser("verify", parents=[output, target],
                        help="verify a candidate factorization against a target")
-    p.add_argument("--target", required=True)
     p.add_argument("--factorization", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_verify)
@@ -325,10 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-rng", dest="rng_seed", metavar="SEED_RNG", type=int, default=omitted)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("classical", parents=[output, solver],
+    p = sub.add_parser("classical", parents=[output, target, solver],
                        help="search stochastic (A, B) with target = A seed B^T")
     p.add_argument("--seed", required=True)
-    p.add_argument("--target", required=True)
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("reduce", parents=[output], help="build a SUBSET-SUM hardness instance")
@@ -336,14 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("quantum", "classical"), default="quantum")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("lambda-candidates", parents=[output],
+    p = sub.add_parser("lambda-candidates", parents=[output, target],
                        help="Lambda candidates from named purifications")
-    p.add_argument("--target", required=True)
     p.set_defaults(func=cmd_lambda_candidates)
 
-    p = sub.add_parser("pipeline", parents=[output, solver],
+    p = sub.add_parser("pipeline", parents=[output, target, solver],
                        help="condition check, then factorization search")
-    p.add_argument("--target", required=True)
     p.add_argument("--schmidt", required=True)
     p.add_argument("--alphas", default=None)
     p.set_defaults(func=cmd_pipeline)

@@ -6,10 +6,11 @@ necessary only, so the aggregate verdict vocabulary is RULED_OUT /
 NOT_RULED_OUT — a passing report never certifies generability.
 
 One rule, :func:`_judge`, turns a check's two sides into its record: it
-tests lhs ≤ rhs or lhs ≥ rhs with an additive slack of ``SLACK`` in the
-seed's favor.  The slack is absolute, so it absorbs ties between sides
-near 1 but not the rounding of large sides: there a tie can still read
-as a violated bound, and so as a false RULED_OUT.
+tests lhs ≤ rhs or lhs ≥ rhs with a slack of ``SLACK``·max(1, |lhs|,
+|rhs|) in the seed's favor.  The slack is relative to the larger side,
+with a floor of ``SLACK`` for sides below 1, so it covers the float error
+of a record whatever the magnitude of its sides, and judges one instance
+alike in every record.
 
 The battery derives the marginals, the supported cells and I(P) of a
 target once (:func:`~corrgen.correlation.cell_tables`, which caches the
@@ -18,23 +19,25 @@ every check reads them; the fidelity sum is the squared norm of one
 Gram matrix of √P rather than one overlap per row pair.  The Rényi
 check evaluates every finite order of its grid in one array pass in log
 space, with its own rule on that scale: a side beyond the float range
-is compared by its log and reads ``inf``.  A string, bool or non-scalar
-order, a NaN order, an order outside the family, and one at which a log
-side overflows are refused with SpectrumError.
+is compared by its log and reads ``inf``.  An order that
+:func:`~corrgen.correlation.float_array` would refuse (a string, bytes or
+bool), a non-scalar order, a NaN order, an order outside the family,
+and one at which a log side overflows are refused with SpectrumError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import math
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .correlation import (
     Correlation,
     CorrgenError,
+    _holds_non_number,
     cell_tables,
     float_array,
     mutual_information,
@@ -111,7 +114,11 @@ class ConditionRecord(NamedTuple):
 @dataclass(frozen=True)
 class ConditionReport:
     records: tuple[ConditionRecord, ...]
-    notes: tuple[str, ...] = field(default=())
+    #: The caveats every report carries, whatever its records.
+    notes: ClassVar[tuple[str, ...]] = (
+        "Conditions are necessary only; a passing report does not certify generability.",
+        "Sum-of-squares bounds take r as the seed's Schmidt rank, which may exceed the PSD-rank of the target.",
+    )
 
     @property
     def verdict(self) -> str:
@@ -133,8 +140,9 @@ class ConditionReport:
 
 def _judge(name: str, lhs: float, rhs: float, at_most: bool,
            alpha: float | None = None) -> ConditionRecord:
-    """The record of lhs ≤ rhs (``at_most``) or lhs ≥ rhs, with ``SLACK`` in the seed's favor."""
-    satisfied = lhs <= rhs + SLACK if at_most else lhs >= rhs - SLACK
+    """The record of lhs ≤ rhs (``at_most``) or lhs ≥ rhs, forgiving ``SLACK``·max(1, |lhs|, |rhs|)."""
+    slack = SLACK * max(1.0, abs(lhs), abs(rhs))
+    satisfied = lhs <= rhs + slack if at_most else lhs >= rhs - slack
     return ConditionRecord(name, lhs, rhs, satisfied, alpha)
 
 
@@ -160,17 +168,18 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     log lhs = α·logsumexp((2/α − 1)·log λ) and
     log rhs = logsumexp(α·log(P/PₓP_y) + log PₓP_y), each sum shifted by
     its largest term.  A side beyond the float range is compared by its
-    log, and its record reads ``inf``.  The slack stays in the seed's
-    favor: lhs ≤ rhs + SLACK is tested as
-    log lhs ≤ logaddexp(log rhs, log SLACK), and the α > 1 side mirrors
-    it.  A string, bytes, bool or non-scalar order, a NaN order, an order
-    outside the family, and an order at which a log side is itself not
-    finite (α near the float maximum) raise SpectrumError, since a NaN
-    side would read as a violated bound.
+    log, and its record reads ``inf``.  The slack is :func:`_judge`'s, in
+    the seed's favor: lhs ≤ rhs + SLACK·max(1, lhs, rhs) is tested as
+    log lhs ≤ logaddexp(log rhs, log SLACK + max(0, log lhs, log rhs)),
+    and the α > 1 side mirrors it.  An order that ``float_array`` would
+    refuse (a string, bytes or bool, also as a numpy array), a non-scalar
+    order, a NaN order, an order outside the family, and an order at
+    which a log side is itself not finite (α near the float maximum)
+    raise SpectrumError, since a NaN side would read as a violated bound.
     """
     orders = []
     for alpha in alphas:
-        if isinstance(alpha, (str, bytes, bool, np.bool_)):  # float() reads "2", b"2" and True
+        if _holds_non_number("iuf", alpha):  # float() reads "2", b"2" and True
             raise SpectrumError(f"alpha must be a real number, not {alpha!r}")
         try:
             alpha = float(alpha)
@@ -188,8 +197,9 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
         # row 0: log₂ lhs and row 1: log₂ rhs, one column per order
         logs = np.array([a * _log2_sum_exp2((2.0 / a - 1.0)[:, None] * np.log2(lam)),
                          _log2_sum_exp2(a[:, None] * t.log_ratio + np.log2(t.prod))])
-        # row 0: log lhs ≤ log(rhs + SLACK); row 1: log rhs ≤ log(lhs + SLACK)
-        holds = logs <= np.logaddexp2(logs[::-1], math.log2(SLACK))
+        # row 0: log lhs ≤ log(rhs + slack); row 1: log rhs ≤ log(lhs + slack)
+        log_slack = math.log2(SLACK) + np.maximum(logs.max(axis=0), 0.0)
+        holds = logs <= np.logaddexp2(logs[::-1], log_slack)
         finite = iter(zip(*logs.tolist(), *np.exp2(logs).tolist(), *holds.tolist()))
 
         records = []
@@ -273,8 +283,4 @@ def check_all(spectrum: SchmidtSpectrum, P: Correlation,
               check_fidelity_sum)
     records = [check(spectrum, P) for check in checks]
     records.extend(check_renyi(spectrum, P, alphas))
-    notes = (
-        "Conditions are necessary only; a passing report does not certify generability.",
-        "Sum-of-squares bounds take r as the seed's Schmidt rank, which may exceed the PSD-rank of the target.",
-    )
-    return ConditionReport(tuple(records), notes)
+    return ConditionReport(tuple(records))

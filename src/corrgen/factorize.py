@@ -64,13 +64,16 @@ a positive R diagonal.  The direction is short, ‖d‖ ≤ ‖r‖/(2√μ) ≤
 σ/(σ² + μ) ≤ 1/(2√μ); d is tangent, so the Gram is I + t²·dZᵀdZ with
 its eigenvalues in [1, 1.25], and the Cholesky factor exists and is as
 accurate as a Householder QR.  Only the Gaussian start of a restart
-takes a Householder QR.  The one slow-progress rule gives a restart up
-once −⟨grad f, d⟩ ≤ ``PROGRESS_TOL``·f: the slope is one to two times
+takes a Householder QR.  One rule tells a stuck restart: it gives up
+once −⟨grad f, d⟩ ≤ ``PROGRESS_TOL``·f.  The slope is one to two times
 the decrease the model ‖r + Jd‖² predicts (Nocedal & Wright,
 *Numerical Optimization*, ch. 4, §10.3), a ratio of order 1 on any path
-to a zero residual.  One function, :func:`levenberg_marquardt_search`,
-runs the restarts and the steps; it takes its start, merit, Jacobian
-and retraction as arguments, and the classical search runs on it too.
+to a zero residual.  The rule stops a restart at a stationary point as
+well: there the slope is 0, and since −⟨grad f, d⟩ ≤ ‖grad f‖²/(2θf),
+a gradient norm below 1e-10 at f > 7e-9 already meets it.  One
+function, :func:`levenberg_marquardt_search`, runs the restarts and the
+steps; it takes its start, merit, Jacobian and retraction as arguments,
+and the classical search runs on it too.
 It records f at the start point and after every step, and a restart
 takes at most ``max_outer_iters`` × ``BLOCK_STEPS`` steps.
 Every iterate is feasible to rounding error, so the search only ever
@@ -97,8 +100,6 @@ ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
 #: Predicted relative decrease, −⟨grad f, d⟩/f, at or below which a search stops.
 PROGRESS_TOL = 1e-4
-#: Gradient norm at which a search stops.
-STATIONARITY_TOL = 1e-10
 #: Unit of the step budget: a restart takes at most ``max_outer_iters`` × this many steps.
 BLOCK_STEPS = 250
 
@@ -261,8 +262,6 @@ def _step_retract(X: np.ndarray, Y: np.ndarray):
 
 def _random_stiefel(rng: np.random.Generator, n: int, m: int, k: int):
     """A random point (X, Y) of {ΣZₓᵀZₓ = I}: n and m blocks of size k×k."""
-    if min(n, m, k) < 1:
-        raise FactorizationError("need at least one label and one Lambda entry")
     return _retract(rng.standard_normal((n, k, k)), rng.standard_normal((m, k, k)))
 
 
@@ -389,10 +388,11 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
     spaces, columns flattened as (X, Y), and ``retract(X, Y)`` maps the
     moved pair back onto the product of the two manifolds in one call.  f
     is recorded at the start point and after every step.  A restart ends
-    converged at f ≤ ``residual_tol``; stuck at gradient norm <
-    ``STATIONARITY_TOL``, on the ``PROGRESS_TOL`` rule, with a step
-    system singular to working precision or with no acceptable step; or
-    after ``max_outer_iters`` × ``BLOCK_STEPS`` steps.  The
+    converged at f ≤ ``residual_tol``; stuck on the ``PROGRESS_TOL`` rule,
+    with a step system singular to working precision or with no
+    acceptable step; or after ``max_outer_iters`` × ``BLOCK_STEPS``
+    steps; the ``PROGRESS_TOL`` rule also stops one at a stationary
+    point, where the slope ⟨grad f, d⟩ is 0.  The
     lowest final f wins, ties going to the lower restart, and the first
     converged restart ends the search.  Returns the winner's ``(result,
     history, restart, converged)``.
@@ -414,7 +414,7 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
             except np.linalg.LinAlgError:  # singular despite the damping floor: no step
                 break
             slope = float(grad @ d)
-            if grad @ grad < STATIONARITY_TOL ** 2 or -slope <= PROGRESS_TOL * f:
+            if -slope <= PROGRESS_TOL * f:
                 break
             dX, dY = d[:X.size].reshape(X.shape), d[X.size:].reshape(Y.shape)
             step = 1.0
@@ -496,12 +496,13 @@ def lambda_candidates_from_purifications(P) -> list[np.ndarray]:
 
     (a) the canonical purification, whose Schmidt coefficients are the
     singular values of the entrywise square root of P; (b) for 2×2
-    supports, the CNOT-twisted purification.
+    supports, the CNOT-twisted purification.  Each candidate is the √λ of
+    :func:`~corrgen.purify.schmidt_spectrum`, whose rounding-level cut
+    decides which singular values count.
     """
-    from .purify import canonical_purification, cnot_purification
+    from .purify import canonical_purification, cnot_purification, schmidt_spectrum
 
     states = [canonical_purification(P)]
     if P.matrix.shape == (2, 2):
         states.append(cnot_purification(P))
-    svs = (np.linalg.svd(state.amplitudes, compute_uv=False) for state in states)
-    return [np.sort(sv[sv > 1e-12])[::-1] for sv in svs]
+    return [schmidt_spectrum(state).sqrt_lambdas() for state in states]

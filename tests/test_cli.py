@@ -121,15 +121,17 @@ class TestCheck:
         assert exc.value.code == 1
         assert out.out == "" and "error" in out.err and "Traceback" not in out.err
 
-    def test_seed_lost_mass_exit_1(self, capsys, tmp_path, half_identity):
-        # 199 Schmidt coefficients of 9e-13 fall under the 1e-12 cut and
-        # take 1.8e-10 of the mass with them
+    def test_seed_with_tiny_entries_keeps_them(self, capsys, tmp_path, half_identity):
+        # 199 Schmidt coefficients of 9e-13 lie far above the SVD's rounding
+        # level, so all 200 count: the seed, nearly a product, cannot reach
+        # the half identity (its H(λ) is far below I = 1 bit) but generates itself
         seed = tmp_path / "seed.json"
         diag = [1 - 199 * 9e-13] + [9e-13] * 199
         seed.write_text(json.dumps({"matrix": np.diag(diag).tolist()}))
-        code, out, err = run(capsys, "check", "--target", half_identity, "--seed", str(seed))
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "lost probability mass" in err
+        for target, expected in ((half_identity, 2), (str(seed), 0)):
+            code, out, _ = run(capsys, "check", "--target", target, "--seed", str(seed))
+            assert code == expected
+            assert len(json.loads(out)["conditions"]) == 10
 
     def test_classical_seed_input(self, capsys, target_diag, half_identity):
         code, out, _ = run(capsys, "check", "--target", target_diag,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from corrgen import (
@@ -204,9 +205,32 @@ class TestSampling:
         assert pvalue > 1e-4
 
 
+@st.composite
+def classical_seeds(draw):
+    """An n×n diagonal or n×m dense seed table with entries 10^U(−25, 0), n, m ≤ 6."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return np.diag(10.0 ** np.array(draw(st.lists(st.floats(-25, 0), min_size=n,
+                                                      max_size=n))))
+    m = draw(st.integers(1, 6))
+    exps = draw(st.lists(st.floats(-25, 0), min_size=n * m, max_size=n * m))
+    return (10.0 ** np.array(exps)).reshape(n, m)
+
+
 class TestMixedSeedCheck:
     def test_seed_equals_target(self):
         assert mixed_seed_check(ALG, ALG).verdict == NOT_RULED_OUT
+
+    # a seed generates itself; the small singular values of √P must count, and
+    # an absolute 1e-12 cut on λ dropped this seed's 1e-13 entry
+    @example(seed=np.diag([1 - 1e-13, 1e-13]))
+    @settings(max_examples=200, deadline=None)
+    @given(seed=classical_seeds())
+    def test_classical_seed_generates_itself(self, seed):
+        P = Correlation(seed)
+        report = mixed_seed_check(P, P)
+        failed = [(r.name, r.alpha, r.lhs, r.rhs) for r in report.records if not r.satisfied]
+        assert report.verdict == NOT_RULED_OUT, failed
 
     def test_product_seed_vs_correlated_target(self):
         seed = Correlation(np.outer([0.5, 0.5], [0.5, 0.5]))
