@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .conditions import SchmidtSpectrum
-from .correlation import Correlation, CorrgenError, float_array
+from .correlation import Correlation, CorrgenError, float_array, integers
 from .factorize import DiagonalPsdFactorization, SolveSettings, levenberg_marquardt_search
 
 
@@ -60,9 +60,7 @@ class StochasticTransformPair:
 
     def __init__(self, A, B) -> None:
         for name, mat in (("A", A), ("B", B)):
-            mat = float_array(mat, ClassicalError, name)
-            if mat.ndim != 2 or mat.size == 0:
-                raise ClassicalError(f"{name} must be a non-empty matrix")
+            mat = float_array(mat, ClassicalError, name, ndim=2)
             if mat.min() < -1e-12:
                 raise ClassicalError(f"{name} has negative entries")
             # an entry above 2 fails its column sum anyway; testing it first keeps the sum finite
@@ -86,13 +84,7 @@ class SubsetSumInstance:
     items: tuple[int, ...]
 
     def __init__(self, items) -> None:
-        items = tuple(items)
-        if not {bool, np.bool_}.isdisjoint(map(type, items)):  # operator.index reads True as 1
-            raise ClassicalError("items must be positive integers, not booleans")
-        try:
-            items = tuple(map(operator.index, items))
-        except TypeError as exc:
-            raise ClassicalError(f"items must be positive integers: {exc}") from exc
+        items = integers(items, ClassicalError, "items")
         if not items or any(a < 1 for a in items):
             raise ClassicalError("items must be positive integers")
         object.__setattr__(self, "items", items)
@@ -219,9 +211,10 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
 
     Yields the diagonal-form factorization of ½I₂ with Λ = diag(√λ):
     C₁ = D₁ the √λ diagonal restricted to the subset, C₂ = D₂ the
-    complement.  The subset must carry mass 1/2.
+    complement.  The subset holds integer positions in the spectrum, read
+    by :func:`~corrgen.correlation.integers`, and must carry mass 1/2.
     """
-    subset = sorted(set(int(i) for i in subset))
+    subset = sorted(set(integers(subset, ClassicalError, "subset indices")))
     r = spectrum.rank
     if subset and (subset[0] < 0 or subset[-1] >= r):
         raise ClassicalError("subset indices out of range")
@@ -246,9 +239,7 @@ def kraus_to_stochastic(kraus) -> np.ndarray:
     non-number, non-finite, ragged or unequal operator is refused before
     any product is taken.
     """
-    E = float_array(list(kraus), ClassicalError, "Kraus set", complex)
-    if E.ndim != 3 or E.size == 0:
-        raise ClassicalError("a Kraus set must be a non-empty list of matrices of one shape")
+    E = float_array(list(kraus), ClassicalError, "Kraus set", ndim=3, dtype=complex)
     if np.max(np.abs(np.einsum("iab,iac->bc", E.conj(), E) - np.eye(E.shape[2]))) > 1e-8:
         raise ClassicalError("Kraus set is not trace preserving")
     return np.sum(np.abs(E) ** 2, axis=0)

@@ -104,9 +104,10 @@ def _load(path: str, parse=Correlation.from_json_dict):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _parse_floats(text: str, name: str) -> list[float]:
+def _parse_list(text: str, name: str, number=float) -> list:
+    """The comma-separated entries of ``text`` read by ``number``, float or int; blanks skipped."""
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        return [number(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise InputError(f"cannot parse {name} list {text!r}") from exc
 
@@ -114,7 +115,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
 def _alphas_from_args(args):
     if args.alphas is None:
         return conditions.DEFAULT_ALPHAS
-    alphas = tuple(_parse_floats(args.alphas, "--alphas"))
+    alphas = tuple(_parse_list(args.alphas, "--alphas"))
     if not alphas:
         raise InputError(f"--alphas {args.alphas!r} names no order")
     return alphas
@@ -140,7 +141,7 @@ def cmd_check(args) -> tuple[dict, int]:
 
         report = mixed_seed_check(target, _load(args.seed), alphas)
     else:
-        spectrum = conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
+        spectrum = conditions.SchmidtSpectrum(_parse_list(args.schmidt, "--schmidt"))
         report = conditions.check_all(spectrum, target, alphas)
     code = EXIT_RULED_OUT if report.verdict == conditions.RULED_OUT else EXIT_OK
     return report.to_json_dict(), code
@@ -150,7 +151,7 @@ def cmd_factorize(args) -> tuple[dict, int]:
     from .factorize import alternate
 
     target = _load(args.target)
-    lam = np.array(_parse_floats(args.lam, "--lambda"))
+    lam = np.array(_parse_list(args.lam, "--lambda"))
     if args.lambda_squared:
         if np.any(lam < 0):
             raise InputError("--lambda-squared entries must be nonnegative")
@@ -215,11 +216,7 @@ def cmd_classical(args) -> tuple[dict, int]:
 def cmd_reduce(args) -> tuple[dict, int]:
     from . import classical
 
-    try:
-        items = [int(t) for t in args.items.split(",") if t.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad --items: {exc}") from exc
-    inst = classical.SubsetSumInstance(items)
+    inst = classical.SubsetSumInstance(_parse_list(args.items, "--items", int))
     if args.side == "quantum":
         built = classical.build_quantum_hardness_instance(inst)
         seed = {"schmidt": built.spectrum.lambdas.tolist()}
@@ -248,7 +245,7 @@ def cmd_pipeline(args) -> tuple[dict, int]:
 
     settings = _solve_settings(args)  # a bad setting is refused even where the check rules out
     target = _load(args.target)
-    spectrum = conditions.SchmidtSpectrum(_parse_floats(args.schmidt, "--schmidt"))
+    spectrum = conditions.SchmidtSpectrum(_parse_list(args.schmidt, "--schmidt"))
     report = conditions.check_all(spectrum, target, _alphas_from_args(args))
     payload = {"check": report.to_json_dict()}
     if report.verdict == conditions.RULED_OUT:

@@ -18,11 +18,11 @@ tables of the last target asked for) and H(λ) once per spectrum, and
 every check reads them; the fidelity sum is the squared norm of one
 Gram matrix of √P rather than one overlap per row pair.  The Rényi
 check evaluates every finite order of its grid in one array pass in log
-space, with its own rule on that scale: a side beyond the float range
-is compared by its log and reads ``inf``.  An order that
-:func:`~corrgen.correlation.float_array` would refuse (a string, bytes or
-bool), a non-scalar order, a NaN order, an order outside the family,
-and one at which a log side overflows are refused with SpectrumError.
+space, with its own rule on that scale, whose slack grows by
+α·``LOG_ROUNDING``: a side beyond the float range is compared by its log
+and reads ``inf``.  An order :func:`~corrgen.correlation.real` refuses,
+a NaN order, an order outside the family, and one at which a log side
+overflows are refused with SpectrumError.
 """
 
 from __future__ import annotations
@@ -37,13 +37,18 @@ import numpy as np
 from .correlation import (
     Correlation,
     CorrgenError,
-    _holds_non_number,
     cell_tables,
     float_array,
     mutual_information,
+    real,
 )
 
 SLACK = 1e-10
+#: Log-scale slack per unit of a finite Rényi order α: a log side rounds by up
+#: to α·(γ₁₄/ln 2 + 4u·1,075) ≈ α·4.8e-13 (u = 2⁻⁵³, γ₁₄ = 14u/(1 − 14u)),
+#: which SLACK alone stops covering near α ≈ 300 for log terms near the
+#: float range's ends and near α ≈ 5·10⁴ for ordinary ones.
+LOG_ROUNDING = 1e-12
 
 #: Default α grid: both monotone regimes of the Rényi family plus the
 #: closed-form α=∞ case.
@@ -69,9 +74,7 @@ class SchmidtSpectrum:
     lambdas: np.ndarray
 
     def __init__(self, lambdas) -> None:
-        lam = float_array(lambdas, SpectrumError, "squared Schmidt coefficients")
-        if lam.ndim != 1 or lam.size == 0:
-            raise SpectrumError("spectrum must be a non-empty vector")
+        lam = float_array(lambdas, SpectrumError, "squared Schmidt coefficients", ndim=1)
         lam = np.sort(lam)[::-1].copy()
         if lam[-1] <= 0:  # the smallest entry, after the descending sort
             raise SpectrumError("squared Schmidt coefficients must be positive")
@@ -170,25 +173,17 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     its largest term.  A side beyond the float range is compared by its
     log, and its record reads ``inf``.  The slack is :func:`_judge`'s, in
     the seed's favor: lhs ≤ rhs + SLACK·max(1, lhs, rhs) is tested as
-    log lhs ≤ logaddexp(log rhs, log SLACK + max(0, log lhs, log rhs)),
-    and the α > 1 side mirrors it.  An order that ``float_array`` would
-    refuse (a string, bytes or bool, also as a numpy array), a non-scalar
-    order, a NaN order, an order outside the family, and an order at
-    which a log side is itself not finite (α near the float maximum)
-    raise SpectrumError, since a NaN side would read as a violated bound.
+    log lhs ≤ logaddexp(log rhs, log SLACK + max(0, log lhs, log rhs)) +
+    α·``LOG_ROUNDING``, and the α > 1 side mirrors it.  An order that
+    ``real`` refuses, a NaN order, an order outside the family, and an
+    order at which a log side is itself not finite (α near the float
+    maximum) raise SpectrumError, since a NaN side would read as a
+    violated bound.
     """
-    orders = []
+    alphas = [real(alpha, SpectrumError, "alpha") for alpha in alphas]
     for alpha in alphas:
-        if _holds_non_number("iuf", alpha):  # float() reads "2", b"2" and True
-            raise SpectrumError(f"alpha must be a real number, not {alpha!r}")
-        try:
-            alpha = float(alpha)
-        except TypeError as exc:
-            raise SpectrumError(f"alpha must be a real number: {exc}") from exc
         if math.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
             raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
-        orders.append(alpha)
-    alphas = orders
     lam = spectrum.lambdas
     t = cell_tables(P)
 
@@ -199,7 +194,7 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
                          _log2_sum_exp2(a[:, None] * t.log_ratio + np.log2(t.prod))])
         # row 0: log lhs ≤ log(rhs + slack); row 1: log rhs ≤ log(lhs + slack)
         log_slack = math.log2(SLACK) + np.maximum(logs.max(axis=0), 0.0)
-        holds = logs <= np.logaddexp2(logs[::-1], log_slack)
+        holds = logs <= np.logaddexp2(logs[::-1], log_slack) + a * LOG_ROUNDING
         finite = iter(zip(*logs.tolist(), *np.exp2(logs).tolist(), *holds.tolist()))
 
         records = []

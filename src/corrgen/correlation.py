@@ -1,16 +1,15 @@
-"""Core probability objects, scalar functionals and the input parser.
+"""Core probability objects, scalar functionals and the input readers.
 
 A classical correlation is a joint distribution over a pair of labels,
 stored as a nonnegative matrix of unit total mass.  Everything downstream
 (condition checks, factorization searches, channel extraction) consumes
 these objects, so validation is strict and instances are immutable.
-Every value type of the package, and every Kraus set, reads its
-arrays through :func:`float_array`, which refuses strings, bytes,
-booleans, ragged or too deeply nested rows and non-finite entries with
-the caller's module error, a :class:`CorrgenError`.  A value type that
-holds arrays is equal only to itself, and hashes by identity, so
-:func:`cell_tables` can cache the battery's tables of the last target
-by the object alone.
+Every input is read by one of three rules here, each refusing with the
+caller's module error, a :class:`CorrgenError`: arrays by
+:func:`float_array`, counts, seeds and indices by :func:`integers`, and
+tolerances and orders by :func:`real`.  A value type that holds arrays
+is equal only to itself, and hashes by identity, so :func:`cell_tables`
+can cache the battery's tables of the last target by the object alone.
 
 All logarithms are base 2; 0·log 0 = 0 by continuity.
 """
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -43,13 +43,15 @@ def _holds_non_number(kinds: str, value) -> bool:
     return isinstance(value, (str, bytes, bool, np.bool_))
 
 
-def float_array(value, error: type[CorrgenError], what: str, dtype=float) -> np.ndarray:
-    """A new array of ``dtype``, float or complex, holding ``value``, or ``error`` naming ``what``.
+def float_array(value, error: type[CorrgenError], what: str, *, ndim: int,
+                dtype=float) -> np.ndarray:
+    """A new read-only ``ndim``-d array of ``dtype``, float or complex, holding ``value``.
 
     Refuses a string, bytes or bool at any depth of nested lists and
     tuples, lists nested beyond the recursion limit, an ndarray whose
     dtype is not integer, float or (for a complex ``dtype``) complex, a
-    ragged or otherwise non-numeric input, and any entry that is NaN or ±inf.
+    ragged or otherwise non-numeric input, any entry that is NaN or ±inf,
+    and an empty array or one of another rank, with ``error`` naming ``what``.
     """
     real = dtype is float
     try:
@@ -65,7 +67,41 @@ def float_array(value, error: type[CorrgenError], what: str, dtype=float) -> np.
     # NaN passes every sign and sum test of the callers, as each comparison with it is False
     if not np.isfinite(a).all():
         raise error(f"{what} entries must be finite")
+    if a.ndim != ndim or a.size == 0:
+        noun = ("vector", "matrix", "stack of matrices")[ndim - 1]
+        raise error(f"{what} must be a non-empty {noun}")
+    a.setflags(write=False)
     return a
+
+
+def integers(values, error: type[CorrgenError], what: str) -> tuple[int, ...]:
+    """The entries of ``values`` as ints, by ``operator.index``, or ``error`` naming ``what``.
+
+    A float or a string is refused, not truncated or parsed, and so is a
+    bool, which ``operator.index`` would read as 0 or 1, and a ``values``
+    that is not iterable.
+    """
+    try:
+        values = tuple(values)
+        if {bool, np.bool_}.isdisjoint(map(type, values)):
+            return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise error(f"{what} must be integers: {exc}") from exc
+    raise error(f"{what} must be integers, not booleans")
+
+
+def real(value, error: type[CorrgenError], what: str) -> float:
+    """``value`` as a float, or ``error`` naming ``what``.
+
+    Refuses what ``float`` would read from a string, bytes or bool (also
+    as a numpy array), and a non-scalar; NaN and ±inf are the caller's to test.
+    """
+    if _holds_non_number("iuf", value):
+        raise error(f"{what} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except TypeError as exc:
+        raise error(f"{what} must be a real number: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +121,7 @@ class Correlation:
     renormalized: bool
 
     def __init__(self, matrix) -> None:
-        m = float_array(matrix, CorrelationError, "correlation")
-        if m.ndim != 2 or m.size == 0:
-            raise CorrelationError("correlation must be a non-empty 2-d matrix")
+        m = float_array(matrix, CorrelationError, "correlation", ndim=2)
         if m.min() < 0:
             raise CorrelationError("correlation entries must be nonnegative")
         with np.errstate(over="ignore"):
@@ -171,7 +205,7 @@ def cell_tables(P: Correlation) -> CellTables:
 
 def shannon_entropy(v) -> float:
     """Entropy −Σ v_i log₂ v_i in bits of a probability vector."""
-    v = float_array(v, CorrelationError, "entropy input")
+    v = float_array(v, CorrelationError, "entropy input", ndim=1)
     if (v < 0).any():
         raise CorrelationError("entropy input must be nonnegative")
     # the largest entry is tested first, so a huge one never reaches the sum to overflow it
@@ -198,8 +232,8 @@ def classical_fidelity(p, q) -> float:
     between p_i and q_i and stays in range where p_i·q_i would leave it;
     only a sum beyond the float range reads ``inf``.
     """
-    p = float_array(p, CorrelationError, "fidelity arguments")
-    q = float_array(q, CorrelationError, "fidelity arguments")
+    p = float_array(p, CorrelationError, "fidelity arguments", ndim=1)
+    q = float_array(q, CorrelationError, "fidelity arguments", ndim=1)
     if p.shape != q.shape:
         raise CorrelationError("fidelity arguments must have equal length")
     if (p < 0).any() or (q < 0).any():

@@ -92,7 +92,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import CorrgenError, float_array
+from .correlation import CorrgenError, float_array, integers, real
 
 #: Sufficient-decrease constant of the Armijo line search.
 ARMIJO = 1e-4
@@ -114,9 +114,7 @@ class FactorizationError(CorrgenError):
 
 
 def _as_sqrt_lambda(lam) -> np.ndarray:
-    lam = float_array(lam, FactorizationError, "Lambda")
-    if lam.ndim != 1 or lam.size == 0:
-        raise FactorizationError("Lambda must be a non-empty vector of sqrt-lambda entries")
+    lam = float_array(lam, FactorizationError, "Lambda", ndim=1)
     if lam.min() < 0:
         raise FactorizationError("Lambda entries must be nonnegative")
     return lam
@@ -137,14 +135,13 @@ class DiagonalPsdFactorization:
     lam: np.ndarray        # (k,), entries √λ_i
 
     def __init__(self, C, D, lam) -> None:
-        C = float_array(C, FactorizationError, "factor stack C")
-        D = float_array(D, FactorizationError, "factor stack D")
+        C = float_array(C, FactorizationError, "factor stack C", ndim=3)
+        D = float_array(D, FactorizationError, "factor stack D", ndim=3)
         lam = _as_sqrt_lambda(lam)
         k = lam.size
-        if C.ndim != 3 or D.ndim != 3 or C.shape[1:] != (k, k) or D.shape[1:] != (k, k):
+        if C.shape[1:] != (k, k) or D.shape[1:] != (k, k):
             raise FactorizationError("factor stacks must have shape (count, k, k)")
         for name, a in (("C", C), ("D", D), ("lam", lam)):
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     @property
@@ -196,11 +193,13 @@ class SolveSettings:
     rng_seed: int = 12345
 
     def __post_init__(self):
-        if min(self.max_outer_iters, self.restarts) < 1:
+        outer, restarts, seed = integers((self.max_outer_iters, self.restarts, self.rng_seed),
+                                         FactorizationError, "iteration counts and rng_seed")
+        if min(outer, restarts) < 1:
             raise FactorizationError("iteration counts must be >= 1")
-        if not 0 < self.residual_tol < np.inf:
+        if not 0 < real(self.residual_tol, FactorizationError, "residual_tol") < np.inf:
             raise FactorizationError("residual_tol must be positive and finite")
-        if self.rng_seed < 0:  # numpy seeds with nonnegative integers only
+        if seed < 0:  # numpy seeds with nonnegative integers only
             raise FactorizationError("rng_seed must be nonnegative")
 
 
@@ -479,9 +478,9 @@ def verify(P, F: DiagonalPsdFactorization, tol: float = 1e-6) -> VerifyResult:
 
     ``residual`` is the max cell error |P(x,y) − tr(C_x D_y)|;
     ``feasibility`` covers the factor-sum deviation from Λ and any
-    negative eigenvalues.  ``tol`` must be finite and ≥ 0.
+    negative eigenvalues.  ``tol`` must be a real number, finite and ≥ 0.
     """
-    if not 0 <= tol < np.inf:
+    if not 0 <= real(tol, FactorizationError, "the verify tolerance (finite, >= 0)") < np.inf:
         raise FactorizationError("the verify tolerance must be finite and >= 0")
     P = P.matrix
     if P.shape != (F.C.shape[0], F.D.shape[0]):

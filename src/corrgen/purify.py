@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .conditions import DEFAULT_ALPHAS, ConditionReport, SchmidtSpectrum, check_all
-from .correlation import Correlation, CorrgenError, float_array
+from .correlation import Correlation, CorrgenError, float_array, integers
 
 if TYPE_CHECKING:  # the solver module loads only where a factorization is built
     from .factorize import DiagonalPsdFactorization
@@ -46,9 +46,7 @@ class PureStateMatrix:
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes) -> None:
-        m = float_array(amplitudes, PurificationError, "amplitudes")
-        if m.ndim != 2 or m.size == 0:
-            raise PurificationError("amplitudes must form a non-empty matrix")
+        m = float_array(amplitudes, PurificationError, "amplitudes", ndim=2)
         # an entry above 1 + 1e-9 fails the norm anyway; testing it first keeps its square finite
         if abs(m).max() > 1.0 + 1e-9:
             raise PurificationError("amplitude matrix is not normalized")
@@ -89,12 +87,10 @@ class PurificationBundle:
     w: np.ndarray
 
     def __init__(self, v, w) -> None:
-        v = float_array(v, PurificationError, "vector family v")
-        w = float_array(w, PurificationError, "vector family w")
-        if v.ndim != 3 or w.ndim != 3 or v.shape[1] != w.shape[1]:
+        v = float_array(v, PurificationError, "vector family v", ndim=3)
+        w = float_array(w, PurificationError, "vector family w", ndim=3)
+        if v.shape[1] != w.shape[1]:
             raise PurificationError("vector families must share the Schmidt index range")
-        v.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
 
@@ -192,8 +188,9 @@ def sample_protocol(F: DiagonalPsdFactorization, n_samples: int, rng_seed: int) 
     from .factorize import FactorizationError
 
     # numpy reads a float count as an integer, and a bool is one
-    if not (all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                for v in (n_samples, rng_seed)) and 0 <= n_samples < 2 ** 63 and rng_seed >= 0):
+    n_samples, rng_seed = integers((n_samples, rng_seed), FactorizationError,
+                                   "the sample count and the sampling seed")
+    if not (0 <= n_samples < 2 ** 63 and rng_seed >= 0):
         raise FactorizationError("the sample count must be an integer in [0, 2^63) and the sampling"
                                  f" seed a nonnegative integer, got {n_samples!r} and {rng_seed!r}")
     F.validate()

@@ -167,11 +167,12 @@ class TestOracle:
             SubsetSumInstance([1, 0, 2])
 
     @pytest.mark.parametrize("items", [[2.7, 2.2], [3.0, 3.0], ["3", "3"], [True, True],
-                                       [np.float64(2.0), 2], [np.bool_(True), 1]],
+                                       [np.float64(2.0), 2], [np.bool_(True), 1], 5],
                              ids=["fraction", "integral-float", "string", "bool",
-                                  "numpy-float", "numpy-bool"])
+                                  "numpy-float", "numpy-bool", "not-a-list"])
     def test_rejects_non_integer_items(self, items):
-        # int() would truncate (2.7, 2.2) to (2, 2), which is satisfiable
+        # int() would truncate (2.7, 2.2) to (2, 2), which is satisfiable, and
+        # a bare 5 ended in a TypeError
         with pytest.raises(ClassicalError, match="integers"):
             SubsetSumInstance(items)
 
@@ -311,6 +312,13 @@ class TestSchmidtBasisProtocol:
     def test_rejects_out_of_range(self):
         with pytest.raises(ClassicalError):
             schmidt_basis_protocol(SchmidtSpectrum([0.5, 0.5]), [0, 5])
+
+    @pytest.mark.parametrize("subset", [[0.7, 1.9], ["1", "2"], [True, 2]],
+                             ids=["float", "string", "bool"])
+    def test_rejects_non_integer_subset(self, subset):
+        # int() read (0.7, 1.9) as {0, 1}, a subset of mass 1/2 here
+        with pytest.raises(ClassicalError, match="integers"):
+            schmidt_basis_protocol(SchmidtSpectrum([0.25, 0.25, 0.25, 0.25]), subset)
 
 
 # (n1, m1, n2, m2); the last shape has more cells than tangent coordinates,

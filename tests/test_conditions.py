@@ -20,7 +20,7 @@ from corrgen import (
     v2_classical,
     verify,
 )
-from corrgen.conditions import SLACK, SpectrumError, mutual_information_baseline
+from corrgen.conditions import LOG_ROUNDING, SLACK, SpectrumError, mutual_information_baseline
 from corrgen.correlation import CorrelationError
 
 from conftest import random_correlation
@@ -57,7 +57,8 @@ ORDERS = st.one_of(st.floats(0.5, 1.0, exclude_max=True), st.floats(1.0, 50.0, e
 def _direct_renyi(lam, P, alpha):
     """Reference for the log-space pass: one finite order in the direct form,
     (Σλ^{2/α−1})^α against Σ P^α (PₓP_y)^{1−α}, compared on the linear scale
-    with the battery's slack, SLACK·max(1, lhs, rhs)."""
+    with the battery's slack, SLACK·max(1, lhs, rhs), and its log sides'
+    rounding, a factor 2^(α·LOG_ROUNDING)."""
     M = P.matrix
     mask = M > 0
     cells, prod = M[mask], np.outer(M.sum(axis=1), M.sum(axis=0))[mask]
@@ -65,7 +66,9 @@ def _direct_renyi(lam, P, alpha):
         lhs = float(np.sum(lam ** (2.0 / alpha - 1.0)) ** alpha)
         rhs = float(np.sum(cells ** alpha / prod ** (alpha - 1.0)))
     slack = SLACK * max(1.0, lhs, rhs)
-    satisfied = lhs <= rhs + slack if alpha < 1.0 else lhs >= rhs - slack
+    rounding = 2.0 ** (alpha * LOG_ROUNDING)
+    satisfied = (lhs <= (rhs + slack) * rounding if alpha < 1.0
+                 else rhs <= (lhs + slack) * rounding)
     return lhs, rhs, satisfied
 
 
@@ -381,6 +384,38 @@ def relabelled_schmidt_outcomes(draw):
     return (lam / lam.sum()).tolist(), f, g
 
 
+#: finite Rényi orders 10^U(log₁₀ ½, 15), the order 1 left out
+LARGE_ORDERS = st.floats(-0.3, 15.0).map(lambda e: 10.0 ** e).filter(lambda a: a != 1.0)
+
+
+@st.composite
+def product_targets(draw):
+    """P(x)P(y) for random marginals of 1–4 labels each, as nested lists."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return np.outer(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))).tolist()
+
+
+def _complex_witness_pair(seed, n, m, k):
+    """(spectrum, target) of complex Hermitian factors C_x = V_xᴴV_x, D_y = W_yᴴW_y.
+
+    The blocks V_x stack to the Q of a complex QR with its columns scaled
+    by λ^¼, so ΣC_x = diag(√λ), likewise for D_y, and P(x, y) = Re tr(C_x D_y).
+    """
+    rng = np.random.default_rng(seed)
+    lam = rng.dirichlet(np.ones(k))
+
+    def family(count):
+        q, _ = np.linalg.qr(rng.standard_normal((count * k, k))
+                            + 1j * rng.standard_normal((count * k, k)))
+        V = (q * lam ** 0.25).reshape(count, k, k)
+        return np.conj(np.swapaxes(V, 1, 2)) @ V
+
+    T = np.einsum("xab,yba->xy", family(n), family(m)).real
+    # PSD factors give nonnegative cells; clip rounding below zero
+    return SchmidtSpectrum(lam), Correlation(np.maximum(T, 0.0))
+
+
 class TestSoundnessProperty:
     def test_schmidt_basis_outcome_with_a_tiny_coefficient_is_not_ruled_out(self):
         # measuring both halves in the Schmidt basis generates diag(λ) from λ;
@@ -404,6 +439,30 @@ class TestSoundnessProperty:
         P = np.zeros((max(f) + 1, max(g) + 1))
         np.add.at(P, (f, g), lam)
         report = check_all(SchmidtSpectrum(lam), Correlation(P))
+        failed = [(r.name, r.alpha, r.lhs, r.rhs) for r in report.records if not r.satisfied]
+        assert report.verdict == NOT_RULED_OUT, failed
+
+    # a rank-1 seed generates every product target with no entanglement; the
+    # log sides' rounding at α = 10⁶ once outgrew the slack and ruled out over
+    # a quarter of random products, this row among them
+    @example(target=[[0.2881424159868753, 0.2209983841731505, 0.373111610922007,
+                      0.11774758891796701]], alpha=1e6)
+    @settings(max_examples=200, deadline=None)
+    @given(target=product_targets(), alpha=LARGE_ORDERS)
+    def test_rank_one_seed_never_rules_out_a_product_target(self, target, alpha):
+        report = check_all(SchmidtSpectrum([1.0]), Correlation(target), [alpha])
+        failed = [(r.name, r.alpha, r.lhs, r.rhs) for r in report.records if not r.satisfied]
+        assert report.verdict == NOT_RULED_OUT, failed
+
+    # the paper's model has complex Hermitian factors, which reach targets of
+    # rank above k(k+1)/2, beyond every real one; the pinned k = 2 target on
+    # 4×4 labels has rank 4 (its smallest singular value is 5.3e-3)
+    @example(seed=0, n=4, m=4, k=2)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+           k=st.integers(1, 6))
+    def test_never_rules_out_a_complex_witness(self, seed, n, m, k):
+        report = check_all(*_complex_witness_pair(seed, n, m, k))
         failed = [(r.name, r.alpha, r.lhs, r.rhs) for r in report.records if not r.satisfied]
         assert report.verdict == NOT_RULED_OUT, failed
 

@@ -68,6 +68,9 @@ class TestDataclass:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(FactorizationError):
             DiagonalPsdFactorization(REF_C, REF_D, [0.5])
+        # a stack of no factors has the shape (0, k, k) but sums to no Λ
+        with pytest.raises(FactorizationError, match="non-empty"):
+            DiagonalPsdFactorization(np.empty((0, 2, 2)), REF_D, ALG_LAM)
 
     @pytest.mark.parametrize("lam", [[np.nan, 0.5], [np.inf, 0.5],
                                      [[0.5, np.nan], [0.0, 0.5]]])
@@ -449,11 +452,21 @@ class TestAlternate:
         with pytest.raises(CorrelationError):
             Correlation(P)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, True])
     def test_bad_residual_tol_rejected(self, tol):
-        # an infinite tolerance would call any start point converged
+        # an infinite tolerance would call any start point converged, and
+        # True would read as 1
         with pytest.raises(FactorizationError, match="residual_tol"):
             SolveSettings(residual_tol=tol)
+
+    @pytest.mark.parametrize("setting", [{"rng_seed": 1.5}, {"restarts": 2.5},
+                                         {"restarts": True}, {"rng_seed": True}],
+                             ids=["float-seed", "float-restarts", "bool-restarts", "bool-seed"])
+    def test_bad_counts_rejected(self, setting):
+        # a float seed was taken and ended in numpy's TypeError at the first
+        # restart, and True ran as 1
+        with pytest.raises(FactorizationError, match="integers"):
+            SolveSettings(**setting)
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(FactorizationError):
@@ -600,9 +613,11 @@ class TestVerify:
         assert not res.ok
         assert res.residual > 0.05
 
-    @pytest.mark.parametrize("tol", [-1e-6, np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [-1e-6, np.nan, np.inf, "1", None, True,
+                                     pytest.param(np.array([1e-6, 1e-6]), id="array")])
     def test_bad_tol_rejected(self, tol):
-        # an infinite tolerance would pass any cell error
+        # an infinite tolerance would pass any cell error; "1" and None ended
+        # in a TypeError, an array in a ValueError, and True ran as 1
         with pytest.raises(FactorizationError, match="finite"):
             verify(ALG, REF_F, tol=tol)
 
