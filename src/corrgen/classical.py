@@ -293,8 +293,10 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
     with its restarts and its ``PROGRESS_TOL`` give-up rule, from normalized
     Gaussian columns, with the normalization of the columns of U and V, as
     a pair, as the retraction.  A zero entry of U or V has zero gradient,
-    so a restart can end on a face of the simplex.  Non-convergence is reported, not thrown, and does not
-    certify infeasibility.  A J of more than
+    so a restart can end on a face of the simplex.  ``converged`` means
+    f ≤ τ·τ, so every cell of A P₁ Bᵀ is within τ = ``residual_tol`` of P₂.
+    Non-convergence is reported, not thrown, and does not certify
+    infeasibility.  A J of more than
     ``factorize.MAX_JACOBIAN_ENTRIES`` entries raises ``FactorizationError``.
     """
     settings = settings or SolveSettings()

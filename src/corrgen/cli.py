@@ -23,6 +23,7 @@ import argparse
 from dataclasses import fields
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -78,7 +79,13 @@ def _emit(payload: dict, args) -> None:
     else:
         text = _render_text(payload)
     if not args.out:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:  # stdout closed early, as by `| head`
+            # stdout to /dev/null, so the flush of what is left at exit stays quiet
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise InputError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(args.out, "w") as fh:
@@ -170,11 +177,12 @@ def cmd_factorize(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    from .factorize import DiagonalPsdFactorization, verify
+    from .factorize import DiagonalPsdFactorization, SolveSettings, verify
 
+    tol = getattr(args, "residual_tol", SolveSettings.residual_tol)  # 0 is a valid verify tolerance
     target = _load(args.target)
     F = _load(args.factorization, DiagonalPsdFactorization.from_json_dict)
-    return verify(target, F, tol=args.tol).to_json_dict(), EXIT_OK
+    return verify(target, F, tol).to_json_dict(), EXIT_OK
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
@@ -253,9 +261,9 @@ def cmd_pipeline(args) -> tuple[dict, int]:
         return payload, EXIT_RULED_OUT
     lam = spectrum.sqrt_lambdas()
     outcome = alternate(target, lam, lam.size, settings)
-    # how feasible the answer is: `verify` at its default tolerance, next to the objective
-    quality = {"objective": outcome.objective,
-               "verify": verify(target, outcome.factorization).to_json_dict()}
+    # how feasible the answer is: `verify` at the search's own τ, next to the objective
+    check = verify(target, outcome.factorization, settings.residual_tol)
+    quality = {"objective": outcome.objective, "verify": check.to_json_dict()}
     if outcome.converged:
         payload["result"] = "witness factorization found"
         payload["factorization"] = {**outcome.factorization.to_json_dict(), **quality}
@@ -286,11 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--target", required=True)
     # an omitted solver flag sets no attribute, and SolveSettings supplies its default
     omitted = argparse.SUPPRESS
-    solver = argparse.ArgumentParser(add_help=False)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", dest="residual_tol", metavar="TOL", type=float, default=omitted,
+                     help="per-cell error a search converges to and verify accepts")
+    solver = argparse.ArgumentParser(add_help=False, parents=[tol])
     solver.add_argument("--restarts", type=int, default=omitted)
     solver.add_argument("--seed-rng", dest="rng_seed", metavar="SEED_RNG", type=int,
                         default=omitted)
-    solver.add_argument("--tol", dest="residual_tol", metavar="TOL", type=float, default=omitted)
 
     p = sub.add_parser("check", parents=[output, target],
                        help="run all necessary conditions for a seed/target pair")
@@ -308,10 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interpret --lambda entries as squared Schmidt coefficients")
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("verify", parents=[output, target],
+    p = sub.add_parser("verify", parents=[output, target, tol],
                        help="verify a candidate factorization against a target")
     p.add_argument("--factorization", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", parents=[output],

@@ -75,7 +75,11 @@ function, :func:`levenberg_marquardt_search`, runs the restarts and the
 steps; it takes its start, merit, Jacobian and retraction as arguments,
 and the classical search runs on it too.
 It records f at the start point and after every step, and a restart
-takes at most ``max_outer_iters`` × ``BLOCK_STEPS`` steps.
+takes at most ``max_outer_iters`` × ``BLOCK_STEPS`` steps.  A restart
+converges at f ≤ τ² for the per-cell tolerance τ = ``residual_tol``,
+which is also :func:`verify`'s: f is a sum of squared rows, so for τ ≤ 1
+a supported cell, and a zero cell with one row, is off by at most τ, and
+a zero cell with k² rows has T_xy ≤ f ≤ τ² ≤ τ.
 Every iterate is feasible to rounding error, so the search only ever
 trades objective, never feasibility.  A failed search means "no
 factorization found", never "infeasible".
@@ -188,7 +192,7 @@ class DiagonalPsdFactorization:
 @dataclass(frozen=True)
 class SolveSettings:
     max_outer_iters: int = 500   # step budget of a restart, in units of BLOCK_STEPS
-    residual_tol: float = 1e-9
+    residual_tol: float = 1e-6   # τ, the per-cell error: a search converges at f ≤ τ·τ
     restarts: int = 10
     rng_seed: int = 12345
 
@@ -207,7 +211,7 @@ class SolveSettings:
 class SolveOutcome:
     factorization: DiagonalPsdFactorization
     restart_index: int
-    converged: bool                        # merit ≤ residual_tol; a zero cell with k² rows has T ≤ it too
+    converged: bool                        # merit ≤ τ·τ, so every cell is within τ = residual_tol
     objective_history: tuple[float, ...]   # the merit f at the start and after each step of the winner
     objective: float                       # ‖T − P‖² of the returned factors
 
@@ -387,16 +391,17 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
     spaces, columns flattened as (X, Y), and ``retract(X, Y)`` maps the
     moved pair back onto the product of the two manifolds in one call.  f
     is recorded at the start point and after every step.  A restart ends
-    converged at f ≤ ``residual_tol``; stuck on the ``PROGRESS_TOL`` rule,
-    with a step system singular to working precision or with no
-    acceptable step; or after ``max_outer_iters`` × ``BLOCK_STEPS``
-    steps; the ``PROGRESS_TOL`` rule also stops one at a stationary
-    point, where the slope ⟨grad f, d⟩ is 0.  The
-    lowest final f wins, ties going to the lower restart, and the first
-    converged restart ends the search.  Returns the winner's ``(result,
+    converged at f ≤ τ·τ, τ = ``residual_tol``; stuck on the
+    ``PROGRESS_TOL`` rule, with a step system singular to working
+    precision or with no acceptable step; or after ``max_outer_iters`` ×
+    ``BLOCK_STEPS`` steps; the ``PROGRESS_TOL`` rule also stops one at a
+    stationary point, where the slope ⟨grad f, d⟩ is 0.  The lowest final
+    f wins, ties going to the lower restart, and the first converged
+    restart ends the search.  Returns the winner's ``(result,
     history, restart, converged)``.
     """
     best, budget = None, settings.max_outer_iters * BLOCK_STEPS
+    tol = settings.residual_tol * settings.residual_tol  # τ ** 2 overflows a float τ of 1e200
     for restart in range(settings.restarts):
         X, Y = start(np.random.default_rng(settings.rng_seed + restart))
         f, r, result = evaluate(X, Y)
@@ -405,7 +410,7 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
                 f"a Jacobian of {r.size} x {X.size + Y.size} entries is over the budget"
                 f" of 2^{MAX_JACOBIAN_ENTRIES.bit_length() - 1}")
         theta, history = 1.0, [f]
-        while not f <= settings.residual_tol and len(history) <= budget:  # NaN f: not converged
+        while not f <= tol and len(history) <= budget:  # NaN f: not converged
             J = jacobian(X, Y, result)
             grad = 2.0 * (r @ J)
             try:
@@ -429,7 +434,7 @@ def levenberg_marquardt_search(start, evaluate, jacobian, retract, settings: Sol
             X, Y, (f, r, result) = Xt, Yt, trial
             history.append(f)
         if best is None or f < best[1][-1]:
-            best = (result, tuple(history), restart, f <= settings.residual_tol)
+            best = (result, tuple(history), restart, f <= tol)
         if best[3]:
             break
     return best
@@ -443,8 +448,9 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None) -> SolveOut
     the diagonal of Λ.  Runs :func:`levenberg_marquardt_search`, with its
     restarts and its give-up rule, on the merit f described in the module
     docstring, from random points of the Stiefel manifolds, with the
-    CholeskyQR retraction of the steps.  ``converged`` means f ≤
-    ``residual_tol``, and ``objective`` is ‖T − P‖² of the returned factors.
+    CholeskyQR retraction of the steps.  ``converged`` means f ≤ τ·τ with
+    τ = ``residual_tol``, so every cell of T is within τ of P (module
+    docstring), and ``objective`` is ‖T − P‖² of the returned factors.
     An infeasible Λ is not an error — it simply yields a high residual and
     ``converged=False`` — but a Λ so large that the search overflows
     floating point, and a target whose J would exceed
@@ -473,12 +479,13 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None) -> SolveOut
     return SolveOutcome(F, restart, converged, history, float(np.sum((P - F.trace_table()) ** 2)))
 
 
-def verify(P, F: DiagonalPsdFactorization, tol: float = 1e-6) -> VerifyResult:
+def verify(P, F: DiagonalPsdFactorization, tol: float = SolveSettings.residual_tol) -> VerifyResult:
     """Check a candidate factorization cell by cell against the Correlation P.
 
     ``residual`` is the max cell error |P(x,y) − tr(C_x D_y)|;
     ``feasibility`` covers the factor-sum deviation from Λ and any
-    negative eigenvalues.  ``tol`` must be a real number, finite and ≥ 0.
+    negative eigenvalues.  ``tol`` must be a real number, finite and ≥ 0;
+    its default is the τ of a search, so a converged witness passes.
     """
     if not 0 <= real(tol, FactorizationError, "the verify tolerance (finite, >= 0)") < np.inf:
         raise FactorizationError("the verify tolerance must be finite and >= 0")

@@ -67,8 +67,17 @@ def schmidt_spectrum(state: PureStateMatrix) -> SchmidtSpectrum:
     inequality no computed σ is further than that from the exact one, so
     a σ that is zero in the input never counts, and a product state keeps
     Schmidt rank 1.  The limit of the rule: an entry of λ below about
-    (``SVD_ROUNDING``·max(n, m)·ε)² of the largest reads as rank loss.
+    (``SVD_ROUNDING``·max(n, m)·ε)² of the largest reads as rank loss.  A
+    permuted diagonal, with at most one nonzero entry per row and per
+    column (the canonical purification of a diagonal seed), needs no SVD
+    and no cut: its singular values are its entries in absolute value, so
+    λ is read from their squares, and only a square that underflows to 0
+    is lost.
     """
+    support = state.amplitudes != 0
+    if max(support.sum(axis=0).max(), support.sum(axis=1).max()) <= 1:
+        lam = state.amplitudes[support] ** 2
+        return SchmidtSpectrum(lam[lam > 0])
     sv = np.linalg.svd(state.amplitudes, compute_uv=False)
     cut = SVD_ROUNDING * max(state.amplitudes.shape) * np.finfo(float).eps * sv[0]
     return SchmidtSpectrum(sv[sv > cut] ** 2)

@@ -1,8 +1,13 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import corrgen
 from corrgen import Correlation
 from corrgen.cli import main
 
@@ -507,6 +512,23 @@ class TestClassicalAndReduce:
         payload = json.loads(out)
         assert payload["seed"]["matrix"] == [[0.4, 0.0], [0.0, 0.6]]
 
+    def test_reduce_to_closed_stdout_exit_1(self):
+        # stdout closed after one byte, as by `| head -c 1`: the 150 kB of JSON
+        # outgrow the pipe's buffer, so the write fails; a message and exit 1,
+        # as for an unwritable --out, and no traceback from the flush at exit
+        src = str(Path(corrgen.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        items = ",".join(str(i) for i in range(1, 3001))
+        proc = subprocess.Popen([sys.executable, "-m", "corrgen.cli", "reduce", "--items", items],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err.startswith("error: cannot write stdout") and "Traceback" not in err
+
     def test_reduce_bad_items(self, capsys):
         code, _, _ = run(capsys, "reduce", "--items", "1,-2")
         assert code == 1
@@ -538,6 +560,20 @@ class TestLambdaCandidatesAndPipeline:
         assert payload["result"] == "witness factorization found"
         # the witness's own verify result sits next to its objective
         assert payload["factorization"]["verify"]["ok"] is True
+
+    def test_pipeline_verifies_at_its_tol(self, capsys, tmp_path):
+        # --tol is one per-cell tolerance: the search converges with every
+        # cell within 1e-4, and `verify` checks it at 1e-4, not at 1e-6
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"matrix": [[0.021953385025098457, 0.38403833683125466],
+                                                 [0.4380920260870527, 0.15591625205659454]]}))
+        code, out, _ = run(capsys, "pipeline", "--target", str(target),
+                           "--schmidt", "0.4000707853732505,0.5999292146267493", "--tol", "1e-4")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["result"] == "witness factorization found"
+        check = payload["factorization"]["verify"]
+        assert check["ok"] is True and 1e-6 < check["residual"] <= 1e-4
 
     def test_pipeline_unresolved(self, capsys, tmp_path):
         # passes every necessary condition yet the search finds nothing

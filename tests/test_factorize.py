@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from corrgen import (
     Correlation,
@@ -341,6 +341,17 @@ class TestParametrization:
         assert np.sqrt(h[-1]) == pytest.approx(np.sqrt(out.objective), rel=0, abs=1e-15)
 
 
+@st.composite
+def witness_targets(draw):
+    """A feasible target and its √λ: a verified one with n, m, k in 2–4, or a zero-cell one."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        return zero_cell_family(1, seed)[0]
+    n, m, k = (draw(st.integers(2, 4)) for _ in range(3))
+    F, P = random_verified_factorization(np.random.default_rng(seed), n, m, k)
+    return P, F.lam
+
+
 def _assert_same_search(multi, single, restart):
     """``multi`` is bit for bit the single-restart run ``single``, found at ``restart``."""
     assert multi.restart_index == restart
@@ -506,9 +517,11 @@ class TestAlternate:
 
     def test_zero_cell_family_converges_superlinearly(self):
         # where zero cells get k² residual rows, each is a simple root of
-        # them, so the last step of each converged search is superlinear;
-        # e = √merit.  Target 16 (4×3, k = 4, eight zero cells) would need
-        # a J of 132 × 112 and keeps one row per cell.
+        # them, so each converged search is superlinear on its way down;
+        # e = √merit over the three entries ending at the first merit
+        # ≤ 1e-9, since nearer τ·τ = 1e-12 rounding sets the order.  Target
+        # 16 (4×3, k = 4, eight zero cells) would need a J of 132 × 112 and
+        # keeps one row per cell.
         simple = []
         for index, (P, lam) in enumerate(zero_cell_family()):
             out = alternate(P, lam, lam.size, SolveSettings(restarts=30))
@@ -520,8 +533,10 @@ class TestAlternate:
                 continue
             simple.append(index)
             T = out.factorization.trace_table()
-            assert T[P.matrix == 0].max() <= SolveSettings.residual_tol, index
-            e = np.sqrt(h[-3:])
+            tol = SolveSettings.residual_tol
+            assert T[P.matrix == 0].max() <= tol * tol, index  # T ≤ f on k² rows
+            end = next(i for i, f in enumerate(h) if f <= 1e-9) + 1
+            e = np.sqrt(h[end - 3:end])
             assert np.log(e[2] / e[1]) / np.log(e[1] / e[0]) >= 1.25, index
         assert simple == [i for i in range(18) if i != 16]
 
@@ -583,6 +598,20 @@ class TestAlternate:
             F, P = random_verified_factorization(rng, 2, 2, 2)
             out = alternate(P, F.lam, 2, settings=SolveSettings(restarts=4))
             assert out.converged, out.objective
+
+    # a search converges at f ≤ τ·τ, which bounds every cell by τ; while it
+    # stopped at f ≤ 1e-9 this 2×2 converged in 5 steps 2.0e-5 off a cell
+    @example(target=(Correlation([[0.021953385025098457, 0.38403833683125466],
+                                  [0.4380920260870527, 0.15591625205659454]]),
+                     np.array([0.6325114903092675, 0.7745509761318162])), tol=1e-6)
+    @settings(max_examples=40, deadline=None)
+    @given(target=witness_targets(), tol=st.sampled_from([1e-6, 1e-4, 1e-8]))
+    def test_converged_search_passes_verify(self, target, tol):
+        P, lam = target
+        out = alternate(P, lam, lam.size, SolveSettings(residual_tol=tol))
+        if out.converged:
+            res = verify(P, out.factorization, tol)
+            assert res.ok, (res.residual, res.feasibility)
 
 
 class TestVerify:

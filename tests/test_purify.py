@@ -49,6 +49,13 @@ class TestSchmidtSpectrum:
         s = PureStateMatrix(np.diag([np.sqrt(0.1), np.sqrt(0.9)]))
         np.testing.assert_allclose(schmidt_spectrum(s).lambdas, [0.9, 0.1])
 
+    def test_permuted_diagonal_reads_its_entries(self):
+        # one nonzero per row and column: the singular values are the entries
+        # in absolute value, exactly, and none is cut however small
+        amp = np.zeros((3, 4))
+        amp[0, 2], amp[2, 0] = -1.0, 1e-20
+        assert schmidt_spectrum(PureStateMatrix(amp)).lambdas.tolist() == [1.0, 1e-20 ** 2]
+
     def test_product_state_rank_one(self):
         s = PureStateMatrix(np.outer([0.6, 0.8], [0.6, 0.8]))
         np.testing.assert_allclose(schmidt_spectrum(s).lambdas, [1.0])
@@ -207,10 +214,14 @@ class TestSampling:
 
 @st.composite
 def classical_seeds(draw):
-    """An n×n diagonal or n×m dense seed table with entries 10^U(−25, 0), n, m ≤ 6."""
+    """An n×n diagonal seed with entries 10^U(−150, 0), or an n×m dense one with 10^U(−25, 0).
+
+    n, m ≤ 6.  A diagonal seed's spectrum is read from its entries, with no
+    SVD cut, so its entries may lie far below the SVD's rounding level.
+    """
     n = draw(st.integers(1, 6))
     if draw(st.booleans()):
-        return np.diag(10.0 ** np.array(draw(st.lists(st.floats(-25, 0), min_size=n,
+        return np.diag(10.0 ** np.array(draw(st.lists(st.floats(-150, 0), min_size=n,
                                                       max_size=n))))
     m = draw(st.integers(1, 6))
     exps = draw(st.lists(st.floats(-25, 0), min_size=n * m, max_size=n * m))
@@ -232,11 +243,10 @@ class TestMixedSeedCheck:
         failed = [(r.name, r.alpha, r.lhs, r.rhs) for r in report.records if not r.satisfied]
         assert report.verdict == NOT_RULED_OUT, failed
 
-    # ROADMAP item 7's last known false RULED_OUT: √e = √1e-29 falls below the
-    # SVD's rounding level 8·max(n, m)·ε·σ₁, so the seed's spectrum loses the
-    # entry its own target keeps (min_schmidt, α = 2, 3 and ∞ fail); at
-    # e = 1e-28 the seed generates itself
-    @pytest.mark.xfail(strict=True, reason="a seed entry below the SVD cut is read as rank loss")
+    # √e = √1e-29 lies below the SVD's rounding level 8·max(n, m)·ε·σ₁, and
+    # the cut dropped it, so the seed's spectrum lost the entry its own target
+    # keeps (min_schmidt, α = 2, 3 and ∞ failed); a diagonal √P's spectrum is
+    # now read from its entries
     def test_classical_seed_below_the_svd_cut_generates_itself(self):
         P = Correlation(np.diag([1 - 1e-29, 1e-29]))
         assert mixed_seed_check(P, P).verdict == NOT_RULED_OUT
