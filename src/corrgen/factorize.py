@@ -131,7 +131,9 @@ class DiagonalPsdFactorization:
     ``lam`` is the diagonal of Λ as a 1-D vector, i.e. the √λ entries; it
     is the only form the constructor takes.  Squared values are only
     exposed through :meth:`squared_lambdas` to keep the λ-vs-√λ
-    convention in one place.
+    convention in one place.  One stack passed as both C and D (``D is
+    C``, as the Schmidt-basis protocol builds it) is read and checked
+    once and kept as one object, so each check of it runs once too.
     """
 
     C: np.ndarray          # (n, k, k)
@@ -139,8 +141,9 @@ class DiagonalPsdFactorization:
     lam: np.ndarray        # (k,), entries √λ_i
 
     def __init__(self, C, D, lam) -> None:
+        shared = D is C
         C = float_array(C, FactorizationError, "factor stack C", ndim=3)
-        D = float_array(D, FactorizationError, "factor stack D", ndim=3)
+        D = C if shared else float_array(D, FactorizationError, "factor stack D", ndim=3)
         lam = _as_sqrt_lambda(lam)
         k = lam.size
         if C.shape[1:] != (k, k) or D.shape[1:] != (k, k):
@@ -160,23 +163,45 @@ class DiagonalPsdFactorization:
         """The induced cell table tr(C_x D_y)."""
         return np.einsum("xab,yba->xy", self.C, self.D)
 
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        return (self.C,) if self.D is self.C else (self.C, self.D)
+
     def max_negative_eigenvalue(self) -> float:
-        ev = np.linalg.eigvalsh(_sym(np.concatenate((self.C, self.D))))
-        return -float(ev[:, 0].min(initial=0.0))
+        """How far the least eigenvalue of any factor falls below 0 (0 for PSD factors).
+
+        A diagonal stack's eigenvalues are its entries: a stack with no
+        nonzero off-diagonal entry is read, with no eigendecomposition.
+        """
+        S = np.concatenate(self._stacks())
+        flat = S.reshape(len(S), -1)
+        ev = flat[:, ::self.k + 1]  # row-major, every (k + 1)-th entry of a k×k matrix is diagonal
+        if np.count_nonzero(flat) > np.count_nonzero(ev):  # a nonzero entry off the diagonal
+            ev = np.linalg.eigvalsh(_sym(S))[:, 0]
+        return -float(ev.min(initial=0.0))
 
     def feasibility_error(self) -> float:
-        """Max deviation of the factor sums from Λ plus PSD violation."""
+        """Max deviation of the factor sums from Λ plus PSD violation.
+
+        A stack shared by C and D (``D is C``) is read once, and a diagonal
+        stack's eigenvalues are its entries, read with no eigendecomposition
+        (:meth:`max_negative_eigenvalue`).
+        """
         lam_diag = np.diag(self.lam)
         with np.errstate(over="ignore"):  # a factor sum beyond the float range deviates by inf
-            dev_c = abs(self.C.sum(axis=0) - lam_diag).max()
-            dev_d = abs(self.D.sum(axis=0) - lam_diag).max()
-        return float(max(dev_c, dev_d, self.max_negative_eigenvalue()))
+            devs = [abs(S.sum(axis=0) - lam_diag).max() for S in self._stacks()]
+        return float(max(*devs, self.max_negative_eigenvalue()))
 
     def validate(self) -> None:
-        """Raise unless :meth:`feasibility_error` ≤ 1e-8 and every cell trace ≥ −1e-10."""
-        if self.feasibility_error() > 1e-8:
-            raise FactorizationError("factors are not PSD with sums equal to Lambda within 1e-8")
-        if np.min(self.trace_table()) < -1e-10:
+        """Raise unless :func:`verify`'s τ rule holds: feasibility ≤ τ and every cell trace ≥ −τ.
+
+        τ is ``SolveSettings.residual_tol``; a factorization that
+        :func:`verify` accepts at its default passes, since a cell within τ
+        of P ≥ 0 has a trace ≥ −τ.
+        """
+        tol = SolveSettings.residual_tol
+        if self.feasibility_error() > tol:
+            raise FactorizationError(f"factors are not PSD with sums equal to Lambda within {tol:g}")
+        if np.min(self.trace_table()) < -tol:
             raise FactorizationError("negative cell trace beyond tolerance")
 
     def to_json_dict(self) -> dict:

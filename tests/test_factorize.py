@@ -110,6 +110,86 @@ class TestDataclass:
             bad.validate()
 
 
+# a diagonal entry: 0 or ±10^e, e in [−100, 2]
+_ENTRIES = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                             st.sampled_from([-1.0, 1.0]), st.floats(-100, 2)))
+
+
+@st.composite
+def factor_stacks(draw):
+    """Stacks (C, D, Λ), each stack diagonal or dense; D is often C itself (``D is C``)."""
+    k = draw(st.integers(1, 4))
+
+    def stack():
+        count = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            diag = draw(st.lists(_ENTRIES, min_size=count * k, max_size=count * k))
+            return np.eye(k) * np.reshape(diag, (count, 1, k))
+        return np.reshape(draw(st.lists(_ENTRIES, min_size=count * k * k, max_size=count * k * k)),
+                          (count, k, k))
+
+    C = stack()
+    D = C if draw(st.booleans()) else stack()
+    if draw(st.booleans()):  # sums met on the diagonal, so the eigenvalues can decide
+        lam = np.abs(np.diagonal(C.sum(axis=0)))
+    else:
+        lam = np.array(draw(st.lists(st.floats(0, 10), min_size=k, max_size=k)))
+    return C, D, lam
+
+
+def _feasibility_reference(C, D, lam):
+    """(max_negative_eigenvalue, feasibility_error) by eigvalsh of every factor of C and D."""
+    neg = -float(np.linalg.eigvalsh(factorize._sym(np.concatenate((C, D))))[:, 0].min(initial=0.0))
+    lam_diag = np.diag(lam)
+    dev_c = abs(C.sum(axis=0) - lam_diag).max()
+    dev_d = abs(D.sum(axis=0) - lam_diag).max()
+    return neg, float(max(dev_c, dev_d, neg))
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+class TestOneRead:
+    # a shared stack is read once and a diagonal one has its entries for
+    # eigenvalues; both must give the reference formula's bits
+    @settings(max_examples=300, deadline=None)
+    @given(stacks=factor_stacks())
+    def test_feasibility_matches_reference(self, stacks):
+        F = DiagonalPsdFactorization(*stacks)
+        got = F.max_negative_eigenvalue(), F.feasibility_error()
+        assert _bits(got) == _bits(_feasibility_reference(*stacks)), got
+
+    def test_shared_stack_is_kept_once(self):
+        C = np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])
+        F = DiagonalPsdFactorization(C, C, [0.5, 0.5])
+        assert F.D is F.C
+
+    def test_diagonal_stack_takes_no_eigendecomposition(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        C = np.array([np.diag([1.25, 0.0]), np.diag([-0.25, 1.0])])
+        F = DiagonalPsdFactorization(C, np.full((2, 2, 2), 0.5) * np.eye(2), [1.0, 1.0])
+        assert F.max_negative_eigenvalue() == 0.25
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            DiagonalPsdFactorization(REF_C, REF_D, ALG_LAM).max_negative_eigenvalue()
+
+    @pytest.mark.parametrize("lam, subset", [([0.4, 0.3, 0.2, 0.1], [0, 3]),
+                                             ([0.5, 0.25, 0.25], [1, 2])])
+    def test_shared_stack_verifies_as_two(self, lam, subset):
+        from corrgen.classical import schmidt_basis_protocol
+        from corrgen.conditions import SchmidtSpectrum
+
+        C = schmidt_basis_protocol(SchmidtSpectrum(lam), subset).C
+        sq = np.sqrt(lam)
+        for P in (Correlation(np.eye(2) / 2), Correlation([[0.3, 0.2], [0.2, 0.3]])):
+            shared = verify(P, DiagonalPsdFactorization(C, C, sq)).to_json_dict()
+            apart = verify(P, DiagonalPsdFactorization(C, C.copy(), sq)).to_json_dict()
+            assert _bits(shared.values()) == _bits(apart.values()), (shared, apart)
+
+
 def _tangent(Z, V):
     """V projected onto the tangent space of the Stiefel manifold at Z."""
     ZtV = np.einsum("xab,xac->bc", Z, V)

@@ -19,6 +19,7 @@ from corrgen import (
     purification_to_factorization,
     sample_protocol,
     schmidt_spectrum,
+    verify,
 )
 
 from conftest import random_verified_factorization
@@ -195,6 +196,26 @@ class TestSampling:
         with pytest.raises(FactorizationError):
             sample_protocol(F, 10, 0)
 
+    # `simulate` judges a witness by `verify`'s τ rule; C summing 5e-7 off Λ
+    # passed `verify` at τ = 1e-6 and was refused here "within 1e-8"
+    @example(seed=0, schmidt=True, shift=5e-7)
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), schmidt=st.booleans(),
+           shift=st.floats(-3e-6, 3e-6))
+    def test_samples_what_verify_accepts(self, seed, schmidt, shift):
+        rng = np.random.default_rng(seed)
+        if schmidt:  # ½I₂ by the Schmidt basis: its zero cells go negative when moved
+            C = np.sqrt(0.5) * np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+            F, P = DiagonalPsdFactorization(C, C, np.full(2, np.sqrt(0.5))), Correlation(np.eye(2) / 2)
+        else:
+            F, P = random_verified_factorization(rng, 2, 3, 2)
+        E = rng.standard_normal((2, 2))
+        C = F.C.copy()
+        C[0] += shift * (E + E.T) / abs(E + E.T).max()  # the C sum moves |shift| off Λ
+        moved = DiagonalPsdFactorization(C, F.D, F.lam)
+        if verify(P, moved).ok:
+            assert sample_protocol(moved, 100, 0).sum() == 100
+
     def test_tvd_shrinks(self, fact):
         F, P = fact
         tvds = []
@@ -249,6 +270,17 @@ class TestMixedSeedCheck:
     # now read from its entries
     def test_classical_seed_below_the_svd_cut_generates_itself(self):
         P = Correlation(np.diag([1 - 1e-29, 1e-29]))
+        assert mixed_seed_check(P, P).verdict == NOT_RULED_OUT
+
+    # √P is no permuted diagonal, and its σ₂ ≈ 2.2e-15 lies below the SVD's
+    # rounding level 8·max(n, m)·ε·σ₁, so the cut drops it: min_schmidt and
+    # α = ∞ fail for the first seed, and α = 2 and 3 as well for the second
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: a σ below the SVD cut is dropped,"
+                                           " not judged over its error band")
+    @pytest.mark.parametrize("seed", [[[0.5, 0.5], [0.0, 1e-29]], [[1.0, 1e-300], [0.0, 1e-29]]],
+                             ids=["half-row", "tiny-corner"])
+    def test_dense_seed_below_the_svd_cut_generates_itself(self, seed):
+        P = Correlation(seed)
         assert mixed_seed_check(P, P).verdict == NOT_RULED_OUT
 
     def test_product_seed_vs_correlated_target(self):
