@@ -31,7 +31,8 @@ from typing import ClassVar
 import numpy as np
 
 from .conditions import SchmidtSpectrum
-from .correlation import Correlation, CorrgenError, float_array, integers
+from .correlation import (UNIT_SUM_TOL, Correlation, CorrgenError, float_array, integers,
+                          nonnegative, unit_sums)
 from .factorize import DiagonalPsdFactorization, SolveSettings, levenberg_marquardt_search
 
 
@@ -53,21 +54,19 @@ MAX_ULPS = 4
 
 @dataclass(frozen=True, eq=False)
 class StochasticTransformPair:
-    """Column-stochastic matrices (A, B) witnessing P₂ ≈ A P₁ Bᵀ."""
+    """Column-stochastic matrices (A, B) witnessing P₂ ≈ A P₁ Bᵀ.
+
+    Each is read by :func:`~corrgen.correlation.nonnegative`, and its
+    columns must sum to 1 by :func:`~corrgen.correlation.unit_sums`.
+    """
 
     A: np.ndarray
     B: np.ndarray
 
     def __init__(self, A, B) -> None:
         for name, mat in (("A", A), ("B", B)):
-            mat = float_array(mat, ClassicalError, name, ndim=2)
-            if mat.min() < -1e-12:
-                raise ClassicalError(f"{name} has negative entries")
-            # an entry above 2 fails its column sum anyway; testing it first keeps the sum finite
-            if mat.max() > 2.0 or abs(mat.sum(axis=0) - 1.0).max() > 1e-10:
-                raise ClassicalError(f"columns of {name} must sum to 1")
-            mat = np.clip(mat, 0.0, None)
-            mat.setflags(write=False)
+            mat = nonnegative(mat, ClassicalError, name, ndim=2)
+            unit_sums(mat, ClassicalError, f"columns of {name}", axis=0)
             object.__setattr__(self, name, mat)
 
     def apply(self, P1: Correlation) -> np.ndarray:
@@ -233,16 +232,23 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
 def kraus_to_stochastic(kraus) -> np.ndarray:
     """Classical channel induced by a quantum channel in the label basis.
 
-    Entry (x', x) is Σᵢ|⟨x'|Eᵢ|x⟩|²; trace preservation of the Kraus set
-    makes the result column-stochastic.  The set is read as one stack of
-    complex matrices by :func:`~corrgen.correlation.float_array`, so a
-    non-number, non-finite, ragged or unequal operator is refused before
-    any product is taken.
+    Entry (x', x) is Σᵢ|⟨x'|Eᵢ|x⟩|²; trace preservation of the Kraus set,
+    ΣᵢEᵢ†Eᵢ = I, makes the result column-stochastic.  The set is read as
+    one stack of complex matrices by :func:`~corrgen.correlation.float_array`,
+    so a non-number, non-finite, ragged or unequal operator is refused
+    before any product is taken.  The diagonal of ΣᵢEᵢ†Eᵢ is the column
+    sums of the result, which must be 1 by
+    :func:`~corrgen.correlation.unit_sums`, and its off-diagonal entries
+    must lie within the same ``UNIT_SUM_TOL`` of 0.
     """
     E = float_array(list(kraus), ClassicalError, "Kraus set", ndim=3, dtype=complex)
-    if np.max(np.abs(np.einsum("iab,iac->bc", E.conj(), E) - np.eye(E.shape[2]))) > 1e-8:
+    with np.errstate(over="ignore"):  # a square beyond the float range is inf, and refused
+        M = np.sum(np.abs(E) ** 2, axis=0)
+    unit_sums(M, ClassicalError, "columns of the Kraus set's channel", axis=0)
+    gram = np.einsum("iab,iac->bc", E.conj(), E)
+    if not np.abs(gram[~np.eye(len(gram), dtype=bool)]).max(initial=0.0) <= UNIT_SUM_TOL:
         raise ClassicalError("Kraus set is not trace preserving")
-    return np.sum(np.abs(E) ** 2, axis=0)
+    return M
 
 
 @dataclass(frozen=True)

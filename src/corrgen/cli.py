@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import conditions
-from .correlation import Correlation, CorrgenError
+from .correlation import Correlation, CorrgenError, nonnegative
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -160,9 +160,7 @@ def cmd_factorize(args) -> tuple[dict, int]:
     target = _load(args.target)
     lam = np.array(_parse_list(args.lam, "--lambda"))
     if args.lambda_squared:
-        if np.any(lam < 0):
-            raise InputError("--lambda-squared entries must be nonnegative")
-        lam = np.sqrt(lam)
+        lam = np.sqrt(nonnegative(lam, InputError, "--lambda-squared", ndim=1))
     outcome = alternate(target, lam, lam.size, _solve_settings(args))
     payload = {
         "objective": outcome.objective,

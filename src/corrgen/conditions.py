@@ -41,6 +41,7 @@ from .correlation import (
     float_array,
     mutual_information,
     real,
+    unit_sums,
 )
 
 SLACK = 1e-10
@@ -66,7 +67,8 @@ class SpectrumError(CorrgenError):
 class SchmidtSpectrum:
     """Squared Schmidt coefficients λ of a pure bipartite seed.
 
-    Sorted descending, strictly positive, unit sum.  This is the seed's
+    Sorted descending, strictly positive, unit sum by
+    :func:`~corrgen.correlation.unit_sums`.  This is the seed's
     only data relevant to the checks: states with equal Schmidt
     coefficients are interchangeable under local isometries.
     """
@@ -78,9 +80,7 @@ class SchmidtSpectrum:
         lam = np.sort(lam)[::-1].copy()
         if lam[-1] <= 0:  # the smallest entry, after the descending sort
             raise SpectrumError("squared Schmidt coefficients must be positive")
-        # the largest entry is tested first, so a huge one never reaches the sum to overflow it
-        if lam[0] - 1.0 > 1e-9 or abs(lam.sum() - 1.0) > 1e-9:
-            raise SpectrumError("squared Schmidt coefficients must sum to 1")
+        unit_sums(lam, SpectrumError, "squared Schmidt coefficients")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
 

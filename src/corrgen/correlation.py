@@ -7,7 +7,10 @@ these objects, so validation is strict and instances are immutable.
 Every input is read by one of three rules here, each refusing with the
 caller's module error, a :class:`CorrgenError`: arrays by
 :func:`float_array`, counts, seeds and indices by :func:`integers`, and
-tolerances and orders by :func:`real`.  A value type that holds arrays
+tolerances and orders by :func:`real`.  What an input must mean is
+accepted by one rule here as well: no entry below 0 by
+:func:`nonnegative`, and totals of 1 by :func:`unit_sums`, within
+``UNIT_SUM_TOL``.  A value type that holds arrays
 is equal only to itself, and hashes by identity, so :func:`cell_tables`
 can cache the battery's tables of the last target by the object alone.
 
@@ -23,7 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+#: Departure from 1 beyond which a correlation's mass, or a pure state's norm, is rescaled.
 MASS_TOL = 1e-12
+#: Departure from 1 within which a total is read as 1 (contract in :func:`unit_sums`).
+UNIT_SUM_TOL = 1e-9
 
 
 class CorrgenError(ValueError):
@@ -74,6 +80,39 @@ def float_array(value, error: type[CorrgenError], what: str, *, ndim: int,
     return a
 
 
+def nonnegative(value, error: type[CorrgenError], what: str, *, ndim: int) -> np.ndarray:
+    """``value`` read by :func:`float_array`, or ``error`` naming ``what`` if an entry is below 0.
+
+    No slack: a −0.0 passes, and any negative entry, however small, is refused.
+    """
+    a = float_array(value, error, what, ndim=ndim)
+    if a.min() < 0:
+        raise error(f"{what} entries must be nonnegative")
+    return a
+
+
+def unit_sums(terms: np.ndarray, error: type[CorrgenError], what: str, axis=None):
+    """The totals of the non-empty, nonnegative ``terms`` along ``axis`` (all of them by default).
+
+    Raises ``error`` naming ``what`` unless every total lies within
+    ``UNIT_SUM_TOL`` of 1.  The contract of that constant: a total within
+    1e-9 of 1 is read as 1, and one further off is refused, never rescaled.
+    1e-9 lies far above the rounding of any float sum the package forms
+    (about n·ε for n terms, 2.2e-10 at a million terms), and above the
+    error of up to twenty entries written to ten significant digits, and
+    far below any departure that means a different distribution.  The largest term is tested first: one above
+    1 + ``UNIT_SUM_TOL`` fails anyway, and terms no larger cannot overflow
+    the sum.  A NaN term or total fails every comparison, and is refused.
+    """
+    if terms.max() - 1.0 <= UNIT_SUM_TOL:
+        totals = terms.sum(axis=axis)
+        dev = abs(totals - 1.0)
+        # a total per column is reduced; on one total, .max() would cost more than the test
+        if (dev.max() if dev.ndim else dev) <= UNIT_SUM_TOL:
+            return totals
+    raise error(f"{what} must sum to 1")
+
+
 def integers(values, error: type[CorrgenError], what: str) -> tuple[int, ...]:
     """The entries of ``values`` as ints, by ``operator.index``, or ``error`` naming ``what``.
 
@@ -121,9 +160,7 @@ class Correlation:
     renormalized: bool
 
     def __init__(self, matrix) -> None:
-        m = float_array(matrix, CorrelationError, "correlation", ndim=2)
-        if m.min() < 0:
-            raise CorrelationError("correlation entries must be nonnegative")
+        m = nonnegative(matrix, CorrelationError, "correlation", ndim=2)
         with np.errstate(over="ignore"):
             mass = m.sum()
         if not 0 < mass < np.inf:   # finite entries can still sum to inf
@@ -205,12 +242,8 @@ def cell_tables(P: Correlation) -> CellTables:
 
 def shannon_entropy(v) -> float:
     """Entropy −Σ v_i log₂ v_i in bits of a probability vector."""
-    v = float_array(v, CorrelationError, "entropy input", ndim=1)
-    if (v < 0).any():
-        raise CorrelationError("entropy input must be nonnegative")
-    # the largest entry is tested first, so a huge one never reaches the sum to overflow it
-    if v.max(initial=0.0) - 1.0 > 1e-9 or abs(v.sum() - 1.0) > 1e-9:
-        raise CorrelationError("entropy input must sum to 1")
+    v = nonnegative(v, CorrelationError, "entropy input", ndim=1)
+    unit_sums(v, CorrelationError, "entropy input")
     pos = v[v > 0]
     return float(-(pos * np.log2(pos)).sum())
 
@@ -232,11 +265,9 @@ def classical_fidelity(p, q) -> float:
     between p_i and q_i and stays in range where p_i·q_i would leave it;
     only a sum beyond the float range reads ``inf``.
     """
-    p = float_array(p, CorrelationError, "fidelity arguments", ndim=1)
-    q = float_array(q, CorrelationError, "fidelity arguments", ndim=1)
+    p = nonnegative(p, CorrelationError, "fidelity argument", ndim=1)
+    q = nonnegative(q, CorrelationError, "fidelity argument", ndim=1)
     if p.shape != q.shape:
         raise CorrelationError("fidelity arguments must have equal length")
-    if (p < 0).any() or (q < 0).any():
-        raise CorrelationError("fidelity arguments must be nonnegative")
     with np.errstate(over="ignore"):
         return float((np.sqrt(p) * np.sqrt(q)).sum())

@@ -96,7 +96,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import CorrgenError, float_array, integers, real
+from .correlation import CorrgenError, float_array, integers, nonnegative, real
 
 #: Sufficient-decrease constant of the Armijo line search.
 ARMIJO = 1e-4
@@ -115,13 +115,6 @@ SIMPLE_ROOT_ENTRIES = 2 ** 14
 
 class FactorizationError(CorrgenError):
     """Raised for structurally invalid factorizations or solver inputs."""
-
-
-def _as_sqrt_lambda(lam) -> np.ndarray:
-    lam = float_array(lam, FactorizationError, "Lambda", ndim=1)
-    if lam.min() < 0:
-        raise FactorizationError("Lambda entries must be nonnegative")
-    return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +137,7 @@ class DiagonalPsdFactorization:
         shared = D is C
         C = float_array(C, FactorizationError, "factor stack C", ndim=3)
         D = C if shared else float_array(D, FactorizationError, "factor stack D", ndim=3)
-        lam = _as_sqrt_lambda(lam)
+        lam = nonnegative(lam, FactorizationError, "Lambda", ndim=1)
         k = lam.size
         if C.shape[1:] != (k, k) or D.shape[1:] != (k, k):
             raise FactorizationError("factor stacks must have shape (count, k, k)")
@@ -486,7 +479,7 @@ def alternate(P, lam, k: int, settings: SolveSettings | None = None) -> SolveOut
     """
     settings = settings or SolveSettings()
     P = P.matrix
-    lam = _as_sqrt_lambda(lam)
+    lam = nonnegative(lam, FactorizationError, "Lambda", ndim=1)
     if k != lam.size:
         raise FactorizationError("k must equal the number of Lambda entries")
     n, m = P.shape

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .conditions import DEFAULT_ALPHAS, ConditionReport, SchmidtSpectrum, check_all
-from .correlation import Correlation, CorrgenError, float_array, integers
+from .correlation import MASS_TOL, Correlation, CorrgenError, float_array, integers, unit_sums
 
 if TYPE_CHECKING:  # the solver module loads only where a factorization is built
     from .factorize import DiagonalPsdFactorization
@@ -41,19 +41,20 @@ class PurificationError(CorrgenError):
 
 @dataclass(frozen=True, eq=False)
 class PureStateMatrix:
-    """Bipartite pure state as its amplitude matrix M, |ψ⟩ = Σ M(a,b)|a⟩|b⟩."""
+    """Bipartite pure state as its amplitude matrix M, |ψ⟩ = Σ M(a,b)|a⟩|b⟩.
+
+    The squares of M must sum to 1 by :func:`~corrgen.correlation.unit_sums`;
+    M is rescaled to unit norm where they sum further than ``MASS_TOL`` from
+    1, as a :class:`~corrgen.correlation.Correlation` is.
+    """
 
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes) -> None:
         m = float_array(amplitudes, PurificationError, "amplitudes", ndim=2)
-        # an entry above 1 + 1e-9 fails the norm anyway; testing it first keeps its square finite
-        if abs(m).max() > 1.0 + 1e-9:
-            raise PurificationError("amplitude matrix is not normalized")
-        norm = float(np.sum(m ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            if abs(norm - 1.0) > 1e-9:
-                raise PurificationError("amplitude matrix is not normalized")
+        with np.errstate(over="ignore"):  # a square beyond the float range is inf, and refused
+            norm = float(unit_sums(m ** 2, PurificationError, "squared amplitudes"))
+        if abs(norm - 1.0) > MASS_TOL:
             m = m / np.sqrt(norm)
         m.setflags(write=False)
         object.__setattr__(self, "amplitudes", m)
@@ -119,14 +120,25 @@ class PurificationBundle:
         return np.diag(self.gram_v()).copy()
 
     def validate(self) -> None:
-        """Raise unless both Gram matrices are diagonal and equal to within 1e-8."""
+        """Raise unless both Gram matrices are diagonal and equal within τ, as a witness must be.
+
+        τ is ``SolveSettings.residual_tol``, by which :func:`~corrgen.factorize.verify`
+        judges every factorization.  The Gram matrices are the factor sums
+        of the factorization :func:`purification_to_factorization` builds,
+        with Λ the diagonal of the first, so the bundle passes exactly when
+        those sums are within τ of Λ.  An overflowed Gram entry (inf, or
+        NaN from inf − inf) fails, and is refused.
+        """
+        from .factorize import SolveSettings
+
+        tol = SolveSettings.residual_tol
         gv, gw = self.gram_v(), self.gram_w()
-        off = max(np.max(np.abs(gv - np.diag(np.diag(gv)))),
-                  np.max(np.abs(gw - np.diag(np.diag(gw)))))
-        if off > 1e-8:
+        off = ~np.eye(self.k, dtype=bool)
+        if not np.abs(np.concatenate((gv[off], gw[off]))).max(initial=0.0) <= tol:
             raise PurificationError("cross terms of the vector families do not vanish")
-        if np.max(np.abs(np.diag(gv) - np.diag(gw))) > 1e-8:
-            raise PurificationError("v and w families disagree on the Schmidt weights")
+        with np.errstate(invalid="ignore"):  # inf − inf is NaN, which fails the test
+            if not np.abs(np.diag(gv) - np.diag(gw)).max() <= tol:
+                raise PurificationError("v and w families disagree on the Schmidt weights")
 
     def induced_state(self) -> PureStateMatrix:
         """Amplitude matrix of Σᵢ(Σₓ|x⟩|v_x^i⟩)⊗(Σ_y|y⟩|w_y^i⟩) across the cut."""
@@ -143,15 +155,22 @@ class PurificationBundle:
 
 
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
-    """Symmetric square roots of a stack of PSD matrices; eigenvalues down to −1e-10 count as 0."""
-    vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-    if np.any(vals[..., 0] < -1e-10):
-        raise PurificationError("matrix square root of a non-PSD input")
+    """Symmetric square roots of a stack of matrices, each negative eigenvalue read as 0."""
+    from .factorize import _sym
+
+    vals, vecs = np.linalg.eigh(_sym(mats))
     return (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def factorization_to_purification(F: DiagonalPsdFactorization) -> PurificationBundle:
-    """Vector families from factor square roots: v_x^i = i-th column of √(C_xᵀ)."""
+    """Vector families from factor square roots: v_x^i = i-th column of √(C_xᵀ).
+
+    ``F.validate()`` judges F first, by the τ rule of
+    :func:`~corrgen.factorize.verify`, so a witness that ``verify`` accepts
+    at its default is taken, and its factors' eigenvalues within τ below 0
+    are read as 0.
+    """
+    F.validate()
     return PurificationBundle(np.swapaxes(_psd_sqrt(np.swapaxes(F.C, 1, 2)), 1, 2),
                               np.swapaxes(_psd_sqrt(F.D), 1, 2))
 

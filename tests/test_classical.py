@@ -49,6 +49,11 @@ class TestTransformPair:
         with pytest.raises(ClassicalError):
             StochasticTransformPair([[1.5, 0.0], [-0.5, 1.0]], np.eye(2))
 
+    def test_rejects_tiny_negative(self):
+        # an entry down to -1e-12 was accepted and clipped to 0
+        with pytest.raises(ClassicalError, match="nonnegative"):
+            StochasticTransformPair([[1.0 + 1e-13, 0.0], [-1e-13, 1.0]], np.eye(2))
+
     def test_apply(self):
         pair = StochasticTransformPair(np.eye(2)[::-1], np.eye(2))
         P = Correlation([[0.3, 0.0], [0.0, 0.7]])

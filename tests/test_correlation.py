@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 from corrgen import (
     Correlation,
     CorrelationError,
+    CorrgenError,
+    PureStateMatrix,
+    SchmidtSpectrum,
+    StochasticTransformPair,
     classical_fidelity,
+    kraus_to_stochastic,
     marginal_x,
     marginal_y,
     mutual_information,
     shannon_entropy,
 )
+from corrgen.correlation import UNIT_SUM_TOL
 
 from conftest import random_correlation
 
@@ -137,3 +143,22 @@ def test_permutation_covariance(rng):
     g = sorted(classical_fidelity(perm.matrix[i], perm.matrix[j])
                for i in range(3) for j in range(3))
     np.testing.assert_allclose(f, g, atol=1e-12)
+
+
+# every reader of a total that must be 1, given an input whose total is t
+UNIT_SUM_READERS = {
+    "spectrum": lambda t: SchmidtSpectrum([0.5, t - 0.5]),
+    "entropy": lambda t: shannon_entropy([0.5, t - 0.5]),
+    "pure-state": lambda t: PureStateMatrix([[np.sqrt(0.5), np.sqrt(t - 0.5)]]),
+    "stochastic-columns": lambda t: StochasticTransformPair([[0.5], [t - 0.5]], [[1.0]]),
+    "kraus-columns": lambda t: kraus_to_stochastic([np.diag([np.sqrt(t), 1.0])]),
+}
+
+
+@pytest.mark.parametrize("read", UNIT_SUM_READERS.values(), ids=UNIT_SUM_READERS.keys())
+@pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+def test_one_unit_sum_boundary(read, sign):
+    # each reader had its own bound (1e-10 for stochastic columns, 1e-8 for a Kraus set)
+    read(1 + sign * 0.5 * UNIT_SUM_TOL)
+    with pytest.raises(CorrgenError, match="must sum to 1"):
+        read(1 + sign * 2 * UNIT_SUM_TOL)

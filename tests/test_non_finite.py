@@ -151,16 +151,24 @@ def test_kraus_entry_raises_module_error(entry):
 
 # each squares, multiplies or sums its entries, which overflows (or, for the
 # tiny fidelity, underflows to 0) for these; the largest entry is tested
-# first, so there is no RuntimeWarning on the way to the error
+# first, so there is no RuntimeWarning on the way to the error.  The Kraus
+# set's and the bundle's Gram matrices overflow to NaN off the diagonal,
+# which passed their tests, written as "error > tolerance", and was returned
+# as an all-inf "stochastic" matrix or a valid bundle
+HUGE = [[[1e200, 1e200], [1e200, -1e200]]]
+
+
 @pytest.mark.parametrize("func, args, expected", [
     (PureStateMatrix, [[[1e200, 0], [0, 0]]], PurificationError),
     (StochasticTransformPair, [[[1e308], [1e308]], [[1.0]]], ClassicalError),
     (shannon_entropy, [[1e308, 1e308]], CorrelationError),
+    (kraus_to_stochastic, [HUGE], ClassicalError),
+    (lambda v: PurificationBundle(v, v).validate(), [HUGE], PurificationError),
     (classical_fidelity, [[1e200], [1e200]], 1e200),
     (classical_fidelity, [[1e308, 1e308], [1e308, 1e308]], float("inf")),
     (classical_fidelity, [[1e-200], [1e-200]], 1e-200),
-], ids=["pure-state", "stochastic-pair", "entropy", "fidelity", "fidelity-beyond-range",
-        "fidelity-tiny"])
+], ids=["pure-state", "stochastic-pair", "entropy", "kraus-gram", "bundle-gram", "fidelity",
+        "fidelity-beyond-range", "fidelity-tiny"])
 def test_extreme_finite_entries_stay_in_range(func, args, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

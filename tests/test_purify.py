@@ -12,6 +12,7 @@ from corrgen import (
     PurificationBundle,
     PurificationError,
     RULED_OUT,
+    SolveSettings,
     canonical_purification,
     cnot_purification,
     factorization_to_purification,
@@ -127,9 +128,31 @@ class TestBridge:
                 for i in range(k):
                     np.testing.assert_allclose(bundle.w[y, i], root(F.D[y])[:, i],
                                                rtol=0, atol=1e-14)
-        C = np.array([[[0.5, 0.6], [0.6, 0.5]]])  # eigenvalue -0.1
-        with pytest.raises(PurificationError, match="non-PSD"):
+        # eigenvalue -0.1: `validate` refuses it by the τ rule before any root is taken
+        C = np.array([[[0.5, 0.6], [0.6, 0.5]]])
+        with pytest.raises(FactorizationError, match="not PSD"):
             factorization_to_purification(DiagonalPsdFactorization(C, C, [1.0, 1.0]))
+
+    def test_bridges_a_witness_verify_accepts(self):
+        # ½I₂'s Schmidt-basis witness with one entry moved to −5e-7 passes `verify`, and
+        # the roots refused it for its eigenvalue below −1e-10
+        s = np.sqrt(0.5)
+        D = s * np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        C = D.copy()
+        C[0, 1, 1] = -5e-7
+        F = DiagonalPsdFactorization(C, D, [s, s])
+        assert verify(Correlation(np.eye(2) / 2), F).ok
+        G = purification_to_factorization(factorization_to_purification(F))
+        np.testing.assert_allclose(G.C, D, rtol=0, atol=1e-15)
+
+    def test_round_trip_beyond_half_the_float_range(self):
+        # C + Cᵀ overflowed in the roots, so this witness, which `validate` accepts, was
+        # refused as "vector family v entries must be finite"; halved first, it comes back
+        C = np.array([np.diag([1e308, 1e308])])
+        F = DiagonalPsdFactorization(C, C, [1e308, 1e308])
+        G = purification_to_factorization(factorization_to_purification(F))
+        np.testing.assert_array_equal(G.C, C)
+        np.testing.assert_array_equal(G.D, C)
 
     def test_induced_state_spectrum(self, rng):
         # the purification built from a factorization with factor sum
@@ -196,8 +219,9 @@ class TestSampling:
         with pytest.raises(FactorizationError):
             sample_protocol(F, 10, 0)
 
-    # `simulate` judges a witness by `verify`'s τ rule; C summing 5e-7 off Λ
-    # passed `verify` at τ = 1e-6 and was refused here "within 1e-8"
+    # `simulate` and the bridge judge a witness by `verify`'s τ rule; C summing
+    # 5e-7 off Λ passed `verify` at τ = 1e-6 and was refused by `simulate`
+    # "within 1e-8", and by the bridge's Gram test at 1e-8
     @example(seed=0, schmidt=True, shift=5e-7)
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), schmidt=st.booleans(),
@@ -213,8 +237,14 @@ class TestSampling:
         C = F.C.copy()
         C[0] += shift * (E + E.T) / abs(E + E.T).max()  # the C sum moves |shift| off Λ
         moved = DiagonalPsdFactorization(C, F.D, F.lam)
-        if verify(P, moved).ok:
+        res = verify(P, moved)
+        if res.ok:
             assert sample_protocol(moved, 100, 0).sum() == 100
+            bundle = factorization_to_purification(moved)
+            # the roots read a negative eigenvalue as 0, which moves a Gram matrix by up to
+            # as much again, so its τ test holds where the feasibility is within τ/2
+            if res.feasibility <= SolveSettings.residual_tol / 2:
+                purification_to_factorization(bundle)
 
     def test_tvd_shrinks(self, fact):
         F, P = fact
