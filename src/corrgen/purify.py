@@ -5,7 +5,11 @@ corresponds exactly to a purification of the classical-classical state
 of P whose Schmidt coefficients are √λ.  Both directions of that
 correspondence are constructive: factor matrix square roots give the
 purification vector families, and Gram matrices of those families give
-back the factors.
+back the factors.  Both directions are judged by one rule,
+``DiagonalPsdFactorization.validate`` (τ = ``SolveSettings.residual_tol``,
+as in ``verify``): the way there judges the factorization it roots, and
+the way back the factorization it builds.  A :class:`PurificationBundle`
+holds only its families and the state they induce.
 
 Real arithmetic throughout, matching the factorization module.
 """
@@ -89,8 +93,10 @@ class PurificationBundle:
     """Per-label vector families {v_x^i}, {w_y^i} of a purification.
 
     ``v`` has shape (n, k, d): ``v[x, i]`` is the ancilla vector paired
-    with label x in the i-th Schmidt term.  The families satisfy
-    Σ_x ⟨v_x^j|v_x^i⟩ = δ_ij √λ_i, and likewise for ``w``.
+    with label x in the i-th Schmidt term.  The families of a purification
+    satisfy Σ_x ⟨v_x^j|v_x^i⟩ = δ_ij √λ_i, and likewise for ``w``; the
+    constructor checks only the shapes, and :func:`purification_to_factorization`
+    judges that Gram condition.
     """
 
     v: np.ndarray
@@ -104,54 +110,12 @@ class PurificationBundle:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
 
-    @property
-    def k(self) -> int:
-        return self.v.shape[1]
-
-    def gram_v(self) -> np.ndarray:
-        # (k, k) matrix Σ_x ⟨v_x^j|v_x^i⟩
-        return np.einsum("xia,xja->ij", self.v, self.v)
-
-    def gram_w(self) -> np.ndarray:
-        return np.einsum("yia,yja->ij", self.w, self.w)
-
-    def sqrt_lambdas(self) -> np.ndarray:
-        """The √λ_i values carried by the bundle's diagonal Gram pattern."""
-        return np.diag(self.gram_v()).copy()
-
-    def validate(self) -> None:
-        """Raise unless both Gram matrices are diagonal and equal within τ, as a witness must be.
-
-        τ is ``SolveSettings.residual_tol``, by which :func:`~corrgen.factorize.verify`
-        judges every factorization.  The Gram matrices are the factor sums
-        of the factorization :func:`purification_to_factorization` builds,
-        with Λ the diagonal of the first, so the bundle passes exactly when
-        those sums are within τ of Λ.  An overflowed Gram entry (inf, or
-        NaN from inf − inf) fails, and is refused.
-        """
-        from .factorize import SolveSettings
-
-        tol = SolveSettings.residual_tol
-        gv, gw = self.gram_v(), self.gram_w()
-        off = ~np.eye(self.k, dtype=bool)
-        if not np.abs(np.concatenate((gv[off], gw[off]))).max(initial=0.0) <= tol:
-            raise PurificationError("cross terms of the vector families do not vanish")
-        with np.errstate(invalid="ignore"):  # inf − inf is NaN, which fails the test
-            if not np.abs(np.diag(gv) - np.diag(gw)).max() <= tol:
-                raise PurificationError("v and w families disagree on the Schmidt weights")
-
     def induced_state(self) -> PureStateMatrix:
         """Amplitude matrix of Σᵢ(Σₓ|x⟩|v_x^i⟩)⊗(Σ_y|y⟩|w_y^i⟩) across the cut."""
         n, k, dv = self.v.shape
         m, _, dw = self.w.shape
         amp = np.einsum("xia,yib->xayb", self.v, self.w).reshape(n * dv, m * dw)
         return PureStateMatrix(amp)
-
-    def traced_correlation(self) -> Correlation:
-        """Partial trace over both ancillas, recovering the source correlation."""
-        gx = np.einsum("xia,xja->xij", self.v, self.v)
-        hy = np.einsum("yia,yja->yij", self.w, self.w)
-        return Correlation(np.einsum("xij,yij->xy", gx, hy))
 
 
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
@@ -163,27 +127,36 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
 
 
 def factorization_to_purification(F: DiagonalPsdFactorization) -> PurificationBundle:
-    """Vector families from factor square roots: v_x^i = i-th column of √(C_xᵀ).
+    """Vector families from factor square roots: v_x^i = i-th column of √C_x, w_y^i of √D_y.
 
     ``F.validate()`` judges F first, by the τ rule of
     :func:`~corrgen.factorize.verify`, so a witness that ``verify`` accepts
     at its default is taken, and its factors' eigenvalues within τ below 0
-    are read as 0.
+    are read as 0.  Each factor's symmetric part is the one rooted, and a
+    stack shared by C and D (``D is C``) is rooted once.
     """
     F.validate()
-    return PurificationBundle(np.swapaxes(_psd_sqrt(np.swapaxes(F.C, 1, 2)), 1, 2),
-                              np.swapaxes(_psd_sqrt(F.D), 1, 2))
+    roots = [np.swapaxes(_psd_sqrt(S), 1, 2) for S in F._stacks()]
+    return PurificationBundle(roots[0], roots[-1])
 
 
 def purification_to_factorization(bundle: PurificationBundle) -> DiagonalPsdFactorization:
-    """Gram-matrix construction: C_x(j,i) = ⟨v_x^j|v_x^i⟩, D_y from w."""
+    """Gram-matrix construction: C_x(j,i) = ⟨v_x^j|v_x^i⟩, D_y from w, Λ the diagonal of ΣC.
+
+    The Gram stacks are PSD by construction, so ``validate()``, the τ rule
+    of :func:`~corrgen.factorize.verify`, tests that the cross terms
+    Σ_x ⟨v_x^j|v_x^i⟩ (j ≠ i) vanish and the v and w weights agree within
+    τ, and raises FactorizationError where they do not.  An overflowed
+    Gram entry is refused as not finite.
+    """
     from .factorize import DiagonalPsdFactorization
 
-    bundle.validate()
     C = np.einsum("xja,xia->xji", bundle.v, bundle.v)
     D = np.einsum("yja,yia->yij", bundle.w, bundle.w)
     lam = np.diag(np.einsum("xji->ji", C))
-    return DiagonalPsdFactorization(C, D, lam)
+    G = DiagonalPsdFactorization(C, D, lam)
+    G.validate()
+    return G
 
 
 def canonical_purification(P: Correlation) -> PureStateMatrix:

@@ -25,6 +25,7 @@ from corrgen import (
     build_quantum_hardness_instance,
     classical_fidelity,
     kraus_to_stochastic,
+    purification_to_factorization,
     shannon_entropy,
 )
 
@@ -154,7 +155,8 @@ def test_kraus_entry_raises_module_error(entry):
 # first, so there is no RuntimeWarning on the way to the error.  The Kraus
 # set's and the bundle's Gram matrices overflow to NaN off the diagonal,
 # which passed their tests, written as "error > tolerance", and was returned
-# as an all-inf "stochastic" matrix or a valid bundle
+# as an all-inf "stochastic" matrix or a valid bundle; the way back from the
+# bundle builds its Gram factorization, whose stack C is refused as not finite
 HUGE = [[[1e200, 1e200], [1e200, -1e200]]]
 
 
@@ -163,7 +165,8 @@ HUGE = [[[1e200, 1e200], [1e200, -1e200]]]
     (StochasticTransformPair, [[[1e308], [1e308]], [[1.0]]], ClassicalError),
     (shannon_entropy, [[1e308, 1e308]], CorrelationError),
     (kraus_to_stochastic, [HUGE], ClassicalError),
-    (lambda v: PurificationBundle(v, v).validate(), [HUGE], PurificationError),
+    (lambda v: purification_to_factorization(PurificationBundle(v, v)), [HUGE],
+     FactorizationError),
     (classical_fidelity, [[1e200], [1e200]], 1e200),
     (classical_fidelity, [[1e308, 1e308], [1e308, 1e308]], float("inf")),
     (classical_fidelity, [[1e-200], [1e-200]], 1e-200),

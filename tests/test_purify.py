@@ -105,10 +105,7 @@ class TestBridge:
     def test_round_trip_random(self, rng):
         for _ in range(5):
             F, P = random_verified_factorization(rng, 2, 3, 2)
-            bundle = factorization_to_purification(F)
-            bundle.validate()
-            np.testing.assert_allclose(bundle.sqrt_lambdas(), F.lam, atol=1e-9)
-            G = purification_to_factorization(bundle)
+            G = purification_to_factorization(factorization_to_purification(F))
             np.testing.assert_allclose(G.trace_table(), P.matrix, atol=1e-9)
             np.testing.assert_allclose(G.lam, F.lam, atol=1e-9)
 
@@ -154,6 +151,20 @@ class TestBridge:
         np.testing.assert_array_equal(G.C, C)
         np.testing.assert_array_equal(G.D, C)
 
+    # C₀ is PSD (det ≈ 2.9e-7), so no eigenvalue is clipped: the roots and their Gram
+    # products round, and the Gram factor sum lands 1.0000000000000002e-6 off Λ
+    @pytest.mark.xfail(strict=True, raises=FactorizationError,
+                       reason="ROADMAP item 13: the bridge is not closed under τ at its boundary")
+    def test_round_trip_keeps_a_witness_verify_accepts(self):
+        s = np.sqrt(0.5)
+        C = np.array([[[0.7071072758779563, 1e-06], [1e-06, 4.127343949177052e-07]],
+                      np.diag([0.0, s])])
+        D = s * np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        F = DiagonalPsdFactorization(C, D, [s, s])
+        res = verify(Correlation(np.eye(2) / 2), F)
+        assert res.ok and res.feasibility == 1e-6
+        purification_to_factorization(factorization_to_purification(F))
+
     def test_induced_state_spectrum(self, rng):
         # the purification built from a factorization with factor sum
         # diag(sqrt(lambda)) has squared Schmidt coefficients lambda
@@ -163,22 +174,26 @@ class TestBridge:
         np.testing.assert_allclose(lam, np.sort(F.squared_lambdas())[::-1], atol=1e-9)
 
     def test_traced_correlation(self, rng):
+        # tracing out both ancillas recovers the source correlation: the traces of
+        # the Gram factorization the way back builds
         F, P = random_verified_factorization(rng, 3, 2, 2)
-        Q = factorization_to_purification(F).traced_correlation()
-        np.testing.assert_allclose(Q.matrix, P.matrix, atol=1e-9)
+        G = purification_to_factorization(factorization_to_purification(F))
+        np.testing.assert_allclose(G.trace_table(), P.matrix, atol=1e-9)
 
     def test_validate_rejects_cross_terms(self, rng):
+        # the way back judges the factorization it builds by `validate`: cross terms
+        # of the vector families are factor sums off the diagonal of Λ
         v = rng.standard_normal((2, 2, 2))
-        bundle = PurificationBundle(v, v)
-        with pytest.raises(PurificationError):
-            bundle.validate()
+        with pytest.raises(FactorizationError, match="sums equal to Lambda"):
+            purification_to_factorization(PurificationBundle(v, v))
 
     def test_gram_structure(self, rng):
+        # Σ_x ⟨v_x^j|v_x^i⟩ = δ_ij √λ_i, and likewise for w: the factor sums of the
+        # Gram factorization
         F, _ = random_verified_factorization(rng, 2, 2, 3)
-        bundle = factorization_to_purification(F)
-        gv = bundle.gram_v()
-        np.testing.assert_allclose(gv, np.diag(F.lam), atol=1e-9)
-        np.testing.assert_allclose(bundle.gram_w(), np.diag(F.lam), atol=1e-9)
+        G = purification_to_factorization(factorization_to_purification(F))
+        np.testing.assert_allclose(G.C.sum(0), np.diag(F.lam), atol=1e-9)
+        np.testing.assert_allclose(G.D.sum(0), np.diag(F.lam), atol=1e-9)
 
 
 class TestSampling:
@@ -241,8 +256,9 @@ class TestSampling:
         if res.ok:
             assert sample_protocol(moved, 100, 0).sum() == 100
             bundle = factorization_to_purification(moved)
-            # the roots read a negative eigenvalue as 0, which moves a Gram matrix by up to
-            # as much again, so its τ test holds where the feasibility is within τ/2
+            # the roots and their Gram products round, which can carry a factor sum within
+            # τ of Λ past τ (test_round_trip_keeps_a_witness_verify_accepts, PSD factors),
+            # so the round trip is asserted where the feasibility is within τ/2
             if res.feasibility <= SolveSettings.residual_tol / 2:
                 purification_to_factorization(bundle)
 
