@@ -143,22 +143,35 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> OracleResult:
 HALF_IDENTITY = Correlation([[0.5, 0.0], [0.0, 0.5]])
 
 
-def _lambdas(inst: SubsetSumInstance, order, ratio=operator.truediv) -> list:
-    """λᵢ = aᵢ/Σa for the item indices in ``order``: the seed weights of both reductions.
-
-    With ``operator.truediv`` each λᵢ is the float nearest aᵢ/Σa, since
-    int / int is correctly rounded; with ``Fraction`` it is exact.
-    """
-    items, total = inst.items, inst.total
-    return [ratio(items[i], total) for i in order]
-
-
 @dataclass(frozen=True)
-class QuantumHardnessInstance:
-    """Spectrum λᵢ = aᵢ/Σa (sorted descending) → ½I₂, held as the items it is built from."""
+class _HardnessInstance:
+    """A reduction to ½I₂ held as the items it is built from; equal by its items alone."""
 
     subset_sum: SubsetSumInstance
     target: ClassVar[Correlation] = HALF_IDENTITY
+
+    @property
+    def item_order(self) -> tuple[int, ...]:
+        """Seed position -> original item index."""
+        return tuple(range(len(self.subset_sum.items)))
+
+    def lambdas(self, ratio=operator.truediv) -> list:
+        """λᵢ = aᵢ/Σa in ``item_order``: the seed weights of the reduction.
+
+        With ``operator.truediv`` each λᵢ is the float nearest aᵢ/Σa, since
+        int / int is correctly rounded; with ``Fraction`` it is exact.
+        """
+        items, total = self.subset_sum.items, self.subset_sum.total
+        return [ratio(items[i], total) for i in self.item_order]
+
+    @property
+    def exact_lambdas(self) -> tuple[Fraction, ...]:
+        """λᵢ = aᵢ/Σa as exact rationals, in ``item_order``."""
+        return tuple(self.lambdas(Fraction))
+
+
+class QuantumHardnessInstance(_HardnessInstance):
+    """Spectrum λᵢ = aᵢ/Σa (sorted descending) → ½I₂."""
 
     @cached_property
     def item_order(self) -> tuple[int, ...]:
@@ -169,30 +182,16 @@ class QuantumHardnessInstance:
     @cached_property
     def spectrum(self) -> SchmidtSpectrum:
         """The seed spectrum, built on first read and kept."""
-        return SchmidtSpectrum(np.array(_lambdas(self.subset_sum, self.item_order)))
-
-    @property
-    def exact_lambdas(self) -> tuple[Fraction, ...]:
-        """λᵢ = aᵢ/Σa as exact rationals, aligned with the sorted spectrum."""
-        return tuple(_lambdas(self.subset_sum, self.item_order, Fraction))
+        return SchmidtSpectrum(np.array(self.lambdas()))
 
 
-@dataclass(frozen=True)
-class ClassicalHardnessInstance:
-    """diag(λ) → ½I₂ with λᵢ = aᵢ/Σa, held as the items it is built from."""
-
-    subset_sum: SubsetSumInstance
-    target: ClassVar[Correlation] = HALF_IDENTITY
+class ClassicalHardnessInstance(_HardnessInstance):
+    """diag(λ) → ½I₂ with λᵢ = aᵢ/Σa, its items in their given order."""
 
     @cached_property
     def seed(self) -> Correlation:
         """The diagonal seed diag(λ₁…λ_r), built on first read and kept."""
-        return Correlation(np.diag(_lambdas(self.subset_sum, range(len(self.subset_sum.items)))))
-
-    @property
-    def exact_lambdas(self) -> tuple[Fraction, ...]:
-        """λᵢ = aᵢ/Σa as exact rationals, aligned with the seed diagonal."""
-        return tuple(_lambdas(self.subset_sum, range(len(self.subset_sum.items)), Fraction))
+        return Correlation(np.diag(self.lambdas()))
 
 
 def build_quantum_hardness_instance(inst: SubsetSumInstance) -> QuantumHardnessInstance:
@@ -211,14 +210,18 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
     Yields the diagonal-form factorization of ½I₂ with Λ = diag(√λ):
     C₁ = D₁ the √λ diagonal restricted to the subset, C₂ = D₂ the
     complement.  The subset holds integer positions in the spectrum, read
-    by :func:`~corrgen.correlation.integers`, and must carry mass 1/2.
+    by :func:`~corrgen.correlation.integers`.  The factorization misses
+    ½I₂ by exactly |mass − ½| on each diagonal cell and by 0 off it, so
+    the subset's mass must lie within τ = ``SolveSettings.residual_tol``
+    of ½: the τ rule of :func:`~corrgen.factorize.verify`, applied
+    without running it.
     """
     subset = sorted(set(integers(subset, ClassicalError, "subset indices")))
     r = spectrum.rank
     if subset and (subset[0] < 0 or subset[-1] >= r):
         raise ClassicalError("subset indices out of range")
     mass = float(spectrum.lambdas[subset].sum())
-    if abs(mass - 0.5) > 1e-10:
+    if not abs(mass - 0.5) <= SolveSettings.residual_tol:  # NaN fails
         raise ClassicalError(f"subset mass must be 1/2, got {mass}")
     sel = np.zeros((2, r))  # row 0 marks the subset, row 1 its complement
     sel[0, subset] = 1.0
@@ -241,7 +244,7 @@ def kraus_to_stochastic(kraus) -> np.ndarray:
     :func:`~corrgen.correlation.unit_sums`, and its off-diagonal entries
     must lie within the same ``UNIT_SUM_TOL`` of 0.
     """
-    E = float_array(list(kraus), ClassicalError, "Kraus set", ndim=3, dtype=complex)
+    E = float_array(kraus, ClassicalError, "Kraus set", ndim=3, dtype=complex)
     with np.errstate(over="ignore"):  # a square beyond the float range is inf, and refused
         M = np.sum(np.abs(E) ** 2, axis=0)
     unit_sums(M, ClassicalError, "columns of the Kraus set's channel", axis=0)
@@ -323,11 +326,14 @@ def classical_feasible_search(P1: Correlation, P2: Correlation,
 
 
 def is_diag_to_half_identity(P1: Correlation, P2: Correlation) -> bool:
-    """Whether (P1, P2) is a diagonal-seed → ½I₂ instance with exact decision, to 1e-12 per entry."""
-    if P1.n != P1.m or np.max(np.abs(P1.matrix - np.diag(np.diag(P1.matrix)))) > 1e-12:
-        return False
-    return (P2.matrix.shape == (2, 2)
-            and np.max(np.abs(P2.matrix - HALF_IDENTITY.matrix)) <= 1e-12)
+    """Whether (P1, P2) is exactly a diagonal-seed → ½I₂ instance, the one with an exact decision.
+
+    P1 must be square with no nonzero entry off its diagonal, and P2 must
+    equal ``HALF_IDENTITY`` entry for entry; nothing near either is read
+    as it.
+    """
+    return (P1.n == P1.m and np.count_nonzero(P1.matrix) == np.count_nonzero(np.diag(P1.matrix))
+            and np.array_equal(P2.matrix, HALF_IDENTITY.matrix))
 
 
 def decide_diag_to_half_identity(P1: Correlation) -> OracleResult | None:
@@ -336,7 +342,8 @@ def decide_diag_to_half_identity(P1: Correlation) -> OracleResult | None:
     Any stochastic witness pair is forced to 0/1 entries, so feasibility
     is exactly the existence of a diagonal subset of mass 1/2, decided on
     the entries read as rationals; ``None`` (no exact decision) when they
-    do not read so.
+    do not read so.  Only the diagonal of P1 is read: the caller must
+    establish that P1 is diagonal (:func:`is_diag_to_half_identity`).
     """
     diag = np.diag(P1.matrix).tolist()
     fracs = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in diag]

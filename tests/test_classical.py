@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+import json
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -24,7 +25,8 @@ from corrgen import (
     subset_sum_oracle,
     verify,
 )
-from corrgen.classical import _normalize_columns, _stochastic_jacobian
+from corrgen.classical import HALF_IDENTITY, _normalize_columns, _stochastic_jacobian
+from corrgen.cli import main
 from corrgen.conditions import SchmidtSpectrum
 from corrgen.factorize import _levenberg_marquardt
 
@@ -97,6 +99,13 @@ class TestKraus:
     def test_rejects_malformed_set(self, kraus):
         # a vector raised IndexError and unequal operators numpy's broadcast error
         with pytest.raises(ClassicalError):
+            kraus_to_stochastic(kraus)
+
+    @pytest.mark.parametrize("kraus", [5, None, (np.eye(2) for _ in range(1))],
+                             ids=["int", "none", "generator"])
+    def test_rejects_non_array(self, kraus):
+        # 5 and None raised a bare TypeError from list(); a generator was read as a list
+        with pytest.raises(ClassicalError, match="Kraus set"):
             kraus_to_stochastic(kraus)
 
     def test_random_channel_columns(self, rng):
@@ -325,6 +334,27 @@ class TestSchmidtBasisProtocol:
         with pytest.raises(ClassicalError, match="integers"):
             schmidt_basis_protocol(SchmidtSpectrum([0.25, 0.25, 0.25, 0.25]), subset)
 
+    @settings(max_examples=120, deadline=None)
+    @given(inside=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+           outside=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+           scale=st.sampled_from([-2.0, -0.5, 0.5, 2.0]))
+    def test_mass_judged_by_tau(self, inside, outside, scale):
+        # subset mass 1/2 + δ with |δ| = τ/2 or 2τ: the protocol accepts exactly
+        # when |δ| ≤ τ, and what it returns passes verify at τ
+        tau = SolveSettings.residual_tol
+        delta = scale * tau
+        lam = np.concatenate((np.array(inside) / sum(inside) * (0.5 + delta),
+                              np.array(outside) / sum(outside) * (0.5 - delta)))
+        order = np.argsort(lam)[::-1]  # spectrum position -> drawn entry
+        spectrum = SchmidtSpectrum(lam)
+        np.testing.assert_array_equal(spectrum.lambdas, lam[order])
+        subset = [p for p, i in enumerate(order) if i < len(inside)]
+        if abs(delta) <= tau:
+            assert verify(HALF_IDENTITY, schmidt_basis_protocol(spectrum, subset), tau).ok
+        else:
+            with pytest.raises(ClassicalError, match="subset mass"):
+                schmidt_basis_protocol(spectrum, subset)
+
 
 # (n1, m1, n2, m2); the last shape has more cells than tangent coordinates,
 # so its step solves the (n₂n₁ + m₂m₁)-sided system instead of the n₂m₂ one
@@ -492,6 +522,34 @@ class TestExactDecision:
         assert not is_diag_to_half_identity(Correlation([[0.5, 0, 0], [0, 0.5, 0]]), HALF_ID)
         assert not is_diag_to_half_identity(Correlation(np.diag([0.4, 0.6])),
                                             Correlation([[0.3, 0], [0, 0.7]]))
+
+    @staticmethod
+    def _classical_payload(capsys, tmp_path, seed, target) -> dict:
+        """The JSON `corrgen classical` writes for two matrices, written as given."""
+        paths = [tmp_path / "seed.json", tmp_path / "target.json"]
+        for path, matrix in zip(paths, (seed, target)):
+            path.write_text(json.dumps({"matrix": matrix}))
+        assert main(["classical", "--seed", str(paths[0]), "--target", str(paths[1]),
+                     "--restarts", "1"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    # a zero off-diagonal forces each seed label onto one diagonal cell, so the
+    # near-½I₂ target is infeasible; the near-diagonal seed is not diag(½, ½)
+    @pytest.mark.parametrize("seed, target", [
+        ([[0.5, 0], [0, 0.5]], [[0.5000000000004, 0], [0, 0.4999999999996]]),
+        ([[0.5, 1e-13], [0, 0.5]], [[0.5, 0], [0, 0.5]]),
+    ], ids=["target-near-half-identity", "seed-near-diagonal"])
+    def test_near_instance_gets_no_exact_decision(self, capsys, tmp_path, seed, target):
+        # both were read as diag(½, ½) → ½I₂ and decided feasible
+        assert not is_diag_to_half_identity(Correlation(seed), Correlation(target))
+        assert "exact_decision" not in self._classical_payload(capsys, tmp_path, seed, target)
+
+    def test_unnormalized_half_identity_recognized(self, capsys, tmp_path):
+        # [[1, 0], [0, 1]] is renormalized to exactly ½I₂
+        seed, target = (np.diag([1.0, 2.0, 3.0]) / 6).tolist(), [[1, 0], [0, 1]]
+        assert is_diag_to_half_identity(Correlation(seed), Correlation(target))
+        payload = self._classical_payload(capsys, tmp_path, seed, target)
+        assert payload["exact_decision"]["feasible"]
 
     def test_feasible_diag(self):
         res = decide_diag_to_half_identity(Correlation(np.diag([0.25, 0.25, 0.5])))
