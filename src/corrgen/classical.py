@@ -56,8 +56,10 @@ MAX_ULPS = 4
 class StochasticTransformPair:
     """Column-stochastic matrices (A, B) witnessing P₂ ≈ A P₁ Bᵀ.
 
-    Each is read by :func:`~corrgen.correlation.nonnegative`, and its
-    columns must sum to 1 by :func:`~corrgen.correlation.unit_sums`.
+    Each is read by :func:`~corrgen.correlation.nonnegative`, its columns
+    must sum to 1 by :func:`~corrgen.correlation.unit_sums`, and each
+    column is divided by its divisor, so it sums to 1 (one within
+    ``MASS_TOL`` of 1 keeps its bits).  Both arrays are read-only.
     """
 
     A: np.ndarray
@@ -66,7 +68,8 @@ class StochasticTransformPair:
     def __init__(self, A, B) -> None:
         for name, mat in (("A", A), ("B", B)):
             mat = nonnegative(mat, ClassicalError, name, ndim=2)
-            unit_sums(mat, ClassicalError, f"columns of {name}", axis=0)
+            mat = mat / unit_sums(mat, ClassicalError, f"columns of {name}", axis=0)
+            mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
     def apply(self, P1: Correlation) -> np.ndarray:
@@ -210,26 +213,28 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
     Yields the diagonal-form factorization of ½I₂ with Λ = diag(√λ):
     C₁ = D₁ the √λ diagonal restricted to the subset, C₂ = D₂ the
     complement.  The subset holds integer positions in the spectrum, read
-    by :func:`~corrgen.correlation.integers`.  The factorization misses
-    ½I₂ by exactly |mass − ½| on each diagonal cell and by 0 off it, so
-    the subset's mass must lie within τ = ``SolveSettings.residual_tol``
-    of ½: the τ rule of :func:`~corrgen.factorize.verify`, applied
-    without running it.
+    by :func:`~corrgen.correlation.integers`.  The factor sums are Λ to
+    the bit and the cells off the diagonal are 0, so the witness is
+    judged by its two diagonal cells, the subset mass and its
+    complement's: every cell of its table must lie within τ =
+    ``SolveSettings.residual_tol`` of ½I₂, the τ rule of
+    :func:`~corrgen.factorize.verify` bit for bit, and a NaN cell fails.
     """
     subset = sorted(set(integers(subset, ClassicalError, "subset indices")))
     r = spectrum.rank
     if subset and (subset[0] < 0 or subset[-1] >= r):
         raise ClassicalError("subset indices out of range")
-    mass = float(spectrum.lambdas[subset].sum())
-    if not abs(mass - 0.5) <= SolveSettings.residual_tol:  # NaN fails
-        raise ClassicalError(f"subset mass must be 1/2, got {mass}")
     sel = np.zeros((2, r))  # row 0 marks the subset, row 1 its complement
     sel[0, subset] = 1.0
     sel[1] = 1.0 - sel[0]
     sq = spectrum.sqrt_lambdas()
     # both diagonal stacks at once: the √λ rows times the identity
     C = (sq * sel)[:, :, None] * np.eye(r)
-    return DiagonalPsdFactorization(C, C, sq)
+    F = DiagonalPsdFactorization(C, C, sq)
+    cells = F.trace_table()
+    if not abs(HALF_IDENTITY.matrix - cells).max() <= SolveSettings.residual_tol:  # NaN fails
+        raise ClassicalError(f"subset mass and its complement's must be 1/2, got {np.diag(cells)}")
+    return F
 
 
 def kraus_to_stochastic(kraus) -> np.ndarray:
@@ -241,13 +246,14 @@ def kraus_to_stochastic(kraus) -> np.ndarray:
     so a non-number, non-finite, ragged or unequal operator is refused
     before any product is taken.  The diagonal of ΣᵢEᵢ†Eᵢ is the column
     sums of the result, which must be 1 by
-    :func:`~corrgen.correlation.unit_sums`, and its off-diagonal entries
-    must lie within the same ``UNIT_SUM_TOL`` of 0.
+    :func:`~corrgen.correlation.unit_sums`, and each column is divided by
+    its divisor, so the channel returned is column-stochastic; the
+    off-diagonal entries must lie within the same ``UNIT_SUM_TOL`` of 0.
     """
     E = float_array(kraus, ClassicalError, "Kraus set", ndim=3, dtype=complex)
     with np.errstate(over="ignore"):  # a square beyond the float range is inf, and refused
         M = np.sum(np.abs(E) ** 2, axis=0)
-    unit_sums(M, ClassicalError, "columns of the Kraus set's channel", axis=0)
+    M = M / unit_sums(M, ClassicalError, "columns of the Kraus set's channel", axis=0)
     gram = np.einsum("iab,iac->bc", E.conj(), E)
     if not np.abs(gram[~np.eye(len(gram), dtype=bool)]).max(initial=0.0) <= UNIT_SUM_TOL:
         raise ClassicalError("Kraus set is not trace preserving")

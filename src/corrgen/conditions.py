@@ -21,8 +21,9 @@ check evaluates every finite order of its grid in one array pass in log
 space, with its own rule on that scale, whose slack grows by
 α·``LOG_ROUNDING``: a side beyond the float range is compared by its log
 and reads ``inf``.  An order :func:`~corrgen.correlation.real` refuses,
-a NaN order, an order outside the family, and one at which a log side
-overflows are refused with SpectrumError.
+a NaN order, an order outside the family, and a finite one at which a
+log side overflows are refused with SpectrumError; at α = ∞ a seed side
+Σ1/λ beyond the float range reads ``inf`` and holds.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ class SchmidtSpectrum:
     """Squared Schmidt coefficients λ of a pure bipartite seed.
 
     Sorted descending, strictly positive, unit sum by
-    :func:`~corrgen.correlation.unit_sums`.  This is the seed's
+    :func:`~corrgen.correlation.unit_sums`: λ is divided by the divisor it
+    returns, so a total within ``UNIT_SUM_TOL`` of 1 is read as 1 and the
+    battery judges the spectrum it accepts (one within ``MASS_TOL`` keeps
+    its bits).  This is the seed's
     only data relevant to the checks: states with equal Schmidt
     coefficients are interchangeable under local isometries.
     """
@@ -77,10 +81,10 @@ class SchmidtSpectrum:
 
     def __init__(self, lambdas) -> None:
         lam = float_array(lambdas, SpectrumError, "squared Schmidt coefficients", ndim=1)
-        lam = np.sort(lam)[::-1].copy()
+        lam = np.sort(lam)[::-1]
         if lam[-1] <= 0:  # the smallest entry, after the descending sort
             raise SpectrumError("squared Schmidt coefficients must be positive")
-        unit_sums(lam, SpectrumError, "squared Schmidt coefficients")
+        lam = lam / unit_sums(lam, SpectrumError, "squared Schmidt coefficients")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
 
@@ -175,10 +179,13 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     the seed's favor: lhs ≤ rhs + SLACK·max(1, lhs, rhs) is tested as
     log lhs ≤ logaddexp(log rhs, log SLACK + max(0, log lhs, log rhs)) +
     α·``LOG_ROUNDING``, and the α > 1 side mirrors it.  An order that
-    ``real`` refuses, a NaN order, an order outside the family, and an
-    order at which a log side is itself not finite (α near the float
-    maximum) raise SpectrumError, since a NaN side would read as a
-    violated bound.
+    ``real`` refuses, a NaN order, an order outside the family, and a
+    finite order at which a log side is itself not finite (α near the
+    float maximum) raise SpectrumError, since a NaN side would read as a
+    violated bound.  α = ∞ is judged by :func:`_judge` on the sides
+    themselves: Σ1/λ may read ``inf``, which satisfies lhs ≥ rhs, and
+    max P/PₓP_y is at most 1/tiny, as :func:`~corrgen.correlation.cell_tables`
+    refuses a sub-normal cell, so that side is always finite.
     """
     alphas = [real(alpha, SpectrumError, "alpha") for alpha in alphas]
     for alpha in alphas:
@@ -200,17 +207,14 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
         records = []
         for alpha in alphas:
             if alpha == math.inf:
-                record = _judge("renyi", float((1.0 / lam).sum()), float((t.cells / t.prod).max()),
-                                at_most=False, alpha=alpha)
-                in_range = math.isfinite(record.lhs) and math.isfinite(record.rhs)
-            else:
-                log_lhs, log_rhs, lhs, rhs, lhs_holds, rhs_holds = next(finite)
-                record = ConditionRecord("renyi", lhs, rhs,
-                                         lhs_holds if alpha < 1.0 else rhs_holds, alpha)
-                in_range = math.isfinite(log_lhs) and math.isfinite(log_rhs)
-            if not in_range:
+                records.append(_judge("renyi", float((1.0 / lam).sum()),
+                                      float((t.cells / t.prod).max()), at_most=False, alpha=alpha))
+                continue
+            log_lhs, log_rhs, lhs, rhs, lhs_holds, rhs_holds = next(finite)
+            if not (math.isfinite(log_lhs) and math.isfinite(log_rhs)):
                 raise SpectrumError(f"the Rényi bound at alpha = {alpha} overflows floating point")
-            records.append(record)
+            records.append(ConditionRecord("renyi", lhs, rhs,
+                                           lhs_holds if alpha < 1.0 else rhs_holds, alpha))
     return records
 
 

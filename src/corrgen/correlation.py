@@ -10,7 +10,8 @@ caller's module error, a :class:`CorrgenError`: arrays by
 tolerances and orders by :func:`real`.  What an input must mean is
 accepted by one rule here as well: no entry below 0 by
 :func:`nonnegative`, and totals of 1 by :func:`unit_sums`, within
-``UNIT_SUM_TOL``.  A value type that holds arrays
+``UNIT_SUM_TOL``, whose divisors every reader that keeps its values
+divides by.  A value type that holds arrays
 is equal only to itself, and hashes by identity, so :func:`cell_tables`
 can cache the battery's tables of the last target by the object alone.
 
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Departure from 1 beyond which a correlation's mass, or a pure state's norm, is rescaled.
+#: Departure from 1 beyond which a total is rescaled to 1, by :class:`Correlation` and :func:`unit_sums`.
 MASS_TOL = 1e-12
 #: Departure from 1 within which a total is read as 1 (contract in :func:`unit_sums`).
 UNIT_SUM_TOL = 1e-9
@@ -92,11 +93,16 @@ def nonnegative(value, error: type[CorrgenError], what: str, *, ndim: int) -> np
 
 
 def unit_sums(terms: np.ndarray, error: type[CorrgenError], what: str, axis=None):
-    """The totals of the non-empty, nonnegative ``terms`` along ``axis`` (all of them by default).
+    """The divisors that read each total of the non-empty, nonnegative ``terms`` along ``axis`` as 1.
 
     Raises ``error`` naming ``what`` unless every total lies within
     ``UNIT_SUM_TOL`` of 1.  The contract of that constant: a total within
-    1e-9 of 1 is read as 1, and one further off is refused, never rescaled.
+    1e-9 of 1 is read as 1, and one further off is refused.  A caller
+    that keeps its terms divides them by what this returns: a total
+    further than ``MASS_TOL`` from 1 is its own divisor, so the terms are
+    rescaled to sum to 1, and one within ``MASS_TOL`` gives exactly 1.0,
+    so they keep their bits.  The divisor of all the terms is a float,
+    and those along ``axis`` an array of one per total.
     1e-9 lies far above the rounding of any float sum the package forms
     (about n·ε for n terms, 2.2e-10 at a million terms), and above the
     error of up to twenty entries written to ten significant digits, and
@@ -109,7 +115,9 @@ def unit_sums(terms: np.ndarray, error: type[CorrgenError], what: str, axis=None
         dev = abs(totals - 1.0)
         # a total per column is reduced; on one total, .max() would cost more than the test
         if (dev.max() if dev.ndim else dev) <= UNIT_SUM_TOL:
-            return totals
+            if dev.ndim:
+                return np.where(dev > MASS_TOL, totals, 1.0)
+            return float(totals) if dev > MASS_TOL else 1.0  # a float: np.where costs more
     raise error(f"{what} must sum to 1")
 
 
@@ -241,9 +249,13 @@ def cell_tables(P: Correlation) -> CellTables:
 
 
 def shannon_entropy(v) -> float:
-    """Entropy −Σ v_i log₂ v_i in bits of a probability vector."""
+    """Entropy −Σ v_i log₂ v_i in bits of a probability vector.
+
+    The vector is divided by the divisor :func:`unit_sums` returns first,
+    so one whose total is within ``UNIT_SUM_TOL`` of 1 is read as summing to 1.
+    """
     v = nonnegative(v, CorrelationError, "entropy input", ndim=1)
-    unit_sums(v, CorrelationError, "entropy input")
+    v = v / unit_sums(v, CorrelationError, "entropy input")
     pos = v[v > 0]
     return float(-(pos * np.log2(pos)).sum())
 

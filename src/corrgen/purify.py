@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .conditions import DEFAULT_ALPHAS, ConditionReport, SchmidtSpectrum, check_all
-from .correlation import MASS_TOL, Correlation, CorrgenError, float_array, integers, unit_sums
+from .correlation import Correlation, CorrgenError, float_array, integers, unit_sums
 
 if TYPE_CHECKING:  # the solver module loads only where a factorization is built
     from .factorize import DiagonalPsdFactorization
@@ -47,9 +47,10 @@ class PurificationError(CorrgenError):
 class PureStateMatrix:
     """Bipartite pure state as its amplitude matrix M, |ψ⟩ = Σ M(a,b)|a⟩|b⟩.
 
-    The squares of M must sum to 1 by :func:`~corrgen.correlation.unit_sums`;
-    M is rescaled to unit norm where they sum further than ``MASS_TOL`` from
-    1, as a :class:`~corrgen.correlation.Correlation` is.
+    The squares of M must sum to 1 by :func:`~corrgen.correlation.unit_sums`,
+    and M is divided by the root of the divisor it returns: rescaled to
+    unit norm where they sum further than ``MASS_TOL`` from 1, and kept to
+    the bit where they do not.
     """
 
     amplitudes: np.ndarray
@@ -57,9 +58,7 @@ class PureStateMatrix:
     def __init__(self, amplitudes) -> None:
         m = float_array(amplitudes, PurificationError, "amplitudes", ndim=2)
         with np.errstate(over="ignore"):  # a square beyond the float range is inf, and refused
-            norm = float(unit_sums(m ** 2, PurificationError, "squared amplitudes"))
-        if abs(norm - 1.0) > MASS_TOL:
-            m = m / np.sqrt(norm)
+            m = m / np.sqrt(unit_sums(m ** 2, PurificationError, "squared amplitudes"))
         m.setflags(write=False)
         object.__setattr__(self, "amplitudes", m)
 

@@ -28,6 +28,7 @@ from corrgen import (
 from corrgen.classical import HALF_IDENTITY, _normalize_columns, _stochastic_jacobian
 from corrgen.cli import main
 from corrgen.conditions import SchmidtSpectrum
+from corrgen.correlation import MASS_TOL
 from corrgen.factorize import _levenberg_marquardt
 
 HALF_ID = Correlation([[0.5, 0.0], [0.0, 0.5]])
@@ -354,6 +355,30 @@ class TestSchmidtBasisProtocol:
         else:
             with pytest.raises(ClassicalError, match="subset mass"):
                 schmidt_basis_protocol(spectrum, subset)
+
+
+    # the subset mass alone was judged, and the complement's cell misses ½ by
+    # the same amount only where Σλ = 1 exactly; a total within MASS_TOL of 1
+    # is kept to the bit, so (½ + d, ½ − d − 5e-13) with d = τ − 1e-13 gave a
+    # witness 1.0000004e-6 off the half identity
+    @example(inside=[1.0], outside=[1.0], sign=1.0, shift=-1e-13, offset=-5e-13)
+    @settings(max_examples=200, deadline=None)
+    @given(inside=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+           outside=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+           sign=st.sampled_from([-1.0, 1.0]), shift=st.floats(-1e-12, 1e-12),
+           offset=st.floats(-MASS_TOL, MASS_TOL))
+    def test_every_returned_witness_passes_verify(self, inside, outside, sign, shift, offset):
+        # subset mass ½ + δ with |δ| within 1e-12 of τ, and a total up to MASS_TOL off 1
+        delta = sign * (SolveSettings.residual_tol + shift)
+        lam = np.concatenate((np.array(inside) / sum(inside) * (0.5 + delta),
+                              np.array(outside) / sum(outside) * (0.5 - delta + offset)))
+        order = np.argsort(lam)[::-1]  # spectrum position -> drawn entry
+        subset = [p for p, i in enumerate(order) if i < len(inside)]
+        try:
+            F = schmidt_basis_protocol(SchmidtSpectrum(lam), subset)
+        except ClassicalError:
+            return
+        assert verify(HALF_IDENTITY, F).ok
 
 
 # (n1, m1, n2, m2); the last shape has more cells than tangent coordinates,

@@ -178,6 +178,29 @@ class TestCheck:
         assert renyi["alpha"] == 1000.0 and renyi["lhs"] == "inf"
 
     @pytest.mark.parametrize("command", ["check", "pipeline"])
+    def test_spectrum_read_as_unit_sum_reaches_half_identity(self, capsys, half_identity,
+                                                              command):
+        # a total of 1 + 5e-10 is read as 1, and `factorize --lambda-squared`
+        # writes a witness for this λ; the battery, judging the total as given,
+        # ruled it out
+        code, out, _ = run(capsys, command, "--target", half_identity,
+                           "--schmidt", "0.50000000025,0.50000000025")
+        assert code == 0
+        if command == "pipeline":
+            assert json.loads(out)["result"] == "witness factorization found"
+
+    def test_alpha_inf_seed_side_beyond_float_range_holds(self, capsys, half_identity):
+        # Σ1/λ = 1e320 reads inf at α = ∞, which satisfies lhs ≥ rhs: the
+        # order is judged, not refused, and the verdict comes from the others
+        code, out, err = run(capsys, "check", "--target", half_identity,
+                             "--schmidt", "1,1e-320")
+        data = json.loads(out, parse_constant=_refuse_constant)
+        assert code == 2 and err == ""
+        assert not data["conditions"][1]["satisfied"] and data["conditions"][1]["name"] == "holevo"
+        (inf,) = [c for c in data["conditions"] if c.get("alpha") == "inf"]
+        assert inf["lhs"] == "inf" and inf["satisfied"] is True
+
+    @pytest.mark.parametrize("command", ["check", "pipeline"])
     @pytest.mark.parametrize("alphas", [",", ""], ids=["comma", "empty"])
     def test_empty_alphas_exit_1(self, capsys, half_identity, command, alphas):
         # a given order list that names no order would run no Rényi condition
