@@ -87,7 +87,7 @@ class SubsetSumInstance:
 
     def __init__(self, items) -> None:
         items = integers(items, ClassicalError, "items")
-        if not items or any(a < 1 for a in items):
+        if not items or min(items) < 1:
             raise ClassicalError("items must be positive integers")
         object.__setattr__(self, "items", items)
 
@@ -224,12 +224,11 @@ def schmidt_basis_protocol(spectrum: SchmidtSpectrum, subset) -> DiagonalPsdFact
     r = spectrum.rank
     if subset and (subset[0] < 0 or subset[-1] >= r):
         raise ClassicalError("subset indices out of range")
-    sel = np.zeros((2, r))  # row 0 marks the subset, row 1 its complement
-    sel[0, subset] = 1.0
-    sel[1] = 1.0 - sel[0]
-    sq = spectrum.sqrt_lambdas()
-    # both diagonal stacks at once: the √λ rows times the identity
-    C = (sq * sel)[:, :, None] * np.eye(r)
+    sq, index = spectrum.sqrt_lambdas(), np.array(subset, dtype=np.intp)
+    C = np.zeros((2, r, r))  # the subset's diagonal stack, then its complement's
+    diagonals = C.reshape(2, -1)[:, ::r + 1]  # a view: every (r + 1)-th entry of a row-major r×r
+    diagonals[0, index] = sq[index]
+    diagonals[1] = sq - diagonals[0]  # √λ − √λ = +0.0 on the subset
     F = DiagonalPsdFactorization(C, C, sq)
     cells = F.trace_table()
     if not abs(HALF_IDENTITY.matrix - cells).max() <= SolveSettings.residual_tol:  # NaN fails

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import conditions
-from .correlation import Correlation, CorrgenError, nonnegative
+from .correlation import Correlation, CorrgenError, nonnegative, unit_sums
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -157,11 +157,14 @@ def cmd_check(args) -> tuple[dict, int]:
 def cmd_factorize(args) -> tuple[dict, int]:
     from .factorize import alternate
 
+    settings = _solve_settings(args)  # a bad setting is refused before Lambda is read
     target = _load(args.target)
-    lam = np.array(_parse_list(args.lam, "--lambda"))
-    if args.lambda_squared:
-        lam = np.sqrt(nonnegative(lam, InputError, "--lambda-squared", ndim=1))
-    outcome = alternate(target, lam, lam.size, _solve_settings(args))
+    flag = "--lambda-squared" if args.lambda_squared else "--lambda"
+    lam = nonnegative(_parse_list(args.lam, "--lambda"), InputError, flag, ndim=1)
+    lam = np.sqrt(lam) if args.lambda_squared else lam
+    with np.errstate(over="ignore"):  # a square beyond the float range is inf, and refused
+        lam = lam / np.sqrt(unit_sums(lam ** 2, InputError, "squared Schmidt coefficients"))
+    outcome = alternate(target, lam, lam.size, settings)
     payload = {
         "objective": outcome.objective,
         "iterations": outcome.iterations,

@@ -91,7 +91,7 @@ principle exist where real ones do not; this is a documented limitation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -126,7 +126,9 @@ class DiagonalPsdFactorization:
     exposed through :meth:`squared_lambdas` to keep the λ-vs-√λ
     convention in one place.  One stack passed as both C and D (``D is
     C``, as the Schmidt-basis protocol builds it) is read and checked
-    once and kept as one object, so each check of it runs once too.
+    once and kept as one object, so each check of it runs once too.  The
+    arrays are read-only, so the cell table is computed once, on its
+    first read, and every later reader gets that same read-only array.
     """
 
     C: np.ndarray          # (n, k, k)
@@ -152,9 +154,15 @@ class DiagonalPsdFactorization:
         """The squared Schmidt coefficients λ_i = (Λ entries)²."""
         return self.lam ** 2
 
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        cells = np.einsum("xab,yba->xy", self.C, self.D)
+        cells.setflags(write=False)
+        return cells
+
     def trace_table(self) -> np.ndarray:
-        """The induced cell table tr(C_x D_y)."""
-        return np.einsum("xab,yba->xy", self.C, self.D)
+        """The induced cell table tr(C_x D_y), read-only: computed on the first read, then kept."""
+        return self._cells
 
     def _stacks(self) -> tuple[np.ndarray, ...]:
         return (self.C,) if self.D is self.C else (self.C, self.D)

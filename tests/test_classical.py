@@ -335,6 +335,28 @@ class TestSchmidtBasisProtocol:
         with pytest.raises(ClassicalError, match="integers"):
             schmidt_basis_protocol(SchmidtSpectrum([0.25, 0.25, 0.25, 0.25]), subset)
 
+    @settings(max_examples=200, deadline=None)
+    @given(items=st.lists(st.integers(1, 30), min_size=1, max_size=10),
+           complement=st.booleans())
+    def test_stacks_match_selection_matrix(self, items, complement):
+        # the former construction: a 0/1 selection matrix, its √λ rows times
+        # the identity; the two diagonal stacks written directly keep its bits
+        inst = SubsetSumInstance(items)
+        oracle = subset_sum_oracle(inst)
+        if not oracle.satisfiable:
+            return
+        q = build_quantum_hardness_instance(inst)
+        subset = [p for p, i in enumerate(q.item_order) if (i in oracle.witness) != complement]
+        r = q.spectrum.rank
+        sel = np.zeros((2, r))
+        sel[0, subset] = 1.0
+        sel[1] = 1.0 - sel[0]
+        sq = q.spectrum.sqrt_lambdas()
+        C = (sq * sel)[:, :, None] * np.eye(r)
+        F = schmidt_basis_protocol(q.spectrum, subset)
+        assert F.D is F.C
+        assert _bits(F.C) == _bits(C) and _bits(F.lam) == _bits(sq)
+
     @settings(max_examples=120, deadline=None)
     @given(inside=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
            outside=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),

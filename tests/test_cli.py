@@ -10,6 +10,7 @@ import pytest
 import corrgen
 from corrgen import Correlation
 from corrgen.cli import main
+from corrgen.correlation import MASS_TOL
 
 
 @pytest.fixture
@@ -406,11 +407,53 @@ class TestFactorizeVerifySimulate:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("lam", [("--lambda", "0.5,0.5"), ("--lambda", "0.447,0.894"),
+                                     ("--lambda", "0.25,0.25", "--lambda-squared"),
+                                     ("--lambda", "1e200,1")],
+                             ids=["half", "rounded", "squared", "square-overflows"])
+    def test_lambda_squares_not_summing_to_1_exit_1(self, capsys, half_identity, lam):
+        # no witness exists for such a Lambda, and the search ran all its restarts
+        code, out, err = run(capsys, "factorize", "--target", half_identity, *lam)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "must sum to 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lam, squared", [
+        ("0.6325114903092675,0.7745509761318162", False), (f"{np.sqrt(0.5)},{np.sqrt(0.5)}", False),
+        ("0.2,0.8", True), ("0.50000000025,0.50000000025", True)])
+    def test_lambda_read_as_unit_sum(self, capsys, monkeypatch, half_identity, lam, squared):
+        # squares within MASS_TOL of 1 keep their bits; ones within UNIT_SUM_TOL are divided to 1
+        from corrgen import factorize
+
+        seen = []
+
+        def capture(target, lam, k, settings):
+            seen.append(lam)
+            raise factorize.FactorizationError("captured")
+
+        monkeypatch.setattr(factorize, "alternate", capture)
+        argv = ["factorize", "--target", half_identity, "--lambda", lam]
+        run(capsys, *argv, *(["--lambda-squared"] if squared else []))
+        given = np.array(lam.split(","), dtype=float)
+        given = np.sqrt(given) if squared else given
+        (got,) = seen
+        if abs(np.sum(given ** 2) - 1.0) <= MASS_TOL:
+            assert got.tobytes() == given.tobytes()
+        else:
+            assert abs(np.sum(got ** 2) - 1.0) <= 4e-16
+
     def test_negative_squared_lambda_exit_1(self, capsys, target_alg):
         code, out, err = run(capsys, "factorize", "--target", target_alg,
                              "--lambda=-0.2,1.2", "--lambda-squared")
         assert code == 1
         assert "nonnegative" in err
+
+    @pytest.mark.parametrize("flags, named", [(("--lambda=-0.6,0.8",), "--lambda entries"),
+                                              (("--lambda=-0.2,1.2", "--lambda-squared"),
+                                               "--lambda-squared entries")])
+    def test_negative_lambda_names_the_given_flag(self, capsys, half_identity, flags, named):
+        code, out, err = run(capsys, "factorize", "--target", half_identity, *flags)
+        assert (code, out) == (1, "")
+        assert f"error: {named} must be nonnegative" in err
 
     def test_oversized_target_exit_1(self, capsys, tmp_path):
         # 100 x 100 cells with k = 4 need a Jacobian of 10^4 x 3,200 entries;

@@ -190,6 +190,30 @@ class TestOneRead:
             assert _bits(shared.values()) == _bits(apart.values()), (shared, apart)
 
 
+class TestDerivedOnce:
+    # the factorization's arrays are read-only, so its cell table is computed
+    # on the first read and every later reader gets that same array
+    def test_cell_table_is_kept_and_read_only(self, rng):
+        F, _ = random_verified_factorization(rng, 3, 4, 2)
+        T = F.trace_table()
+        assert F.trace_table() is T
+        assert not T.flags.writeable
+        with pytest.raises(ValueError):
+            T[0, 0] = 1.0
+        assert _bits(T.ravel()) == _bits(np.einsum("xab,yba->xy", F.C, F.D).ravel())
+
+    def test_verify_reads_the_kept_table(self, rng, monkeypatch):
+        F, P = random_verified_factorization(rng, 3, 3, 2)
+        first = verify(P, F).to_json_dict()
+
+        def refuse(*_):
+            raise AssertionError("the cell table was computed again")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        assert verify(P, F).to_json_dict() == first
+        F.validate()
+
+
 def _tangent(Z, V):
     """V projected onto the tangent space of the Stiefel manifold at Z."""
     ZtV = np.einsum("xab,xac->bc", Z, V)
