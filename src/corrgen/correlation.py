@@ -145,6 +145,9 @@ def real(value, error: type[CorrgenError], what: str) -> float:
     """
     if _holds_non_number("iuf", value):
         raise error(f"{what} must be a real number, not {value!r}")
+    # float() reads a one-element array as its entry on numpy 1.24, the declared floor
+    if isinstance(value, np.ndarray) and value.ndim:
+        raise error(f"{what} must be a real number, not an array of shape {value.shape}")
     try:
         return float(value)
     except TypeError as exc:

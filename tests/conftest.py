@@ -13,6 +13,13 @@ settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile("tier1")
 
+# the worked 2×2 example, and the Λ of its witness (squares 1/5 and 4/5)
+ALG = Correlation(np.array([[1, 1], [1, 0]]) / 3)
+ALG_LAM = np.array([1 / np.sqrt(5), 2 / np.sqrt(5)])
+# passes every necessary condition, has two zero cells, and no restart converges
+GIVEUP_P = np.array([[4, 1, 1], [1, 1, 0], [1, 0, 1]]) / 10
+GIVEUP_LAM = np.sqrt([0.6, 0.4])
+
 
 def random_correlation(rng, n, m):
     return Correlation(rng.dirichlet(np.ones(n * m)).reshape(n, m))

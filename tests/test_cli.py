@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 import corrgen
-from corrgen import Correlation
 from corrgen.cli import main
 from corrgen.correlation import MASS_TOL
+
+from conftest import ALG
+
+HALF_ID = [[0.5, 0.0], [0.0, 0.5]]
+PRODUCT = [[0.25, 0.25], [0.25, 0.25]]
+# the witness of measuring both halves of (|00> + |11>)/sqrt(2) in its Schmidt basis
+S = 0.5 ** 0.5
+HALF_ID_WITNESS = {"lambda": [S, S], "C": [[[S, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, S]]],
+                   "D": [[[S, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, S]]]}
 
 
 @pytest.fixture
@@ -23,14 +31,14 @@ def target_diag(tmp_path):
 @pytest.fixture
 def target_alg(tmp_path):
     path = tmp_path / "alg.json"
-    path.write_text(json.dumps(Correlation(np.array([[1, 1], [1, 0]]) / 3).to_json_dict()))
+    path.write_text(json.dumps(ALG.to_json_dict()))
     return str(path)
 
 
 @pytest.fixture
 def half_identity(tmp_path):
     path = tmp_path / "half_id.json"
-    path.write_text(json.dumps({"matrix": [[0.5, 0.0], [0.0, 0.5]]}))
+    path.write_text(json.dumps({"matrix": HALF_ID}))
     return str(path)
 
 
@@ -42,6 +50,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def files(tmp_path, *argv):
+    """``argv`` with each matrix (a list) or factorization (a dict) written to a JSON file, by path."""
+    args = list(argv)
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            args[i] = tmp_path / f"arg{i}.json"
+            args[i].write_text(json.dumps(arg if isinstance(arg, dict) else {"matrix": arg}))
+    return [str(arg) for arg in args]
 
 
 @pytest.mark.parametrize("argv", [
@@ -95,9 +113,19 @@ class TestCheck:
         assert code == 2
         assert json.loads(out)["verdict"] == "RULED_OUT"
 
-    def test_not_ruled_out_exit_0(self, capsys, target_alg):
-        code, out, _ = run(capsys, "check", "--target", target_alg,
-                           "--schmidt", "0.8,0.2")
+    @pytest.mark.parametrize("target, flags", [
+        (ALG.matrix.tolist(), ("--schmidt", "0.8,0.2")),
+        # a total 5e-10 off 1 is read as 1 (UNIT_SUM_TOL = 1e-9)
+        (PRODUCT, ("--schmidt", "0.5,0.5000000005")),
+        # measuring in the Schmidt basis generates diag(λ), also for λ = (1, 1e-18)
+        ([[1.0, 0.0], [0.0, 1e-18]], ("--schmidt", "1,1e-18")),
+        # a product state generates a product target: the log sides' rounding
+        # at α = 1e6 is forgiven
+        ([[0.2881424159868753, 0.2209983841731505, 0.373111610922007, 0.11774758891796701]],
+         ("--schmidt", "1", "--alphas", "1e6")),
+    ], ids=["worked-2x2", "unit-sum-5e-10", "schmidt-basis-1e-18", "product-alpha-1e6"])
+    def test_not_ruled_out_exit_0(self, capsys, tmp_path, target, flags):
+        code, out, _ = run(capsys, *files(tmp_path, "check", "--target", target, *flags))
         assert code == 0
         assert json.loads(out)["verdict"] == "NOT_RULED_OUT"
 
@@ -139,11 +167,18 @@ class TestCheck:
             assert code == expected
             assert len(json.loads(out)["conditions"]) == 10
 
-    def test_classical_seed_input(self, capsys, target_diag, half_identity):
-        code, out, _ = run(capsys, "check", "--target", target_diag,
-                           "--seed", half_identity)
-        assert code == 2
-        assert json.loads(out)["verdict"] == "RULED_OUT"
+    @pytest.mark.parametrize("target, seed, expected", [
+        ([[0.3, 0.0], [0.0, 0.7]], HALF_ID, 2),
+        (HALF_ID, PRODUCT, 2),
+        # a classical seed generates itself, also with an entry far below the
+        # SVD's rounding level: a diagonal seed's spectrum is read from its entries
+        *[(seed, seed, 0) for seed in (HALF_ID, [[0.9999999999999, 0.0], [0.0, 1e-13]],
+                                       [[1.0, 0.0], [0.0, 1e-29]])],
+    ], ids=["diag-target", "product-seed", "half-identity", "seed-1e-13", "seed-1e-29"])
+    def test_classical_seed_input(self, capsys, tmp_path, target, seed, expected):
+        code, out, _ = run(capsys, *files(tmp_path, "check", "--target", target, "--seed", seed))
+        assert code == expected
+        assert json.loads(out)["verdict"] == {0: "NOT_RULED_OUT", 2: "RULED_OUT"}[expected]
 
     def test_custom_alphas(self, capsys, target_alg):
         code, out, _ = run(capsys, "check", "--target", target_alg,
@@ -258,14 +293,22 @@ class TestFactorizeVerifySimulate:
         counts = json.loads(out)["counts"]
         assert sum(map(sum, counts)) == 1000
 
-    def test_factorize_output_verifies(self, capsys, target_alg, tmp_path):
+    @pytest.mark.parametrize("target, lam", [
+        (ALG.matrix.tolist(), ("--lambda", f"{1/np.sqrt(5)},{2/np.sqrt(5)}")),
+        ([[1, 1], [1, 0]], ("--lambda", "0.2,0.8", "--lambda-squared")),
+        # --tol is one per-cell tolerance: the search converges with every cell
+        # within it, so this 2x2, which once converged 2e-5 off a cell, passes too
+        ([[0.021953385025098457, 0.38403833683125466], [0.4380920260870527, 0.15591625205659454]],
+         ("--lambda", "0.6325114903092675,0.7745509761318162")),
+    ], ids=["worked-2x2", "worked-2x2-unnormalized-squared", "pinned-2x2"])
+    def test_factorize_output_verifies(self, capsys, tmp_path, target, lam):
         # verify reads the factors nested under "factorization" in factorize's --out
-        # file; a converged witness of the worked 2x2 passes verify's default tol
+        # file; a converged witness passes verify's default tol
+        target = files(tmp_path, target)[0]
         fact_path = tmp_path / "factorize.json"
-        code, out, _ = run(capsys, "factorize", "--target", target_alg,
-                           "--lambda", f"{1/np.sqrt(5)},{2/np.sqrt(5)}", "--out", str(fact_path))
+        code, out, _ = run(capsys, "factorize", "--target", target, *lam, "--out", str(fact_path))
         assert (code, out) == (0, "")
-        code, out, err = run(capsys, "verify", "--target", target_alg,
+        code, out, err = run(capsys, "verify", "--target", target,
                              "--factorization", str(fact_path))
         assert code == 0, err
         assert '"ok": true' in out
@@ -389,15 +432,22 @@ class TestFactorizeVerifySimulate:
         assert err.startswith("error:")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_verify_huge_factor_no_warning(self, capsys, tmp_path):
-        fact = tmp_path / "f.json"
-        fact.write_text('{"lambda":[1.0],"C":[[[1e308]]],"D":[[[1.0]]]}')
-        target = tmp_path / "one.json"
-        target.write_text('{"matrix":[[1.0]]}')
-        code, out, err = run(capsys, "verify", "--target", str(target),
-                             "--factorization", str(fact))
+    @pytest.mark.parametrize("target, factorization, expected", [
+        ([[1.0]], {"lambda": [1.0], "C": [[[1e308]]], "D": [[[1.0]]]}, {"ok": False}),
+        # diagonal factor stacks have their entries for eigenvalues: the
+        # Schmidt-basis witness of ½I₂ passes, and a factor with the entry
+        # -0.25 is 0.25 from PSD
+        (HALF_ID, HALF_ID_WITNESS, {"ok": True}),
+        (HALF_ID, {"lambda": [1.0, 1.0], "C": [[[1.25, 0.0], [0.0, 0.0]], [[-0.25, 0.0], [0.0, 1.0]]],
+                   "D": [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]]},
+         {"feasibility": 0.25, "ok": False}),
+    ], ids=["huge-factor", "half-identity-schmidt-witness", "negative-entry"])
+    def test_verify_report(self, capsys, tmp_path, target, factorization, expected):
+        code, out, err = run(capsys, *files(tmp_path, "verify", "--target", target,
+                                            "--factorization", factorization))
         assert code == 0 and err == ""
-        assert json.loads(out)["ok"] is False
+        report = json.loads(out)
+        assert {key: report[key] for key in expected} == expected
 
     @pytest.mark.parametrize("lam", ["nan,0.5", "0.5,inf"])
     def test_non_finite_lambda_exit_1(self, capsys, target_alg, lam):
@@ -407,13 +457,17 @@ class TestFactorizeVerifySimulate:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("lam", [("--lambda", "0.5,0.5"), ("--lambda", "0.447,0.894"),
-                                     ("--lambda", "0.25,0.25", "--lambda-squared"),
-                                     ("--lambda", "1e200,1")],
-                             ids=["half", "rounded", "squared", "square-overflows"])
-    def test_lambda_squares_not_summing_to_1_exit_1(self, capsys, half_identity, lam):
+    @pytest.mark.parametrize("argv", [
+        ("factorize", "--target", HALF_ID, "--lambda", "0.5,0.5"),
+        ("factorize", "--target", HALF_ID, "--lambda", "0.447,0.894"),
+        ("factorize", "--target", HALF_ID, "--lambda", "0.25,0.25", "--lambda-squared"),
+        ("factorize", "--target", HALF_ID, "--lambda", "1e200,1"),
+        # the same rule reads a spectrum of squared Schmidt coefficients
+        ("check", "--target", PRODUCT, "--schmidt", "0.5,0.500000002"),
+    ], ids=["half", "rounded", "squared", "square-overflows", "check-schmidt"])
+    def test_lambda_squares_not_summing_to_1_exit_1(self, capsys, tmp_path, argv):
         # no witness exists for such a Lambda, and the search ran all its restarts
-        code, out, err = run(capsys, "factorize", "--target", half_identity, *lam)
+        code, out, err = run(capsys, *files(tmp_path, *argv))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "must sum to 1" in err and "Traceback" not in err
 
@@ -476,14 +530,14 @@ class TestClassicalAndReduce:
         assert payload["exact_decision"] == {"feasible": False, "witness": []}
 
     def test_exact_decision_feasible(self, capsys, tmp_path, half_identity):
-        seed = tmp_path / "seed.json"
-        seed.write_text(json.dumps({"matrix": [[0.25, 0, 0], [0, 0.25, 0], [0, 0, 0.5]]}))
-        code, out, _ = run(capsys, "classical", "--seed", str(seed),
-                           "--target", half_identity)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["exact_decision"]["feasible"]
-        assert payload["converged"]
+        # 60 labels are decided too: the oracle's bit budget, not its item count, bounds it
+        for diag in ([0.25, 0.25, 0.5], [1 / 60] * 60):
+            seed = files(tmp_path, np.diag(diag).tolist())[0]
+            code, out, _ = run(capsys, "classical", "--seed", seed, "--target", half_identity)
+            assert code == 0, len(diag)
+            payload = json.loads(out)
+            assert payload["exact_decision"]["feasible"], len(diag)
+            assert payload["converged"], len(diag)
 
     def test_singular_step_system_exit_0(self, capsys, tmp_path):
         # np.linalg.solve raised LinAlgError on a rank-deficient step system
@@ -570,7 +624,10 @@ class TestClassicalAndReduce:
         payload = json.loads(out)
         assert payload["schmidt"] == [0.5, pytest.approx(1 / 3), pytest.approx(1 / 6)]
         assert payload["exact_lambdas"] == ["1/2", "1/3", "1/6"]
-        assert payload["target"]["matrix"] == [[0.5, 0.0], [0.0, 0.5]]
+        assert payload["target"]["matrix"] == HALF_ID
+        code, out, _ = run(capsys, "reduce", "--items", "3,1,1,2,2,1", "--format", "text")
+        assert code == 0
+        assert "exact_lambdas:\n  - 3/10\n  - 1/5\n" in out
 
     def test_reduce_classical(self, capsys):
         code, out, _ = run(capsys, "reduce", "--items", "2,3", "--side", "classical")

@@ -23,14 +23,13 @@ from corrgen import (
 from corrgen.conditions import LOG_ROUNDING, SLACK, SpectrumError, mutual_information_baseline
 from corrgen.correlation import MASS_TOL, UNIT_SUM_TOL, CorrelationError
 
-from conftest import random_correlation
+from conftest import ALG, random_correlation
 
 BELL = SchmidtSpectrum([0.5, 0.5])
 DIAG37 = Correlation([[0.3, 0.0], [0.0, 0.7]])
 EX2 = Correlation(np.array([[1, 4], [4, 0]]) / 9)
 EX3 = Correlation(np.array([[2, 6], [3, 0]]) / 11)
 EX5 = Correlation(np.array([[4, 1, 1], [1, 1, 0], [1, 0, 1]]) / 10)
-ALG = Correlation(np.array([[1, 1], [1, 0]]) / 3)
 PRODUCT = Correlation(np.outer([0.4, 0.6], [0.3, 0.7]))
 
 #: relative departures e of a total, 0 < |e| ≤ 0.9·UNIT_SUM_TOL, each read as 1

@@ -27,13 +27,15 @@ from corrgen.factorize import (
     _step_retract,
 )
 
-from conftest import random_verified_factorization, zero_cell_family
+from conftest import (
+    ALG,
+    ALG_LAM,
+    GIVEUP_LAM,
+    GIVEUP_P,
+    random_verified_factorization,
+    zero_cell_family,
+)
 
-ALG = Correlation(np.array([[1, 1], [1, 0]]) / 3)
-ALG_LAM = np.array([1 / np.sqrt(5), 2 / np.sqrt(5)])
-# passes every necessary condition, has two zero cells, and no restart converges
-GIVEUP_P = np.array([[4, 1, 1], [1, 1, 0], [1, 0, 1]]) / 10
-GIVEUP_LAM = np.sqrt([0.6, 0.4])
 # Reference hand-checked solution for ALG with factor sum diag(1/sqrt5, 2/sqrt5).
 REF_C = np.array([
     [[0.26801401, 0.22523125], [0.22523125, 0.61132503]],
@@ -747,10 +749,12 @@ class TestVerify:
         assert res.residual > 0.05
 
     @pytest.mark.parametrize("tol", [-1e-6, np.nan, np.inf, "1", None, True,
-                                     pytest.param(np.array([1e-6, 1e-6]), id="array")])
+                                     pytest.param(np.array([1e-6, 1e-6]), id="array"),
+                                     pytest.param(np.array([1e-6]), id="one-element-array")])
     def test_bad_tol_rejected(self, tol):
         # an infinite tolerance would pass any cell error; "1" and None ended
-        # in a TypeError, an array in a ValueError, and True ran as 1
+        # in a TypeError, an array in a ValueError, and True ran as 1; numpy
+        # 1.24 read a one-element array as its entry
         with pytest.raises(FactorizationError, match="finite"):
             verify(ALG, REF_F, tol=tol)
 

@@ -23,9 +23,7 @@ from corrgen import (
     verify,
 )
 
-from conftest import random_verified_factorization
-
-ALG = Correlation(np.array([[1, 1], [1, 0]]) / 3)
+from conftest import ALG, random_verified_factorization
 
 
 class TestPureStateMatrix:
