@@ -12,18 +12,23 @@ with a floor of ``SLACK`` for sides below 1, so it covers the float error
 of a record whatever the magnitude of its sides, and judges one instance
 alike in every record.
 
-The battery derives the marginals, the supported cells and I(P) of a
-target once (:func:`~corrgen.correlation.cell_tables`, which caches the
-tables of the last target asked for) and H(λ) once per spectrum, and
-every check reads them; the fidelity sum is the squared norm of one
-Gram matrix of √P rather than one overlap per row pair.  The Rényi
-check evaluates every finite order of its grid in one array pass in log
-space, with its own rule on that scale, whose slack grows by
-α·``LOG_ROUNDING``: a side beyond the float range is compared by its log
-and reads ``inf``.  An order :func:`~corrgen.correlation.real` refuses,
-a NaN order, an order outside the family, and a finite one at which a
-log side overflows are refused with SpectrumError; at α = ∞ a seed side
-Σ1/λ beyond the float range reads ``inf`` and holds.
+The battery derives each quantity its checks share once, and every
+check reads it: per target, the marginals, the supported cells, their
+P(x)P(y), the ratio P/(PₓP_y), its log and I(P)
+(:func:`~corrgen.correlation.cell_tables`, which caches the tables of the
+last target asked for); per spectrum, H(λ), Σλ² and log₂λ
+(:class:`SchmidtSpectrum`); per α grid, the validated orders and the
+columns the Rényi pass reads (:func:`_alpha_grid`), for
+``DEFAULT_ALPHAS`` once, checked at import, and for any other grid once
+per call.  The fidelity sum is the squared norm of one Gram matrix of √P
+rather than one overlap per row pair.  The Rényi check evaluates every
+finite order of its grid in one array pass in log space, with its own
+rule on that scale, whose slack grows by α·``LOG_ROUNDING``: a side
+beyond the float range is compared by its log and reads ``inf``.  An
+order :func:`~corrgen.correlation.real` refuses, a NaN order, an order
+outside the family, and a finite one at which a log side overflows are
+refused with SpectrumError; at α = ∞ a seed side Σ1/λ beyond the float
+range reads ``inf`` and holds.
 """
 
 from __future__ import annotations
@@ -97,10 +102,24 @@ class SchmidtSpectrum:
         return np.sqrt(self.lambdas)
 
     @cached_property
+    def log2_lambdas(self) -> np.ndarray:
+        """log₂λ, read-only, derived once per spectrum for H(λ) and the Rényi seed sides."""
+        log_lam = np.log2(self.lambdas)
+        log_lam.setflags(write=False)
+        return log_lam
+
+    @cached_property
     def entropy(self) -> float:
-        """Shannon entropy H(λ) = −Σλ log₂λ in bits, derived once per spectrum."""
-        lam = self.lambdas
-        return float(-(lam * np.log2(lam)).sum())
+        """Shannon entropy H(λ) = −Σλ log₂λ in bits, derived once per spectrum.
+
+        A rank-1 spectrum has entropy +0.0, not −0.0.
+        """
+        return 0.0 - float((self.lambdas * self.log2_lambdas).sum())  # +0.0 for a sum of ±0.0
+
+    @cached_property
+    def purity(self) -> float:
+        """Σλ², the purity of either half of the seed, derived once per spectrum."""
+        return float((self.lambdas ** 2).sum())
 
 
 class ConditionRecord(NamedTuple):
@@ -163,6 +182,31 @@ def _log2_sum_exp2(x: np.ndarray) -> np.ndarray:
     return top + np.log2(np.exp2(x, out=x).sum(axis=-1))
 
 
+def _alpha_grid(alphas) -> tuple:
+    """The orders of ``alphas``, validated, and the read-only arrays the Rényi pass takes from them.
+
+    Returns (orders, a, seed_coef, target_coef, rounding): the orders as
+    floats, in the given order; the finite ones as an array a; the columns
+    (2/a − 1) and a, which scale log₂λ and log₂(P/PₓP_y); and
+    a·``LOG_ROUNDING``.  An order that ``real`` refuses, a NaN order and an
+    order outside [1/2, 1) ∪ (1, ∞] raise SpectrumError.  A plain tuple: a
+    class of its own would cost every import more than it saves.
+    """
+    orders = tuple(real(alpha, SpectrumError, "alpha") for alpha in alphas)
+    for alpha in orders:
+        if math.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
+            raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
+    a = np.array([alpha for alpha in orders if alpha != math.inf])
+    grid = (a, (2.0 / a - 1.0)[:, None], a[:, None], a * LOG_ROUNDING)
+    for column in grid:
+        column.setflags(write=False)
+    return (orders, *grid)
+
+
+#: The grid of ``DEFAULT_ALPHAS``, checked and derived once, at import.
+_DEFAULT_GRID = _alpha_grid(DEFAULT_ALPHAS)
+
+
 def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS):
     """Sandwiched α-Rényi data-processing conditions over an α grid.
 
@@ -185,30 +229,28 @@ def check_renyi(spectrum: SchmidtSpectrum, P: Correlation, alphas=DEFAULT_ALPHAS
     violated bound.  α = ∞ is judged by :func:`_judge` on the sides
     themselves: Σ1/λ may read ``inf``, which satisfies lhs ≥ rhs, and
     max P/PₓP_y is at most 1/tiny, as :func:`~corrgen.correlation.cell_tables`
-    refuses a sub-normal cell, so that side is always finite.
+    refuses a sub-normal cell, so that side is always finite.  The grid of
+    ``DEFAULT_ALPHAS`` itself was checked at import; any other is checked
+    here, by :func:`_alpha_grid`.
     """
-    alphas = [real(alpha, SpectrumError, "alpha") for alpha in alphas]
-    for alpha in alphas:
-        if math.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
-            raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
-    lam = spectrum.lambdas
+    orders, a, seed_coef, target_coef, rounding = (
+        _DEFAULT_GRID if alphas is DEFAULT_ALPHAS else _alpha_grid(alphas))
     t = cell_tables(P)
 
-    a = np.array([alpha for alpha in alphas if alpha != math.inf])
     with np.errstate(over="ignore", invalid="ignore"):
         # row 0: log₂ lhs and row 1: log₂ rhs, one column per order
-        logs = np.array([a * _log2_sum_exp2((2.0 / a - 1.0)[:, None] * np.log2(lam)),
-                         _log2_sum_exp2(a[:, None] * t.log_ratio + np.log2(t.prod))])
+        logs = np.array([a * _log2_sum_exp2(seed_coef * spectrum.log2_lambdas),
+                         _log2_sum_exp2(target_coef * t.log_ratio + np.log2(t.prod))])
         # row 0: log lhs ≤ log(rhs + slack); row 1: log rhs ≤ log(lhs + slack)
         log_slack = math.log2(SLACK) + np.maximum(logs.max(axis=0), 0.0)
-        holds = logs <= np.logaddexp2(logs[::-1], log_slack) + a * LOG_ROUNDING
+        holds = logs <= np.logaddexp2(logs[::-1], log_slack) + rounding
         finite = iter(zip(*logs.tolist(), *np.exp2(logs).tolist(), *holds.tolist()))
 
         records = []
-        for alpha in alphas:
+        for alpha in orders:
             if alpha == math.inf:
-                records.append(_judge("renyi", float((1.0 / lam).sum()),
-                                      float((t.cells / t.prod).max()), at_most=False, alpha=alpha))
+                records.append(_judge("renyi", float((1.0 / spectrum.lambdas).sum()),
+                                      float(t.ratio.max()), at_most=False, alpha=alpha))
                 continue
             log_lhs, log_rhs, lhs, rhs, lhs_holds, rhs_holds = next(finite)
             if not (math.isfinite(log_lhs) and math.isfinite(log_rhs)):
@@ -252,8 +294,8 @@ def v2_classical(P: Correlation) -> float:
 
 def check_v2(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
     """Σλ² against 1 − V′₂²/r with r the seed's Schmidt rank."""
-    return _judge("v2", float((spectrum.lambdas ** 2).sum()),
-                  1.0 - v2_classical(P) ** 2 / spectrum.rank, at_most=True)
+    return _judge("v2", spectrum.purity, 1.0 - v2_classical(P) ** 2 / spectrum.rank,
+                  at_most=True)
 
 
 def check_fidelity_sum(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRecord:
@@ -265,8 +307,7 @@ def check_fidelity_sum(spectrum: SchmidtSpectrum, P: Correlation) -> ConditionRe
     """
     R = np.sqrt(P.matrix)
     G = R @ R.T if R.shape[0] <= R.shape[1] else R.T @ R
-    return _judge("fidelity_sum", float(np.sum(G * G)), float((spectrum.lambdas ** 2).sum()),
-                  at_most=False)
+    return _judge("fidelity_sum", float(np.sum(G * G)), spectrum.purity, at_most=False)
 
 
 def check_all(spectrum: SchmidtSpectrum, P: Correlation,

@@ -31,6 +31,8 @@ import numpy as np
 MASS_TOL = 1e-12
 #: Departure from 1 within which a total is read as 1 (contract in :func:`unit_sums`).
 UNIT_SUM_TOL = 1e-9
+#: The smallest normal float: :func:`cell_tables` refuses a supported cell or P(x)P(y) below it.
+TINY = np.finfo(float).tiny
 
 
 class CorrgenError(ValueError):
@@ -214,19 +216,21 @@ def marginal_y(P: Correlation) -> np.ndarray:
 
 
 class CellTables(NamedTuple):
-    """The quantities of one target that the condition battery reads (arrays read-only)."""
+    """The quantities of one target that the condition battery reads, each derived
+    once per target for every check that reads it (arrays read-only)."""
 
     px: np.ndarray         # P(x), row sums
     py: np.ndarray         # P(y), column sums
     cells: np.ndarray      # P(x,y) on the cells with P(x,y) > 0, row-major
     prod: np.ndarray       # P(x)P(y) on the same cells
-    log_ratio: np.ndarray  # log₂(P(x,y)/P(x)P(y)) on the same cells
+    ratio: np.ndarray      # P(x,y)/P(x)P(y) on the same cells: its max is the α = ∞ target side
+    log_ratio: np.ndarray  # log₂ of ratio, read by I(P) and the finite Rényi orders
     information: float     # I(P) in bits
 
 
 @lru_cache(maxsize=1)
 def cell_tables(P: Correlation) -> CellTables:
-    """Marginals, supported cells and I(P) of P, derived once per target.
+    """Marginals, supported cells, P/(PₓP_y), its log and I(P) of P, derived once per target.
 
     A Correlation never changes and hashes by identity, so the tables of
     the target asked for last are cached and handed out again while the
@@ -239,16 +243,17 @@ def cell_tables(P: Correlation) -> CellTables:
     py = marginal_y(P)
     mask = P.matrix > 0
     cells = P.matrix[mask]
-    prod = np.outer(px, py)[mask]
+    prod = (px[:, None] * py)[mask]  # np.outer's own definition, without its call
     # below the normal float range the ratios the checks take turn inf or NaN
-    if np.minimum(cells, prod).min() < np.finfo(float).tiny:
+    if np.minimum(cells, prod).min() < TINY:
         raise CorrelationError("a supported cell or its P(x)P(y) is below the normal float range")
-    log_ratio = np.log2(cells / prod)
+    ratio = cells / prod
+    log_ratio = np.log2(ratio)
     # clamped at 0 to absorb −0.0 from rounding
     information = max(float((cells * log_ratio).sum()), 0.0)
-    for a in (px, py, cells, prod, log_ratio):
+    for a in (px, py, cells, prod, ratio, log_ratio):
         a.setflags(write=False)
-    return CellTables(px, py, cells, prod, log_ratio, information)
+    return CellTables(px, py, cells, prod, ratio, log_ratio, information)
 
 
 def shannon_entropy(v) -> float:
@@ -256,11 +261,12 @@ def shannon_entropy(v) -> float:
 
     The vector is divided by the divisor :func:`unit_sums` returns first,
     so one whose total is within ``UNIT_SUM_TOL`` of 1 is read as summing to 1.
+    A vector of one nonzero entry has entropy +0.0, not −0.0.
     """
     v = nonnegative(v, CorrelationError, "entropy input", ndim=1)
     v = v / unit_sums(v, CorrelationError, "entropy input")
     pos = v[v > 0]
-    return float(-(pos * np.log2(pos)).sum())
+    return 0.0 - float((pos * np.log2(pos)).sum())  # 0.0 − s is −s, but +0.0 for s = ±0.0
 
 
 def mutual_information(P: Correlation) -> float:

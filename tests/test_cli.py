@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 import subprocess
@@ -128,6 +129,19 @@ class TestCheck:
         code, out, _ = run(capsys, *files(tmp_path, "check", "--target", target, *flags))
         assert code == 0
         assert json.loads(out)["verdict"] == "NOT_RULED_OUT"
+
+    @pytest.mark.parametrize("target, expected", [(HALF_ID, 2), ([[1.0]], 0)],
+                             ids=["half-identity", "one-cell"])
+    def test_rank_one_entropy_prints_plus_zero(self, capsys, tmp_path, target, expected):
+        # H(λ) of λ = (1,) was −Σ of +0.0 terms, a negative zero, and printed as "-0.0"
+        code, out, _ = run(capsys, *files(tmp_path, "check", "--target", target,
+                                          "--schmidt", "1"))
+        assert code == expected
+        records = {c["name"]: c for c in json.loads(out)["conditions"]}
+        for name in ("holevo", "mutual_information_baseline"):
+            assert records[name]["rhs"] == 0.0
+            assert math.copysign(1.0, records[name]["rhs"]) == 1.0, name
+        assert "-0.0" not in out
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, out, err = run(capsys, "check", "--target", str(tmp_path / "no.json"),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -20,8 +21,18 @@ from corrgen import (
     v2_classical,
     verify,
 )
-from corrgen.conditions import LOG_ROUNDING, SLACK, SpectrumError, mutual_information_baseline
-from corrgen.correlation import MASS_TOL, UNIT_SUM_TOL, CorrelationError
+from corrgen import conditions
+from corrgen.conditions import (
+    DEFAULT_ALPHAS,
+    LOG_ROUNDING,
+    SLACK,
+    ConditionRecord,
+    SpectrumError,
+    _judge,
+    _log2_sum_exp2,
+    mutual_information_baseline,
+)
+from corrgen.correlation import MASS_TOL, UNIT_SUM_TOL, CorrelationError, cell_tables, real
 
 from conftest import ALG, random_correlation
 
@@ -359,6 +370,124 @@ class TestCheckAllAgreesWithStandaloneChecks:
         j = 2 * max(n, m) + min(n, m) ** 2
         gamma = Fraction(j, 2 ** 53 - j)
         assert abs(Fraction(records[4].lhs) - exact) <= gamma * exact
+
+
+def _reader_derived_battery(lam, P, alphas):
+    """check_all's records with every shared quantity derived again by each
+    reader: the grid checked on every call, P(x)P(y) by np.outer, P/(PₓP_y)
+    divided again for α = ∞, Σλ² summed and log₂λ taken at each reader.
+    H(λ) is −Σλ log₂λ + 0.0, which reads a rank-1 spectrum's −0.0 as +0.0."""
+    alphas = [real(alpha, SpectrumError, "alpha") for alpha in alphas]
+    for alpha in alphas:
+        if math.isnan(alpha) or alpha == 1.0 or alpha < 0.5:
+            raise SpectrumError(f"alpha must lie in [1/2, 1) ∪ (1, ∞], got {alpha}")
+    M = P.matrix
+    px, py = M.sum(axis=1), M.sum(axis=0)
+    mask = M > 0
+    cells, prod = M[mask], np.outer(px, py)[mask]
+    log_ratio = np.log2(cells / prod)
+    information = max(float((cells * log_ratio).sum()), 0.0)
+    entropy = float(-(lam * np.log2(lam)).sum()) + 0.0
+    keep = px > 0
+    d = M[keep] / px[keep, None] - py
+    v2 = float(np.sqrt((px[keep, None] * (d * d)).sum(axis=0)).sum())
+    R = np.sqrt(M)
+    G = R @ R.T if R.shape[0] <= R.shape[1] else R.T @ R
+    records = [
+        _judge("min_schmidt", float(lam[-1]), float((prod / cells).min()), at_most=True),
+        _judge("holevo", information, entropy, at_most=True),
+        _judge("mutual_information_baseline", information, 2.0 * entropy, at_most=True),
+        _judge("v2", float((lam ** 2).sum()), 1.0 - v2 ** 2 / lam.size, at_most=True),
+        _judge("fidelity_sum", float(np.sum(G * G)), float((lam ** 2).sum()), at_most=False),
+    ]
+    a = np.array([alpha for alpha in alphas if alpha != math.inf])
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = np.array([a * _log2_sum_exp2((2.0 / a - 1.0)[:, None] * np.log2(lam)),
+                         _log2_sum_exp2(a[:, None] * log_ratio + np.log2(prod))])
+        log_slack = math.log2(SLACK) + np.maximum(logs.max(axis=0), 0.0)
+        holds = logs <= np.logaddexp2(logs[::-1], log_slack) + a * LOG_ROUNDING
+        finite = iter(zip(*logs.tolist(), *np.exp2(logs).tolist(), *holds.tolist()))
+    for alpha in alphas:
+        if alpha == math.inf:
+            records.append(_judge("renyi", float((1.0 / lam).sum()),
+                                  float((cells / prod).max()), at_most=False, alpha=alpha))
+            continue
+        _, _, lhs, rhs, lhs_holds, rhs_holds = next(finite)
+        records.append(ConditionRecord("renyi", lhs, rhs,
+                                       lhs_holds if alpha < 1.0 else rhs_holds, alpha))
+    return records
+
+
+def _bits(records):
+    """Each record with its floats as hex strings, so that == tells −0.0 from +0.0."""
+    return [(r.name, float(r.lhs).hex(), float(r.rhs).hex(), r.satisfied, r.alpha)
+            for r in records]
+
+
+class TestSharedQuantitiesDerivedOnce:
+    """The battery derives what its checks share once per target, spectrum and
+    α grid; every record keeps the bits of each reader deriving its own."""
+
+    @example(seed=0, n=2, m=2, k=1, zero_cells=False, zero_row=False, zero_column=False,
+             alphas=[2.0])
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+           k=st.integers(1, 5), zero_cells=st.booleans(), zero_row=st.booleans(),
+           zero_column=st.booleans(),
+           alphas=st.lists(st.one_of(ORDERS, st.just(math.inf)), min_size=1, max_size=6))
+    def test_records_keep_their_bits(self, seed, n, m, k, zero_cells, zero_row, zero_column,
+                                     alphas):
+        rng = np.random.default_rng(seed)
+        M = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+        if zero_cells:
+            M[rng.random((n, m)) < 0.3] = 0.0
+        if zero_row:
+            M[rng.integers(n)] = 0.0
+        if zero_column:
+            M[:, rng.integers(m)] = 0.0
+        lam = rng.dirichlet(np.ones(k))
+        assume(M.sum() > 0 and lam.min() > 0)
+        P = Correlation(M)
+        spec = SchmidtSpectrum(lam)
+        expected = _bits(_reader_derived_battery(spec.lambdas, P, DEFAULT_ALPHAS))
+        # the default grid, derived at import, and the same orders checked on this call;
+        # the second default call reads the values the first derived on the spectrum
+        assert _bits(check_all(spec, P).records) == expected
+        assert _bits(check_all(spec, P, list(DEFAULT_ALPHAS)).records) == expected
+        assert _bits(check_all(spec, P).records) == expected
+        assert (_bits(check_all(spec, P, alphas).records)
+                == _bits(_reader_derived_battery(spec.lambdas, P, alphas)))
+
+    @pytest.mark.parametrize("alpha, message", [
+        (float("nan"), "alpha must lie in [1/2, 1) ∪ (1, ∞], got nan"),
+        (1.0, "alpha must lie in [1/2, 1) ∪ (1, ∞], got 1.0"),
+        (0.4, "alpha must lie in [1/2, 1) ∪ (1, ∞], got 0.4"),
+        (True, "alpha must be a real number, not True"),
+        ("2", "alpha must be a real number, not '2'"),
+        (np.array([2.0]), "alpha must be a real number, not an array of shape (1,)"),
+    ], ids=["nan", "one", "below-half", "bool", "string", "array"])
+    def test_bad_grid_refused_with_its_message(self, alpha, message):
+        with pytest.raises(SpectrumError) as exc:
+            check_all(BELL, DIAG37, [alpha])
+        assert str(exc.value) == message
+
+    def test_derived_arrays_are_read_only(self):
+        for a in (cell_tables(EX5).ratio, SchmidtSpectrum([0.8, 0.2]).log2_lambdas):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("alphas, reads", [(DEFAULT_ALPHAS, 0), (list(DEFAULT_ALPHAS), 5)],
+                             ids=["default", "user-grid"])
+    def test_default_grid_checked_at_import_only(self, monkeypatch, alphas, reads):
+        seen = []
+
+        def counting_real(value, *args):
+            seen.append(value)
+            return real(value, *args)
+
+        monkeypatch.setattr(conditions, "real", counting_real)
+        check_all(BELL, EX5, alphas)
+        assert len(seen) == reads
 
 
 def _povm(rng, count, k, partition):

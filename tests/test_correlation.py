@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,8 @@ class TestEntropyAndFidelity:
         assert shannon_entropy([1 / 9, 8 / 9]) == pytest.approx(0.5033, abs=5e-4)
 
     def test_point_mass(self):
+        # +0.0, not −0.0: −Σ of a sum of +0.0 terms is a negative zero
+        assert math.copysign(1.0, shannon_entropy([1.0, 0.0])) == 1.0
         assert shannon_entropy([1.0, 0.0]) == 0.0
 
     def test_fair_coin(self):
